@@ -17,7 +17,6 @@ from .corpus import (
     identity_rule,
     read_conll,
     rotation_rule,
-    split_label,
     write_conll,
 )
 from .crf import CrfError
@@ -29,7 +28,13 @@ from .evaluation import (
     score,
 )
 from .features import FeatureError, TemplateConfig
-from .induction import AlphabetError, build_expanded_alphabet, induce, revert
+from .induction import (
+    AlphabetError,
+    build_expanded_alphabet,
+    corpus_entity_types,
+    induce,
+    revert,
+)
 from .model_io import ModelFormatError, load_model, save_model
 from .training import TrainConfig, TrainingError, measure_iteration_cost, train
 
@@ -53,18 +58,6 @@ def _read_maybe_labeled(path: str):
     return read_conll(lines, label_column=-1 if has_labels else None)
 
 
-def _corpus_types(sentences) -> list[str]:
-    types = set()
-    for sentence in sentences:
-        for label in sentence.labels or ():
-            tag, typ = split_label(label)
-            if typ is not None:
-                types.add(typ)
-    if not types:
-        raise CorpusError("no entity types found in the corpus")
-    return sorted(types)
-
-
 def _train_config(args) -> TrainConfig:
     return TrainConfig(
         model_order=ModelOrder(args.order),
@@ -72,14 +65,15 @@ def _train_config(args) -> TrainConfig:
         l2_variance=args.l2_variance,
         max_iterations=args.max_iters,
         relative_tolerance=args.tol,
-        threads=args.threads,
     )
 
 
 def cmd_train(args) -> int:
     corpus = _read_corpus(args.train)
-    alphabet = build_expanded_alphabet(_corpus_types(corpus))
-    model, report = train(corpus, _train_config(args), alphabet)
+    types = corpus_entity_types(corpus)
+    if not types:
+        raise CorpusError("no entity types found in the corpus")
+    model, report = train(corpus, _train_config(args), build_expanded_alphabet(types))
     save_model(model, args.out)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
@@ -125,25 +119,10 @@ def cmd_eval(args) -> int:
 
 def cmd_transform(args) -> int:
     corpus = _read_corpus(args.input)
-    labels_seen = {label for s in corpus for label in s.labels or ()}
-    if args.direction == "induce":
-        types = set()
-        for label in labels_seen:
-            tag, typ = split_label(label)
-            if typ is not None:
-                types.add(typ)
-    else:
-        types = set()
-        for label in labels_seen:
-            if label.endswith("[O]") and len(label) > 3:
-                types.add(label[:-3])
-            else:
-                tag, typ = split_label(label)
-                if typ is not None:
-                    types.add(typ)
+    types = corpus_entity_types(corpus)
     if not types:
         raise CorpusError("no entity types found in the corpus")
-    alphabet = build_expanded_alphabet(sorted(types))
+    alphabet = build_expanded_alphabet(types)
 
     transformed = []
     for sentence in corpus:
@@ -204,7 +183,6 @@ def cmd_bench(args) -> int:
         l2_variance=args.l2_variance,
         max_iterations=args.max_iters,
         relative_tolerance=args.tol,
-        threads=args.threads,
     )
     orders = _parse_orders(args.orders)
 
@@ -256,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l2-variance", type=float, default=10.0)
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True, help="model output path")
     p.add_argument("--report", help="write per-iteration records (JSON lines)")
     p.add_argument("--report-text", help="write the per-iteration table as plain text")
@@ -307,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l2-variance", type=float, default=10.0)
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--types", type=int, default=2)
     p.add_argument("--train-size", type=int, default=2000)

@@ -12,12 +12,21 @@ in log space with max-shifted log-sum-exp, so long sentences cannot
 underflow; structurally forbidden moves carry -inf and drop out of every
 sum. Weight vectors are laid out as the feature index's observation slots
 followed by one contiguous transition region.
+
+One batched kernel does the inference: a padded observation gather turns
+the feature block starts of B same-length sentences into a (B, T, S)
+block of observation scores, and one forward/backward pass over that block
+gives alphas, betas, log Z and node marginals. The training objective runs
+it over length-grouped chunks of the corpus; build_lattice and
+forward_backward are its B = 1 view, the single-lattice API that Viterbi
+decoding and the brute-force oracles use.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -107,7 +116,6 @@ class StateSpace:
     trans_slot: np.ndarray
     n_transition_params: int
     n_pair_states: int
-    obs_projection: np.ndarray | None
 
     @property
     def n_states(self) -> int:
@@ -117,6 +125,11 @@ class StateSpace:
     def effective_states(self) -> int:
         """State count for model descriptions; excludes boundary pair copies."""
         return self.n_pair_states if self.order == ModelOrder.SECOND else self.n_states
+
+    @cached_property
+    def constraint_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """preinduced_constraint_masks of the alphabet, built once per state space."""
+        return preinduced_constraint_masks(self.alphabet)
 
 
 def state_space(order: ModelOrder, alphabet: LabelAlphabet) -> StateSpace:
@@ -137,7 +150,6 @@ def state_space(order: ModelOrder, alphabet: LabelAlphabet) -> StateSpace:
             trans_slot=n + np.arange(n * n, dtype=np.int64).reshape(n, n),
             n_transition_params=n + n * n,
             n_pair_states=0,
-            obs_projection=None,
         )
 
     expansion = expand_second_order(alphabet.base_labels)
@@ -160,9 +172,6 @@ def state_space(order: ModelOrder, alphabet: LabelAlphabet) -> StateSpace:
             src = src_base + b
             trans_slot[src, b * n : b * n + n] = n + (a * n + b) * n + np.arange(n)
 
-    proj = np.zeros((total, n))
-    proj[np.arange(total), obs_state_of] = 1.0
-
     return StateSpace(
         order=order,
         alphabet=alphabet,
@@ -173,7 +182,6 @@ def state_space(order: ModelOrder, alphabet: LabelAlphabet) -> StateSpace:
         trans_slot=trans_slot,
         n_transition_params=n + (n + 1) * n * n,
         n_pair_states=n * n,
-        obs_projection=proj,
     )
 
 
@@ -237,24 +245,51 @@ class Lattice:
         return float(context + self.obs[t, s])
 
 
-def _observation_scores(
-    starts_per_position: Sequence[np.ndarray], weights: np.ndarray, index: FeatureIndex
-) -> np.ndarray:
-    """Sum active feature blocks into (T, n_fine) observation scores."""
-    block = index.block_size
+def _transition_tables(
+    weights: np.ndarray, index: FeatureIndex, space: StateSpace
+) -> tuple[np.ndarray, np.ndarray]:
+    """Start (S,) and transition (S, S) log-potentials, -inf where forbidden."""
+    w_trans = weights[index.n_parameters :]
+    trans = np.full(space.trans_slot.shape, NEG_INF)
+    allowed = space.trans_slot >= 0
+    trans[allowed] = w_trans[space.trans_slot[allowed]]
+    start = np.full(space.n_states, NEG_INF)
+    s_ok = space.start_slot >= 0
+    start[s_ok] = w_trans[space.start_slot[s_ok]]
+    return start, trans
+
+
+def _gather_observations(
+    sentences: Sequence[Sequence[np.ndarray]],
+    weights: np.ndarray,
+    index: FeatureIndex,
+    space: StateSpace,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Observation scores of B same-length sentences in one padded gather.
+
+    sentences holds each sentence's feature block starts per position.
+    Returns the padded starts and their 0/1 mask, both (B, T, A) for A the
+    most active features at any position, and the lattice observation
+    scores (B, T, S).
+    """
+    n_pos = len(sentences[0])
     n_fine = index.n_fine
-    offsets = np.arange(block)
-    out = np.zeros((len(starts_per_position), n_fine))
-    outside = list(index.outside_obs_ids)
-    for t, starts in enumerate(starts_per_position):
-        if starts.size == 0:
-            continue
-        gathered = weights[starts[:, None] + offsets]
-        scores = gathered[:, :n_fine].sum(axis=0)
-        if index.has_coarse:
-            scores[outside] += gathered[:, n_fine].sum()
-        out[t] = scores
-    return out
+    max_active = max((st.size for sent in sentences for st in sent), default=0)
+    starts = np.zeros((len(sentences), n_pos, max(max_active, 1)), dtype=np.int64)
+    mask = np.zeros(starts.shape)
+    for b, sent in enumerate(sentences):
+        for t, st in enumerate(sent):
+            starts[b, t, : st.size] = st
+            mask[b, t, : st.size] = 1.0
+
+    # scores per observation-conditioned state, then per lattice state
+    gathered = weights[starts[..., None] + np.arange(index.block_size)] * mask[..., None]
+    sums = gathered.sum(axis=2)
+    obs_fine = sums[..., :n_fine]
+    if index.has_coarse:
+        obs_fine = obs_fine.copy()
+        obs_fine[..., list(index.outside_obs_ids)] += sums[..., n_fine][..., None]
+    return starts, mask, obs_fine[..., space.obs_state_of]
 
 
 def build_lattice(
@@ -282,22 +317,13 @@ def build_lattice(
         raise CrfError("decode-time constraints only apply to the pre-induced model")
 
     encoded = index.encode_positions(position_features)
-    obs_fine = _observation_scores(encoded, weights, index)
-    obs = obs_fine[:, space.obs_state_of]
-
-    w_trans = weights[index.n_parameters :]
-    trans = np.full(space.trans_slot.shape, NEG_INF)
-    allowed = space.trans_slot >= 0
-    trans[allowed] = w_trans[space.trans_slot[allowed]]
-    start = np.full(space.n_states, NEG_INF)
-    s_allowed = space.start_slot >= 0
-    start[s_allowed] = w_trans[space.start_slot[s_allowed]]
-
+    _, _, obs = _gather_observations([encoded], weights, index, space)
+    start, trans = _transition_tables(weights, index, space)
     if constrained:
-        start_ok, trans_ok = preinduced_constraint_masks(space.alphabet)
+        start_ok, trans_ok = space.constraint_masks
         start = np.where(start_ok, start, NEG_INF)
         trans = np.where(trans_ok, trans, NEG_INF)
-    return Lattice(obs=obs, trans=trans, start=start)
+    return Lattice(obs=obs[0], trans=trans, start=start)
 
 
 @dataclass
@@ -318,36 +344,71 @@ class ForwardBackwardResult:
     edge_marginals: np.ndarray
 
 
-def forward_backward(lattice: Lattice) -> ForwardBackwardResult:
-    """Exact marginal inference over one lattice."""
-    obs, trans, start = lattice.obs, lattice.trans, lattice.start
-    n_pos, n_states = obs.shape
-
-    log_alpha = np.empty((n_pos, n_states))
-    log_alpha[0] = start + obs[0]
-    for t in range(1, n_pos):
-        log_alpha[t] = obs[t] + logsumexp(log_alpha[t - 1][:, None] + trans, axis=0)
-    log_z = float(logsumexp(log_alpha[-1]))
-    if log_z == NEG_INF:
+def _check_scores(total: float) -> None:
+    """Reject a sum of log Z or best-path scores that is NaN or +inf
+    (broken potentials) or -inf (a lattice with no feasible path)."""
+    if math.isnan(total) or total == math.inf:
+        raise CrfError("lattice has NaN or +inf potentials")
+    if total == NEG_INF:
         raise InfeasibleLatticeError("every path through the lattice is blocked")
 
-    log_beta = np.zeros((n_pos, n_states))
-    for t in range(n_pos - 2, -1, -1):
-        tail = obs[t + 1] + log_beta[t + 1]
-        log_beta[t] = logsumexp(trans + tail[None, :], axis=1)
-    log_z_backward = float(logsumexp(start + obs[0] + log_beta[0]))
 
-    node = np.exp(log_alpha + log_beta - log_z)
-    if n_pos > 1:
-        edge = np.exp(
-            log_alpha[:-1, :, None]
-            + trans[None, :, :]
-            + (obs[1:] + log_beta[1:])[:, None, :]
-            - log_z
+def _forward_backward(
+    obs: np.ndarray, start: np.ndarray, trans: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Forward/backward over a (B, T, S) block of same-length lattices.
+
+    The lattices share the start (S,) and transition (S, S) potentials.
+    Returns log alphas and log betas (B, T, S), log Z (B,) and the node
+    marginals (B, T, S).
+    """
+    n_sent, n_pos, n_states = obs.shape
+    alphas = np.empty((n_sent, n_pos, n_states))
+    alphas[:, 0] = start[None, :] + obs[:, 0]
+    for t in range(1, n_pos):
+        alphas[:, t] = obs[:, t] + logsumexp(
+            alphas[:, t - 1][:, :, None] + trans[None, :, :], axis=1
         )
-    else:
-        edge = np.zeros((0, n_states, n_states))
-    return ForwardBackwardResult(log_alpha, log_beta, log_z, log_z_backward, node, edge)
+    log_z = logsumexp(alphas[:, -1], axis=1)
+    _check_scores(float(log_z.sum()))
+
+    betas = np.empty((n_sent, n_pos, n_states))
+    betas[:, -1] = 0.0
+    for t in range(n_pos - 2, -1, -1):
+        tail = obs[:, t + 1] + betas[:, t + 1]
+        betas[:, t] = logsumexp(trans[None, :, :] + tail[:, None, :], axis=2)
+
+    node = np.exp(alphas + betas - log_z[:, None, None])
+    return alphas, betas, log_z, node
+
+
+def _edge_marginals(
+    obs: np.ndarray,
+    trans: np.ndarray,
+    alphas: np.ndarray,
+    betas: np.ndarray,
+    log_z: np.ndarray,
+    t: int,
+) -> np.ndarray:
+    """p(y_t = sp, y_{t+1} = s | x) for every lattice of a block: (B, S, S)."""
+    tail = obs[:, t + 1] + betas[:, t + 1]
+    return np.exp(
+        alphas[:, t][:, :, None] + trans[None, :, :] + tail[:, None, :] - log_z[:, None, None]
+    )
+
+
+def forward_backward(lattice: Lattice) -> ForwardBackwardResult:
+    """Exact marginal inference over one lattice (the kernel with B = 1)."""
+    obs, trans = lattice.obs[None], lattice.trans
+    alphas, betas, log_z, node = _forward_backward(obs, lattice.start, trans)
+    edge = np.empty((lattice.n_positions - 1, lattice.n_states, lattice.n_states))
+    for t in range(lattice.n_positions - 1):
+        edge[t] = _edge_marginals(obs, trans, alphas, betas, log_z, t)[0]
+    # log Z from the beta side, logsumexp(alpha_0 + beta_0), shifted by log_z
+    log_z_backward = float(log_z[0] + np.log(node[0, 0].sum()))
+    return ForwardBackwardResult(
+        alphas[0], betas[0], float(log_z[0]), log_z_backward, node[0], edge
+    )
 
 
 def viterbi(lattice: Lattice) -> tuple[list[int], float]:
@@ -364,10 +425,10 @@ def viterbi(lattice: Lattice) -> tuple[list[int], float]:
         scores = delta[:, None] + trans
         backpointer[t] = np.argmax(scores, axis=0)
         delta = obs[t] + scores[backpointer[t], np.arange(n_states)]
+    # argmax picks NaN over any number, so a NaN anywhere reaches best
     last = int(np.argmax(delta))
     best = float(delta[last])
-    if best == NEG_INF:
-        raise InfeasibleLatticeError("every path through the lattice is blocked")
+    _check_scores(best)
     path = [last]
     for t in range(n_pos - 1, 0, -1):
         path.append(int(backpointer[t, path[-1]]))
@@ -427,19 +488,6 @@ def compile_sentence(
     return CompiledSentence(starts, gold)
 
 
-def _transition_tables(
-    weights: np.ndarray, index: FeatureIndex, space: StateSpace
-) -> tuple[np.ndarray, np.ndarray]:
-    w_trans = weights[index.n_parameters :]
-    trans = np.full(space.trans_slot.shape, NEG_INF)
-    allowed = space.trans_slot >= 0
-    trans[allowed] = w_trans[space.trans_slot[allowed]]
-    start = np.full(space.n_states, NEG_INF)
-    s_ok = space.start_slot >= 0
-    start[s_ok] = w_trans[space.start_slot[s_ok]]
-    return start, trans
-
-
 def _chunk_terms(
     chunk: Sequence[CompiledSentence],
     weights: np.ndarray,
@@ -449,51 +497,16 @@ def _chunk_terms(
     space: StateSpace,
 ) -> tuple[float, np.ndarray]:
     """Log-likelihood and gradient over same-length sentences, batched."""
-    n_sent = len(chunk)
     n_pos = len(chunk[0].feature_starts)
-    n_states = space.n_states
     n_fine = index.n_fine
-    block = index.block_size
     n_obs_params = index.n_parameters
     n_params = n_obs_params + space.n_transition_params
 
-    max_active = max(
-        (starts.size for cs in chunk for starts in cs.feature_starts), default=0
+    starts, mask, obs_lat = _gather_observations(
+        [cs.feature_starts for cs in chunk], weights, index, space
     )
-    max_active = max(max_active, 1)
-    starts = np.zeros((n_sent, n_pos, max_active), dtype=np.int64)
-    mask = np.zeros((n_sent, n_pos, max_active))
-    gold = np.empty((n_sent, n_pos), dtype=np.int64)
-    for b, cs in enumerate(chunk):
-        gold[b] = cs.gold
-        for t, st in enumerate(cs.feature_starts):
-            starts[b, t, : st.size] = st
-            mask[b, t, : st.size] = 1.0
-
-    # observation scores per observation-conditioned state, then per lattice state
-    gathered = weights[starts[..., None] + np.arange(block)] * mask[..., None]
-    sums = gathered.sum(axis=2)
-    obs_fine = sums[..., :n_fine]
-    if index.has_coarse:
-        obs_fine = obs_fine.copy()
-        obs_fine[..., list(index.outside_obs_ids)] += sums[..., n_fine][..., None]
-    obs_lat = obs_fine if space.obs_projection is None else obs_fine[..., space.obs_state_of]
-
-    alphas = np.empty((n_sent, n_pos, n_states))
-    alphas[:, 0] = start_vec[None, :] + obs_lat[:, 0]
-    for t in range(1, n_pos):
-        alphas[:, t] = obs_lat[:, t] + logsumexp(
-            alphas[:, t - 1][:, :, None] + trans[None, :, :], axis=1
-        )
-    log_z = logsumexp(alphas[:, -1], axis=1)
-    if np.any(np.isneginf(log_z)):
-        raise InfeasibleLatticeError("every path through the lattice is blocked")
-
-    betas = np.empty((n_sent, n_pos, n_states))
-    betas[:, -1] = 0.0
-    for t in range(n_pos - 2, -1, -1):
-        tail = obs_lat[:, t + 1] + betas[:, t + 1]
-        betas[:, t] = logsumexp(trans[None, :, :] + tail[:, None, :], axis=2)
+    gold = np.stack([cs.gold for cs in chunk])
+    alphas, betas, log_z, node = _forward_backward(obs_lat, start_vec, trans)
 
     w_trans = weights[n_obs_params:]
     gold_score = w_trans[space.start_slot[gold[:, 0]]].astype(np.float64)
@@ -508,8 +521,7 @@ def _chunk_terms(
     grad = np.zeros(n_params)
 
     # node marginals, projected onto observation-conditioned states
-    node = np.exp(alphas + betas - log_z[:, None, None])
-    node_obs = node if space.obs_projection is None else node @ space.obs_projection
+    node_obs = node @ np.eye(n_fine)[space.obs_state_of]
 
     # observation slots: observed minus expected, scattered by bincount
     gold_obs = space.obs_state_of[gold]
@@ -554,14 +566,7 @@ def _chunk_terms(
         allowed = space.trans_slot >= 0
         edge_acc = np.zeros_like(trans)
         for t in range(n_pos - 1):
-            tail = obs_lat[:, t + 1] + betas[:, t + 1]
-            edge = np.exp(
-                alphas[:, t][:, :, None]
-                + trans[None, :, :]
-                + tail[:, None, :]
-                - log_z[:, None, None]
-            )
-            edge_acc += edge.sum(axis=0)
+            edge_acc += _edge_marginals(obs_lat, trans, alphas, betas, log_z, t).sum(axis=0)
         g_trans -= np.bincount(
             space.trans_slot[allowed],
             weights=edge_acc[allowed],
@@ -599,16 +604,12 @@ def log_likelihood_and_gradient(
     index: FeatureIndex,
     space: StateSpace,
     l2_variance: float = float("inf"),
-    threads: int = 1,
 ) -> tuple[float, np.ndarray]:
     """Penalized conditional log-likelihood of a batch and its gradient.
 
     Returns the maximized objective sum(score(gold) - log Z) - |w|^2 / (2
     * l2_variance) and its gradient (observed minus expected feature
     counts, minus w / l2_variance). l2_variance=inf drops the penalty.
-    Worker threads only change how chunks are scheduled; partial results
-    are reduced in a fixed order, so results are bit-identical for any
-    thread count.
     """
     if not batch:
         raise CrfError("batch must contain at least one sentence")
@@ -626,26 +627,12 @@ def log_likelihood_and_gradient(
         raise CrfError("l2_variance must be positive (use inf to disable)")
 
     start_vec, trans = _transition_tables(weights, index, space)
-    jobs = _chunk_jobs(batch, index.block_size)
-
     objective = 0.0
     grad = np.zeros(n_params)
-    if threads <= 1:
-        for job in jobs:
-            ll, g = _chunk_terms(job, weights, start_vec, trans, index, space)
-            objective += ll
-            grad += g
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i in range(0, len(jobs), threads):
-                futures = [
-                    pool.submit(_chunk_terms, job, weights, start_vec, trans, index, space)
-                    for job in jobs[i : i + threads]
-                ]
-                for future in futures:
-                    ll, g = future.result()
-                    objective += ll
-                    grad += g
+    for job in _chunk_jobs(batch, index.block_size):
+        ll, g = _chunk_terms(job, weights, start_vec, trans, index, space)
+        objective += ll
+        grad += g
 
     if np.isfinite(l2_variance):
         objective -= float(weights @ weights) / (2.0 * l2_variance)

@@ -21,7 +21,7 @@ from .corpus import (
     validate_iob2,
 )
 from .crf_types import ModelOrder
-from .induction import build_expanded_alphabet
+from .induction import build_expanded_alphabet, corpus_entity_types
 from .model_io import Model
 from .training import TrainConfig, TrainReport, train
 
@@ -191,16 +191,6 @@ class ExperimentReport:
         ]
 
 
-def _corpus_entity_types(corpus: Sequence[Sentence]) -> set[str]:
-    types: set[str] = set()
-    for sentence in corpus:
-        for label in sentence.labels or ():
-            tag, typ = split_label(label)
-            if typ is not None:
-                types.add(typ)
-    return types
-
-
 def run_comparison(
     train_corpus: Sequence[Sentence],
     test_corpus: Sequence[Sentence],
@@ -219,7 +209,7 @@ def run_comparison(
         base_config = TrainConfig()
     if not orders or not feature_sets:
         raise EvaluationError("need at least one order and one feature set")
-    types = sorted(_corpus_entity_types(train_corpus) | _corpus_entity_types(test_corpus))
+    types = corpus_entity_types(train_corpus, test_corpus)
     if not types:
         raise EvaluationError("no entity types found in the corpora")
     alphabet = build_expanded_alphabet(types)

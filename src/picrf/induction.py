@@ -13,9 +13,9 @@ against ordinary IOB2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import LabelError, split_label, validate_iob2
+from .corpus import LabelError, Sentence, split_label, validate_iob2
 
 CARRIER_SUFFIX = "[O]"
 _RESERVED = "[]"
@@ -54,7 +54,8 @@ class LabelAlphabet:
             raise AlphabetError("unknown entity type: %r" % (entity_type,))
         return entity_type + CARRIER_SUFFIX
 
-    def carrier_type(self, label: str) -> str | None:
+    @staticmethod
+    def carrier_type(label: str) -> str | None:
         """The entity type a carrier label stores, or None for other labels."""
         if label.endswith(CARRIER_SUFFIX) and len(label) > len(CARRIER_SUFFIX):
             return label[: -len(CARRIER_SUFFIX)]
@@ -99,6 +100,25 @@ def build_expanded_alphabet(entity_types: Sequence[str]) -> LabelAlphabet:
         base_index={label: i for i, label in enumerate(base)},
         expanded_index={label: i for i, label in enumerate(expanded)},
     )
+
+
+def corpus_entity_types(*corpora: Iterable[Sentence]) -> list[str]:
+    """Sorted entity types named by the labels of one or more corpora.
+
+    Reads B-t/I-t labels and carrier labels t[O]; any other label except
+    O raises LabelError. Returns an empty list when no label names a type,
+    so each caller can raise its own error for that case.
+    """
+    # distinct labels in first-occurrence order, so the first bad label fails
+    labels = dict.fromkeys(label for corpus in corpora for s in corpus for label in s.labels or ())
+    types = set()
+    for label in labels:
+        typ = LabelAlphabet.carrier_type(label)
+        if typ is None:
+            _, typ = split_label(label)
+        if typ is not None:
+            types.add(typ)
+    return sorted(types)
 
 
 def induce(labels: Sequence[str], alphabet: LabelAlphabet) -> list[str]:

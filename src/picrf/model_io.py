@@ -202,6 +202,7 @@ def _parse(reader: _LineReader) -> Model:
             "model declares %d weights, expected %d" % (n_weights, expected)
         )
     weights = np.empty(n_weights)
+    first_weight_line = reader.count + 1
     for i in range(n_weights):
         line = reader.next_line()
         try:
@@ -210,6 +211,12 @@ def _parse(reader: _LineReader) -> Model:
             raise ModelFormatError(
                 "line %d: weight entry is not a number: %r" % (reader.count, line)
             ) from None
+    bad = np.flatnonzero(~np.isfinite(weights))
+    if bad.size:
+        raise ModelFormatError(
+            "line %d: weight entry is not finite: %r"
+            % (first_weight_line + int(bad[0]), float(weights[bad[0]]))
+        )
     if reader.next_line() != "end":
         raise ModelFormatError("model file does not finish with the end marker")
 

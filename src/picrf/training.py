@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .corpus import Sentence, split_label, validate_iob2
+from .corpus import Sentence, validate_iob2
 from .crf import (
     CompiledSentence,
     CrfError,
@@ -29,7 +29,7 @@ from .crf import (
 )
 from .crf_types import ModelOrder
 from .features import TemplateConfig, build_feature_index, extract_features
-from .induction import LabelAlphabet, build_expanded_alphabet
+from .induction import LabelAlphabet, build_expanded_alphabet, corpus_entity_types
 from .model_io import Model
 
 
@@ -48,7 +48,6 @@ class TrainConfig:
     relative_tolerance: float = 1e-6
     history_size: int = 7
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "model_order", ModelOrder(self.model_order))
@@ -60,8 +59,6 @@ class TrainConfig:
             raise TrainingError("relative_tolerance must be strictly positive")
         if self.history_size < 1:
             raise TrainingError("history_size must be at least 1")
-        if self.threads < 1:
-            raise TrainingError("threads must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -81,7 +78,6 @@ class TrainReport:
     order: ModelOrder
     feature_set: int
     n_parameters: int
-    threads: int
     iterations: list[IterationRecord]
     termination: str
     final_objective: float
@@ -116,7 +112,6 @@ class TrainReport:
                     "order": str(self.order),
                     "feature_set": self.feature_set,
                     "n_parameters": self.n_parameters,
-                    "threads": self.threads,
                     "final_objective": self.final_objective,
                 }
             )
@@ -200,18 +195,6 @@ def compile_corpus(
     return compiled
 
 
-def _corpus_alphabet(corpus: Sequence[Sentence]) -> LabelAlphabet:
-    types = set()
-    for sentence in corpus:
-        for label in sentence.labels or ():
-            _, typ = split_label(label)
-            if typ is not None:
-                types.add(typ)
-    if not types:
-        raise TrainingError("training corpus has no entity types; pass an alphabet")
-    return build_expanded_alphabet(sorted(types))
-
-
 def train(
     corpus: Sequence[Sentence],
     config: TrainConfig,
@@ -229,7 +212,10 @@ def train(
     if not corpus:
         raise TrainingError("training corpus is empty")
     if alphabet is None:
-        alphabet = _corpus_alphabet(corpus)
+        types = corpus_entity_types(corpus)
+        if not types:
+            raise TrainingError("training corpus has no entity types; pass an alphabet")
+        alphabet = build_expanded_alphabet(types)
     space = state_space(config.model_order, alphabet)
     if space.n_states == 0:
         raise TrainingError("state set is empty")
@@ -240,9 +226,7 @@ def train(
     cache: list[tuple[np.ndarray, float, float]] = []
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad = log_likelihood_and_gradient(
-            compiled, x, index, space, config.l2_variance, threads=config.threads
-        )
+        value, grad = log_likelihood_and_gradient(compiled, x, index, space, config.l2_variance)
         _check_finite(value, grad)
         cache.append((x.copy(), -value, float(np.max(np.abs(grad)))))
         del cache[:-4]
@@ -260,7 +244,7 @@ def train(
                 break
         else:
             value, grad = log_likelihood_and_gradient(
-                compiled, xk, index, space, config.l2_variance, threads=config.threads
+                compiled, xk, index, space, config.l2_variance
             )
             f, gmax = -value, float(np.max(np.abs(grad)))
         records.append(IterationRecord(len(records) + 1, -f, gmax, elapsed))
@@ -293,7 +277,6 @@ def train(
         order=config.model_order,
         feature_set=config.template.set_id,
         n_parameters=n_params,
-        threads=config.threads,
         iterations=records,
         termination=_termination_reason(result),
         final_objective=float(-result.fun),
@@ -384,15 +367,7 @@ def measure_iteration_cost(
         raise TrainingError("warmup must be non-negative")
 
     if alphabet is None:
-        types = sorted(
-            {
-                label[2:]
-                for sentence in corpus
-                for label in (sentence.labels or ())
-                if label != "O"
-            }
-        )
-        alphabet = build_expanded_alphabet(types)
+        alphabet = build_expanded_alphabet(corpus_entity_types(corpus))
 
     rows: list[TimingRow] = []
     for config in configs:

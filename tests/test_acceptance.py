@@ -289,7 +289,6 @@ def test_criterion_10_external_corpus_reference(capsys):
             config = TrainConfig(
                 model_order=order,
                 template=TemplateConfig(set_id=2, min_feature_count=2),
-                threads=4,
             )
             model, _ = train(train_corpus, config)
             predicted = [model.decode(s) for s in test_corpus]

@@ -123,6 +123,16 @@ class TestTag:
         assert "pre-induced" in capsys.readouterr().err
 
 
+    def test_non_finite_weight_fails_cleanly(self, model_path, corpus_files, capsys):
+        _, test = corpus_files
+        lines = model_path.read_text().splitlines(True)
+        i = next(k for k, line in enumerate(lines) if line.startswith("weights:"))
+        lines[i + 1] = "nan\n"
+        model_path.write_text("".join(lines))
+        assert run(["tag", "--model", model_path, "--input", test]) == 1
+        assert "line %d: weight entry is not finite" % (i + 2) in capsys.readouterr().err
+
+
 class TestEval:
     def test_gold_vs_pred_files(self, corpus_files, tmp_path, capsys):
         _, test = corpus_files

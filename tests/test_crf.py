@@ -14,6 +14,8 @@ from picrf.crf import (
     compile_sentence,
     encode_gold_states,
     expand_second_order,
+    _MAX_CHUNK,
+    _chunk_jobs,
     forward_backward,
     log_likelihood_and_gradient,
     preinduced_constraint_masks,
@@ -161,6 +163,15 @@ class TestForwardBackward:
         with pytest.raises(InfeasibleLatticeError):
             viterbi(lattice)
 
+    @pytest.mark.parametrize("where", ["obs", "trans", "start"])
+    def test_nan_lattice_raises(self, where):
+        lattice = random_lattice(3, 3, np.random.default_rng(6))
+        getattr(lattice, where)[-1] = np.nan
+        with pytest.raises(CrfError, match="NaN"):
+            forward_backward(lattice)
+        with pytest.raises(CrfError, match="NaN"):
+            viterbi(lattice)
+
 
 class TestViterbi:
     def test_all_zero_ties_break_to_lowest_index(self):
@@ -305,17 +316,27 @@ class TestObjective:
             fd = (vp - vm) / (2 * h)
             assert abs(fd - grad[slot]) / max(1.0, abs(grad[slot])) < 1e-6
 
-    def test_threads_bit_identical(self):
-        corpus = random_corpus(random.Random(5), ["A"], 20)
-        space, index, compiled = _training_setup(
-            ModelOrder.PRE_INDUCED, corpus, alphabet=build_expanded_alphabet(["A"])
+    @pytest.mark.parametrize("order", list(ModelOrder))
+    def test_chunked_batch_matches_single_sentences(self, order):
+        rng = random.Random(5)
+        corpus = random_corpus(rng, ["A", "B"], _MAX_CHUNK + 20, min_len=4, max_len=4)
+        corpus += random_corpus(rng, ["A", "B"], 30)
+        space, index, compiled = _training_setup(order, corpus)
+        n_lengths = len({len(cs.feature_starts) for cs in compiled})
+        assert len(_chunk_jobs(compiled, index.block_size)) > n_lengths
+        weights = np.random.default_rng(1).normal(
+            scale=0.3, size=total_parameters(index, space)
         )
-        rng = np.random.default_rng(1)
-        weights = rng.normal(size=total_parameters(index, space))
-        v1, g1 = log_likelihood_and_gradient(compiled, weights, index, space, threads=1)
-        v4, g4 = log_likelihood_and_gradient(compiled, weights, index, space, threads=4)
-        assert v1 == v4
-        assert np.array_equal(g1, g4)
+        value, grad = log_likelihood_and_gradient(compiled, weights, index, space)
+
+        parts = [log_likelihood_and_gradient([cs], weights, index, space) for cs in compiled]
+        assert value == pytest.approx(sum(v for v, _ in parts), rel=1e-10)
+        expected = np.sum([g for _, g in parts], axis=0)
+        assert np.allclose(grad, expected, rtol=1e-10, atol=1e-10 * np.abs(expected).max())
+
+        again_value, again_grad = log_likelihood_and_gradient(compiled, weights, index, space)
+        assert again_value == value
+        assert np.array_equal(again_grad, grad)
 
     def test_empty_batch_rejected(self):
         space, index, _ = _training_setup(

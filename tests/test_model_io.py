@@ -142,6 +142,14 @@ class TestTampering:
         with pytest.raises(ModelFormatError):
             _load_lines(lines)
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_weight(self, model, text):
+        lines = _lines(model)
+        i = next(k for k, line in enumerate(lines) if line.startswith("weights:"))
+        lines[i + 3] = text
+        with pytest.raises(ModelFormatError, match="line %d: weight entry is not finite" % (i + 4)):
+            _load_lines(lines)
+
     def test_malformed_feature_line(self, model):
         lines = _lines(model)
         i = next(k for k, line in enumerate(lines) if line.startswith("features:"))

@@ -1,11 +1,9 @@
 import json
-import random
 
 import numpy as np
 import pytest
 
-from oracles import random_corpus
-from picrf.corpus import Sentence, SynthConfig, generate_synthetic
+from picrf.corpus import LabelError, Sentence, SynthConfig, generate_synthetic
 from picrf.crf_types import ModelOrder
 from picrf.features import TemplateConfig
 from picrf.induction import build_expanded_alphabet
@@ -38,7 +36,6 @@ class TestTrainConfig:
         assert config.model_order is ModelOrder.FIRST
         assert config.template == TemplateConfig()
         assert config.l2_variance == 10.0
-        assert config.threads == 1
 
     def test_order_coerced_from_string(self):
         assert TrainConfig(model_order="pre-induced").model_order is ModelOrder.PRE_INDUCED
@@ -52,7 +49,6 @@ class TestTrainConfig:
             {"relative_tolerance": 0.0},
             {"relative_tolerance": -1e-9},
             {"history_size": 0},
-            {"threads": 0},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -133,13 +129,6 @@ class TestTrain:
         model_b, _ = train(tiny_corpus(), config)
         assert np.array_equal(model_a.weights, model_b.weights)
 
-    def test_threads_do_not_change_weights(self):
-        corpus = random_corpus(random.Random(12), ["A", "B"], 16)
-        base = TrainConfig(max_iterations=25)
-        model_1, _ = train(corpus, base)
-        model_4, _ = train(corpus, TrainConfig(max_iterations=25, threads=4))
-        assert np.array_equal(model_1.weights, model_4.weights)
-
     def test_explicit_alphabet_adds_types(self):
         corpus = tiny_corpus()
         alpha = build_expanded_alphabet(["LOC", "ORG", "PER"])
@@ -188,6 +177,15 @@ class TestTimings:
         )
         assert "s/iteration" in report.to_text()
         del base
+
+    def test_carrier_label_rejected_like_train(self):
+        corpus = tiny_corpus() + [Sentence.from_strings(["x", "y"], ["B-PER", "PER[O]"])]
+        configs = [TrainConfig(model_order=o) for o in (ModelOrder.FIRST, ModelOrder.PRE_INDUCED)]
+        message = r"not an IOB2 label: 'PER\[O\]'"
+        with pytest.raises(LabelError, match=message):
+            train(corpus, configs[0])
+        with pytest.raises(LabelError, match=message):
+            measure_iteration_cost(corpus, configs, measured=3)
 
     def test_requires_two_configs(self):
         with pytest.raises(TrainingError):
