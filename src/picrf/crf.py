@@ -7,17 +7,28 @@ the second-order chain. A lattice holds additive log-potentials
 
     psi(t, s_prev, s) = transition(s_prev, s) + obs(t, s)
 
-with a distinguished start context at t = 0. Probability computations stay
-in log space with max-shifted log-sum-exp, so long sentences cannot
-underflow; structurally forbidden moves carry -inf and drop out of every
-sum. Weight vectors are laid out as the feature index's observation slots
-followed by one contiguous transition region.
+with a distinguished start context at t = 0; structurally forbidden moves
+carry -inf and drop out of every sum. Weight vectors are laid out as the
+feature index's observation slots followed by one contiguous transition
+region.
 
 One batched kernel does the inference: a padded observation gather turns
-the feature block starts of B same-length sentences into a (B, T, S)
-block of observation scores, and one forward/backward pass over that block
-gives alphas, betas, log Z and node marginals. The training objective runs
-it over length-grouped chunks of the corpus; build_lattice and
+the feature block starts of B same-length sentences into a time-major
+(T, B, S) block of observation scores, and one forward/backward pass over
+that block gives log Z and the node and edge marginals. The pass is the
+scaled recursion of Rabiner (1989) in the probability domain: it
+exponentiates obs minus its max at each position and trans minus its
+finite max, divides the forward vector at each position by its sum and
+the backward vector by the same sum, and recovers log Z as the sum of the
+logs of those normalizers plus the shifts. Range contract: the result is
+exact to rounding, or the pass raises CrfError naming the finite spread
+of the potentials. Every lattice whose potentials are finite and spread
+less than a few hundred nats is exact without further checks (trained
+models span far less); wider or partly forbidden lattices are checked
+entry by entry after the pass (see _check_range).
+
+The training objective packs its batch once into length-grouped, padded
+chunks (CompiledBatch) and runs the kernel over them; build_lattice and
 forward_backward are its B = 1 view, the single-lattice API that Viterbi
 decoding and the brute-force oracles use.
 """
@@ -30,7 +41,6 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .corpus import split_label
 from .crf_types import ModelOrder
@@ -47,6 +57,14 @@ START_SYMBOL = "<start>"
 # while amortizing interpreter overhead over wide numpy ops.
 _CHUNK_BUDGET = 4_000_000
 _MAX_CHUNK = 256
+
+# The scaled recursion trusts a forward or backward entry, before
+# normalization, down to _FLOOR: a product term that underflows below the
+# float64 normal range (2.2e-308) then changes it by under 1e-18.
+_FLOOR = 2.0**-960
+# Potential spread, in nats, below which no entry can fall under _FLOOR
+# (e**-660 > 2**-960); see _check_range.
+_SAFE_SPAN = 660.0
 
 
 class CrfError(Exception):
@@ -259,37 +277,70 @@ def _transition_tables(
     return start, trans
 
 
-def _gather_observations(
-    sentences: Sequence[Sequence[np.ndarray]],
-    weights: np.ndarray,
-    index: FeatureIndex,
-    space: StateSpace,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Observation scores of B same-length sentences in one padded gather.
+def _transition_counts(
+    start_mass: np.ndarray, edge_mass: np.ndarray, space: StateSpace
+) -> np.ndarray:
+    """Scatter start (S,) and transition (S, S) masses onto the transition
+    region of the weight vector: the transpose of _transition_tables."""
+    counts = np.zeros(space.n_transition_params)
+    s_ok = space.start_slot >= 0
+    counts[space.start_slot[s_ok]] = start_mass[s_ok]
+    allowed = space.trans_slot >= 0
+    counts[space.trans_slot[allowed]] = edge_mass[allowed]
+    return counts
 
-    sentences holds each sentence's feature block starts per position.
-    Returns the padded starts and their 0/1 mask, both (B, T, A) for A the
-    most active features at any position, and the lattice observation
-    scores (B, T, S).
+
+def _pad_starts(sentences: Sequence[Sequence[np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Feature block starts of B same-length sentences, padded time-major.
+
+    Returns the starts and their 0/1 mask, both (T, B, A) for A the most
+    active features at any position.
     """
     n_pos = len(sentences[0])
-    n_fine = index.n_fine
     max_active = max((st.size for sent in sentences for st in sent), default=0)
-    starts = np.zeros((len(sentences), n_pos, max(max_active, 1)), dtype=np.int64)
+    starts = np.zeros((n_pos, len(sentences), max(max_active, 1)), dtype=np.int64)
     mask = np.zeros(starts.shape)
     for b, sent in enumerate(sentences):
         for t, st in enumerate(sent):
-            starts[b, t, : st.size] = st
-            mask[b, t, : st.size] = 1.0
+            starts[t, b, : st.size] = st
+            mask[t, b, : st.size] = 1.0
+    return starts, mask
 
-    # scores per observation-conditioned state, then per lattice state
-    gathered = weights[starts[..., None] + np.arange(index.block_size)] * mask[..., None]
+
+def _gather_observations(
+    starts: np.ndarray,
+    mask: np.ndarray,
+    weights: np.ndarray,
+    index: FeatureIndex,
+    space: StateSpace,
+) -> np.ndarray:
+    """Lattice observation scores (T, B, S) of padded starts and their mask."""
+    blocks = weights[: index.n_parameters].reshape(-1, index.block_size)
+    gathered = np.take(blocks, starts // index.block_size, axis=0)
+    gathered *= mask[..., None]
     sums = gathered.sum(axis=2)
+    n_fine = index.n_fine
     obs_fine = sums[..., :n_fine]
     if index.has_coarse:
         obs_fine = obs_fine.copy()
         obs_fine[..., list(index.outside_obs_ids)] += sums[..., n_fine][..., None]
-    return starts, mask, obs_fine[..., space.obs_state_of]
+    return obs_fine[..., space.obs_state_of]
+
+
+def _scatter_observations(
+    starts: np.ndarray, mask: np.ndarray, mass: np.ndarray, index: FeatureIndex
+) -> np.ndarray:
+    """Observation-slot totals of a mass (T, B, n_fine) over observation
+    states, added up over each position's active features: the transpose
+    of _gather_observations. Returns the observation region (n_parameters,)."""
+    n_fine = index.n_fine
+    block = np.empty(mass.shape[:2] + (index.block_size,))
+    block[..., :n_fine] = mass
+    if index.has_coarse:
+        block[..., n_fine] = mass[..., list(index.outside_obs_ids)].sum(axis=-1)
+    slots = starts[..., None] + np.arange(index.block_size)
+    values = block[:, :, None, :] * mask[..., None]
+    return np.bincount(slots.ravel(), weights=values.ravel(), minlength=index.n_parameters)
 
 
 def build_lattice(
@@ -316,14 +367,14 @@ def build_lattice(
     if constrained and space.order != ModelOrder.PRE_INDUCED:
         raise CrfError("decode-time constraints only apply to the pre-induced model")
 
-    encoded = index.encode_positions(position_features)
-    _, _, obs = _gather_observations([encoded], weights, index, space)
+    starts, mask = _pad_starts([index.encode_positions(position_features)])
+    obs = _gather_observations(starts, mask, weights, index, space)
     start, trans = _transition_tables(weights, index, space)
     if constrained:
         start_ok, trans_ok = space.constraint_masks
         start = np.where(start_ok, start, NEG_INF)
         trans = np.where(trans_ok, trans, NEG_INF)
-    return Lattice(obs=obs[0], trans=trans, start=start)
+    return Lattice(obs=obs[:, 0], trans=trans, start=start)
 
 
 @dataclass
@@ -345,70 +396,180 @@ class ForwardBackwardResult:
 
 
 def _check_scores(total: float) -> None:
-    """Reject a sum of log Z or best-path scores that is NaN or +inf
-    (broken potentials) or -inf (a lattice with no feasible path)."""
+    """Reject a sum of log Z, potential maxima or best-path scores that is
+    NaN or +inf (broken potentials) or -inf (a lattice with no feasible
+    path)."""
     if math.isnan(total) or total == math.inf:
         raise CrfError("lattice has NaN or +inf potentials")
     if total == NEG_INF:
         raise InfeasibleLatticeError("every path through the lattice is blocked")
 
 
-def _forward_backward(
-    obs: np.ndarray, start: np.ndarray, trans: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Forward/backward over a (B, T, S) block of same-length lattices.
+class _Scaled(NamedTuple):
+    """Scaled forward/backward tables of a (T, B, S) block of lattices.
+
+    alphas[t] sums to 1 over states, scale[t] (T, B, 1) is the sum it was
+    divided by, and betas are divided by the same normalizers, so
+    alphas * betas are the node marginals. tails[t] is pot[t + 1] *
+    betas[t + 1] / scale[t + 1], so the edge marginals at t are
+    alphas[t][:, :, None] * trans_pot * tails[t][:, None, :]. log_scale[t]
+    is log scale[t] plus the shifts taken out at t; over t it sums to log Z.
+    """
+
+    alphas: np.ndarray
+    betas: np.ndarray
+    tails: np.ndarray
+    trans_pot: np.ndarray
+    scale: np.ndarray
+    log_scale: np.ndarray
+
+    @property
+    def log_z(self) -> np.ndarray:
+        return self.log_scale.sum(axis=0)
+
+
+def _forward_backward(obs: np.ndarray, start: np.ndarray, trans: np.ndarray) -> _Scaled:
+    """Scaled forward/backward over a (T, B, S) block of same-length lattices.
 
     The lattices share the start (S,) and transition (S, S) potentials.
-    Returns log alphas and log betas (B, T, S), log Z (B,) and the node
-    marginals (B, T, S).
+    Raises CrfError on NaN or +inf potentials, InfeasibleLatticeError when
+    a lattice has no path, and CrfError when the result would not be exact
+    (see _check_range).
     """
-    n_sent, n_pos, n_states = obs.shape
-    alphas = np.empty((n_sent, n_pos, n_states))
-    alphas[:, 0] = start[None, :] + obs[:, 0]
-    for t in range(1, n_pos):
-        alphas[:, t] = obs[:, t] + logsumexp(
-            alphas[:, t - 1][:, :, None] + trans[None, :, :], axis=1
-        )
-    log_z = logsumexp(alphas[:, -1], axis=1)
-    _check_scores(float(log_z.sum()))
+    n_pos = obs.shape[0]
+    obs_shift = obs.max(axis=2, keepdims=True)
+    start_shift = float(start.max())
+    trans_shift = float(trans.max()) if n_pos > 1 else 0.0
+    _check_scores(float(obs_shift.sum()) + start_shift + trans_shift)
+    pot = np.exp(obs - obs_shift)
+    trans_pot = np.exp(trans - trans_shift) if n_pos > 1 else np.zeros_like(trans)
 
-    betas = np.empty((n_sent, n_pos, n_states))
-    betas[:, -1] = 0.0
-    for t in range(n_pos - 2, -1, -1):
-        tail = obs[:, t + 1] + betas[:, t + 1]
-        betas[:, t] = logsumexp(trans[None, :, :] + tail[:, None, :], axis=2)
+    alphas = np.empty_like(pot)
+    scale = np.empty(pot.shape[:2] + (1,))
+    np.multiply(pot[0], np.exp(start - start_shift), out=alphas[0])
+    # a normalizer of 0 (no path, or underflow) and backward entries that
+    # overflow are classified by _check_range
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for t in range(n_pos):
+            if t:
+                np.einsum("bs,st->bt", alphas[t - 1], trans_pot, out=alphas[t])
+                alphas[t] *= pot[t]
+            np.sum(alphas[t], axis=1, keepdims=True, out=scale[t])
+            alphas[t] /= scale[t]
+        tails = pot[1:] / scale[1:]
+        betas = np.empty_like(pot)
+        betas[-1] = 1.0
+        for t in range(n_pos - 2, -1, -1):
+            tails[t] *= betas[t + 1]
+            np.einsum("st,bt->bs", trans_pot, tails[t], out=betas[t])
+        log_scale = np.log(scale[..., 0]) + obs_shift[..., 0]
+    log_scale[0] += start_shift
+    log_scale[1:] += trans_shift
+    run = _Scaled(alphas, betas, tails, trans_pot, scale, log_scale)
+    _check_range(run, obs, obs_shift, start, start_shift, trans, trans_shift)
+    return run
 
-    node = np.exp(alphas + betas - log_z[:, None, None])
-    return alphas, betas, log_z, node
 
-
-def _edge_marginals(
+def _check_range(
+    run: _Scaled,
     obs: np.ndarray,
+    obs_shift: np.ndarray,
+    start: np.ndarray,
+    start_shift: float,
     trans: np.ndarray,
-    alphas: np.ndarray,
-    betas: np.ndarray,
-    log_z: np.ndarray,
-    t: int,
-) -> np.ndarray:
-    """p(y_t = sp, y_{t+1} = s | x) for every lattice of a block: (B, S, S)."""
-    tail = obs[:, t + 1] + betas[:, t + 1]
-    return np.exp(
-        alphas[:, t][:, :, None] + trans[None, :, :] + tail[:, None, :] - log_z[:, None, None]
+    trans_shift: float,
+) -> None:
+    """Raise unless the scaled pass is exact to rounding.
+
+    The pass is exact when every forward and backward entry, before
+    normalization, is either zero by the lattice's structure (a -inf
+    potential) or at least _FLOOR, because a product term lost to
+    underflow then changes the entry it feeds by under 1e-18 of it. When
+    every potential is finite and the finite spreads (max minus min, in
+    nats) of trans (d_trans), start (d_start) and any one position of obs
+    (d_obs) satisfy max(d_obs + max(d_start, d_trans), 2 d_trans) <=
+    _SAFE_SPAN, every entry is at least exp(-_SAFE_SPAN) > _FLOOR and
+    nothing needs checking. Otherwise the tables are checked directly.
+    """
+    n_pos = obs.shape[0]
+    d_obs = float((obs_shift[..., 0] - obs.min(axis=2)).max())
+    d_start = start_shift - float(start.min())
+    d_trans = trans_shift - float(trans.min()) if n_pos > 1 else 0.0
+    if max(d_obs + max(d_start, d_trans), 2.0 * d_trans) <= _SAFE_SPAN:
+        return
+
+    alphas, betas, scale = run.alphas, run.betas, run.scale
+    obs_ok, start_ok, trans_ok = obs > NEG_INF, start > NEG_INF, trans > NEG_INF
+    with np.errstate(invalid="ignore", over="ignore"):
+        low_alpha = np.min(alphas, axis=2, where=alphas > 0, initial=np.inf, keepdims=True)
+        low_beta = np.min(betas, axis=2, where=betas > 0, initial=np.inf, keepdims=True)
+        in_range = bool(
+            np.isfinite(run.log_z).all()
+            and (low_alpha * scale).min() >= _FLOOR
+            and (low_beta[:-1] * scale[1:]).min(initial=np.inf) >= _FLOOR
+            and betas.max() < np.inf
+        )
+    # zeros every pass must produce: no way in from the start or the
+    # previous position, or a -inf observation; no way out before the end
+    enter = np.empty((n_pos, 1, start.size), dtype=bool)
+    enter[0] = start_ok
+    enter[1:] = trans_ok.any(axis=0)
+    dead_ends = (n_pos - 1) * obs.shape[1] * int((~trans_ok.any(axis=1)).sum())
+    if (
+        in_range
+        and np.count_nonzero(alphas == 0) == np.count_nonzero(~(obs_ok & enter))
+        and np.count_nonzero(betas == 0) == dead_ends
+    ):
+        return
+
+    reach = np.empty(obs.shape, dtype=bool)
+    reach[0] = obs_ok[0] & start_ok
+    for t in range(1, n_pos):
+        reach[t] = obs_ok[t] & (reach[t - 1] @ trans_ok)
+    if not reach[-1].any(axis=1).all():
+        raise InfeasibleLatticeError("every path through the lattice is blocked")
+    onward = np.ones(obs.shape, dtype=bool)
+    for t in range(n_pos - 2, -1, -1):
+        onward[t] = (obs_ok[t + 1] & onward[t + 1]) @ trans_ok.T
+    if in_range and np.array_equal(alphas > 0, reach) and np.array_equal(betas > 0, onward):
+        return
+    raise CrfError(
+        "lattice potentials out of range for exact scaled inference: a forward "
+        "or backward entry left [2**-960, inf) (finite spread: trans %.4g nats, "
+        "start %.4g, widest position of obs %.4g; always exact while "
+        "max(obs + max(start, trans), 2 * trans) <= %g)"
+        % (
+            _finite_spread(trans) if n_pos > 1 else 0.0,
+            _finite_spread(start),
+            float(_finite_spread(obs, axis=2).max()),
+            _SAFE_SPAN,
+        )
     )
+
+
+def _finite_spread(x: np.ndarray, axis=None):
+    """Max minus min over the finite entries of x (0 where there are none)."""
+    finite = np.isfinite(x)
+    top = np.max(x, axis=axis, where=finite, initial=NEG_INF)
+    bottom = np.min(x, axis=axis, where=finite, initial=np.inf)
+    return np.where(finite.any(axis=axis), top - bottom, 0.0)
 
 
 def forward_backward(lattice: Lattice) -> ForwardBackwardResult:
     """Exact marginal inference over one lattice (the kernel with B = 1)."""
-    obs, trans = lattice.obs[None], lattice.trans
-    alphas, betas, log_z, node = _forward_backward(obs, lattice.start, trans)
-    edge = np.empty((lattice.n_positions - 1, lattice.n_states, lattice.n_states))
-    for t in range(lattice.n_positions - 1):
-        edge[t] = _edge_marginals(obs, trans, alphas, betas, log_z, t)[0]
-    # log Z from the beta side, logsumexp(alpha_0 + beta_0), shifted by log_z
-    log_z_backward = float(log_z[0] + np.log(node[0, 0].sum()))
-    return ForwardBackwardResult(
-        alphas[0], betas[0], float(log_z[0]), log_z_backward, node[0], edge
-    )
+    run = _forward_backward(lattice.obs[:, None], lattice.start, lattice.trans)
+    alphas, betas, log_scale = run.alphas[:, 0], run.betas[:, 0], run.log_scale[:, 0]
+    log_z = float(log_scale.sum())
+    # alpha_t carries the normalizers up to t, beta_t (same normalizers)
+    # the ones after t
+    prefix = np.cumsum(log_scale)[:, None]
+    with np.errstate(divide="ignore"):
+        log_alpha = np.log(alphas) + prefix
+        log_beta = np.log(betas) + (log_z - prefix)
+    node = alphas * betas
+    edge = alphas[:-1, :, None] * run.trans_pot * run.tails[:, 0, None, :]
+    log_z_backward = log_z + math.log(node[0].sum())
+    return ForwardBackwardResult(log_alpha, log_beta, log_z, log_z_backward, node, edge)
 
 
 def viterbi(lattice: Lattice) -> tuple[list[int], float]:
@@ -488,92 +649,53 @@ def compile_sentence(
     return CompiledSentence(starts, gold)
 
 
-def _chunk_terms(
-    chunk: Sequence[CompiledSentence],
-    weights: np.ndarray,
-    start_vec: np.ndarray,
-    trans: np.ndarray,
-    index: FeatureIndex,
-    space: StateSpace,
-) -> tuple[float, np.ndarray]:
-    """Log-likelihood and gradient over same-length sentences, batched."""
-    n_pos = len(chunk[0].feature_starts)
-    n_fine = index.n_fine
-    n_obs_params = index.n_parameters
-    n_params = n_obs_params + space.n_transition_params
+class CompiledBatch(tuple):
+    """A training batch packed once for one feature index and state space.
 
-    starts, mask, obs_lat = _gather_observations(
-        [cs.feature_starts for cs in chunk], weights, index, space
-    )
-    gold = np.stack([cs.gold for cs in chunk])
-    alphas, betas, log_z, node = _forward_backward(obs_lat, start_vec, trans)
+    A tuple of its CompiledSentence items in their original order, plus
+    chunks, the (starts, mask) pairs that _pad_starts made for each
+    length-grouped chunk of _chunk_jobs, and observed, the batch's feature
+    counts at the gold paths over the whole weight vector. Neither depends
+    on the weights, so the objective reuses them on every call.
+    """
 
-    w_trans = weights[n_obs_params:]
-    gold_score = w_trans[space.start_slot[gold[:, 0]]].astype(np.float64)
-    if n_pos > 1:
-        pair_slots = space.trans_slot[gold[:, :-1], gold[:, 1:]]
-        if np.any(pair_slots < 0):
-            raise CrfError("gold path uses a structurally forbidden transition")
-        gold_score += w_trans[pair_slots].sum(axis=1)
-    gold_score += np.take_along_axis(obs_lat, gold[:, :, None], axis=2)[:, :, 0].sum(axis=1)
-    ll = float((gold_score - log_z).sum())
+    index: FeatureIndex
+    space: StateSpace
+    chunks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    observed: np.ndarray
 
-    grad = np.zeros(n_params)
 
-    # node marginals, projected onto observation-conditioned states
-    node_obs = node @ np.eye(n_fine)[space.obs_state_of]
-
-    # observation slots: observed minus expected, scattered by bincount
-    gold_obs = space.obs_state_of[gold]
-    fine_idx = starts + gold_obs[:, :, None]
-    grad[:n_obs_params] += np.bincount(
-        fine_idx.ravel(), weights=mask.ravel(), minlength=n_obs_params
-    )
-    exp_idx = starts[..., None] + np.arange(n_fine)
-    exp_val = node_obs[:, :, None, :] * mask[..., None]
-    grad[:n_obs_params] -= np.bincount(
-        exp_idx.ravel(), weights=exp_val.ravel(), minlength=n_obs_params
-    )
-    if index.has_coarse:
-        out_ids = list(index.outside_obs_ids)
-        out_lookup = np.zeros(n_fine, dtype=bool)
-        out_lookup[out_ids] = True
-        coarse_idx = starts + n_fine
-        observed_c = mask * out_lookup[gold_obs][:, :, None]
-        expected_c = node_obs[..., out_ids].sum(axis=-1)[:, :, None] * mask
-        grad[:n_obs_params] += np.bincount(
-            coarse_idx.ravel(), weights=observed_c.ravel(), minlength=n_obs_params
-        )
-        grad[:n_obs_params] -= np.bincount(
-            coarse_idx.ravel(), weights=expected_c.ravel(), minlength=n_obs_params
-        )
-
-    # transition region: start slots then transition slots
-    g_trans = np.zeros(space.n_transition_params)
-    start_ok = space.start_slot >= 0
-    g_trans += np.bincount(
-        space.start_slot[gold[:, 0]], minlength=space.n_transition_params
-    ).astype(np.float64)
-    g_trans -= np.bincount(
-        space.start_slot[start_ok],
-        weights=node[:, 0, :].sum(axis=0)[start_ok],
-        minlength=space.n_transition_params,
-    )
-    if n_pos > 1:
-        g_trans += np.bincount(
-            pair_slots.ravel(), minlength=space.n_transition_params
-        ).astype(np.float64)
-        allowed = space.trans_slot >= 0
-        edge_acc = np.zeros_like(trans)
-        for t in range(n_pos - 1):
-            edge_acc += _edge_marginals(obs_lat, trans, alphas, betas, log_z, t).sum(axis=0)
-        g_trans -= np.bincount(
-            space.trans_slot[allowed],
-            weights=edge_acc[allowed],
-            minlength=space.n_transition_params,
-        )
-    grad[n_obs_params:] += g_trans
-    return ll, grad
+def pack_batch(
+    batch: Sequence[CompiledSentence], index: FeatureIndex, space: StateSpace
+) -> CompiledBatch:
+    """Group, pad and count a training batch for log_likelihood_and_gradient."""
+    if not batch:
+        raise CrfError("batch must contain at least one sentence")
+    if any(cs.gold is None for cs in batch):
+        raise CrfError("every training sentence needs a gold path")
+    if any(len(cs.feature_starts) == 0 for cs in batch):
+        raise CrfError("training sentences must be non-empty")
+    n_states = space.n_states
+    start_mass = np.zeros(n_states)
+    edge_mass = np.zeros((n_states, n_states))
+    observed = np.zeros(index.n_parameters)
+    chunks = []
+    for job in _chunk_jobs(batch, index.block_size):
+        starts, mask = _pad_starts([cs.feature_starts for cs in job])
+        gold = np.stack([cs.gold for cs in job], axis=1)
+        gold_mass = np.eye(index.n_fine)[space.obs_state_of[gold]]
+        observed += _scatter_observations(starts, mask, gold_mass, index)
+        start_mass += np.bincount(gold[0], minlength=n_states)
+        edge_mass += np.bincount(
+            (gold[:-1] * n_states + gold[1:]).ravel(), minlength=n_states * n_states
+        ).reshape(n_states, n_states)
+        chunks.append((starts, mask))
+    if np.any(start_mass[space.start_slot < 0]) or np.any(edge_mass[space.trans_slot < 0]):
+        raise CrfError("gold path uses a structurally forbidden transition")
+    packed = CompiledBatch(batch)
+    packed.index, packed.space, packed.chunks = index, space, tuple(chunks)
+    packed.observed = np.concatenate([observed, _transition_counts(start_mass, edge_mass, space)])
+    return packed
 
 
 def _chunk_jobs(batch: Sequence[CompiledSentence], block: int) -> list[list[CompiledSentence]]:
@@ -610,13 +732,9 @@ def log_likelihood_and_gradient(
     Returns the maximized objective sum(score(gold) - log Z) - |w|^2 / (2
     * l2_variance) and its gradient (observed minus expected feature
     counts, minus w / l2_variance). l2_variance=inf drops the penalty.
+    A CompiledBatch packed for this index and space is used as it is; any
+    other sequence of compiled sentences is packed first.
     """
-    if not batch:
-        raise CrfError("batch must contain at least one sentence")
-    if any(cs.gold is None for cs in batch):
-        raise CrfError("every training sentence needs a gold path")
-    if any(len(cs.feature_starts) == 0 for cs in batch):
-        raise CrfError("training sentences must be non-empty")
     weights = np.asarray(weights, dtype=np.float64)
     n_params = total_parameters(index, space)
     if weights.shape != (n_params,):
@@ -625,15 +743,35 @@ def log_likelihood_and_gradient(
         )
     if not (l2_variance > 0):
         raise CrfError("l2_variance must be positive (use inf to disable)")
+    if not (isinstance(batch, CompiledBatch) and batch.index is index and batch.space is space):
+        batch = pack_batch(batch, index, space)
 
-    start_vec, trans = _transition_tables(weights, index, space)
-    objective = 0.0
-    grad = np.zeros(n_params)
-    for job in _chunk_jobs(batch, index.block_size):
-        ll, g = _chunk_terms(job, weights, start_vec, trans, index, space)
-        objective += ll
-        grad += g
+    start, trans = _transition_tables(weights, index, space)
+    projection = None
+    if not np.array_equal(space.obs_state_of, np.arange(index.n_fine)):
+        projection = np.eye(index.n_fine)[space.obs_state_of]
+    n_states = space.n_states
+    log_z = 0.0
+    expected_obs = np.zeros(index.n_parameters)
+    start_mass = np.zeros(n_states)
+    edge_mass = np.zeros((n_states, n_states))
+    for starts, mask in batch.chunks:
+        obs = _gather_observations(starts, mask, weights, index, space)
+        run = _forward_backward(obs, start, trans)
+        log_z += float(run.log_z.sum())
+        node = run.alphas * run.betas
+        start_mass += node[0].sum(axis=0)
+        edge_mass += run.trans_pot * (
+            run.alphas[:-1].reshape(-1, n_states).T @ run.tails.reshape(-1, n_states)
+        )
+        if projection is not None:
+            node = node @ projection
+        expected_obs += _scatter_observations(starts, mask, node, index)
 
+    objective = float(weights @ batch.observed) - log_z
+    grad = batch.observed - np.concatenate(
+        [expected_obs, _transition_counts(start_mass, edge_mass, space)]
+    )
     if np.isfinite(l2_variance):
         objective -= float(weights @ weights) / (2.0 * l2_variance)
         grad -= weights / l2_variance

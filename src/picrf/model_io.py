@@ -48,6 +48,11 @@ class Model:
             raise ModelFormatError(
                 "weight vector has %s entries, expected %d" % (self.weights.shape, expected)
             )
+        bad = np.flatnonzero(~np.isfinite(self.weights))
+        if bad.size:
+            raise ModelFormatError(
+                "weight slot %d is not finite: %r" % (int(bad[0]), float(self.weights[bad[0]]))
+            )
 
     @cached_property
     def space(self) -> StateSpace:

@@ -20,10 +20,11 @@ from scipy.optimize import minimize
 
 from .corpus import Sentence, validate_iob2
 from .crf import (
-    CompiledSentence,
+    CompiledBatch,
     CrfError,
     compile_sentence,
     log_likelihood_and_gradient,
+    pack_batch,
     state_space,
     total_parameters,
 )
@@ -178,8 +179,9 @@ def compile_corpus(
     template: TemplateConfig,
     index,
     space,
-) -> list[CompiledSentence]:
-    """Repair gold labels, extract features and encode the training batch."""
+) -> CompiledBatch:
+    """Repair gold labels, extract features and encode and pack the training
+    batch, once, for log_likelihood_and_gradient."""
     compiled = []
     for sentence in corpus:
         if sentence.labels is None:
@@ -192,7 +194,7 @@ def compile_corpus(
         compiled.append(
             compile_sentence(extract_features(sentence, template), repaired, index, space)
         )
-    return compiled
+    return pack_batch(compiled, index, space)
 
 
 def train(

@@ -1,12 +1,17 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_log_z, brute_viterbi, random_corpus, random_lattice
+from picrf import crf
 from picrf.corpus import Sentence, validate_iob2
 from picrf.crf import (
+    CompiledBatch,
     CrfError,
     InfeasibleLatticeError,
     Lattice,
@@ -18,6 +23,7 @@ from picrf.crf import (
     _chunk_jobs,
     forward_backward,
     log_likelihood_and_gradient,
+    pack_batch,
     preinduced_constraint_masks,
     state_space,
     total_parameters,
@@ -171,6 +177,60 @@ class TestForwardBackward:
             forward_backward(lattice)
         with pytest.raises(CrfError, match="NaN"):
             viterbi(lattice)
+
+
+class TestExactOrLoud:
+    """The scaled kernel returns the exact log Z or raises CrfError."""
+
+    @pytest.mark.parametrize("sigma", [1.0, 50.0, 200.0, 400.0, 800.0])
+    def test_random_lattices_match_brute_force_or_raise(self, sigma):
+        rng = np.random.default_rng(int(sigma))
+        raised = 0
+        for _ in range(200):
+            base = random_lattice(int(rng.integers(1, 6)), int(rng.integers(1, 5)), rng)
+            lattice = Lattice(base.obs * sigma, base.trans * sigma, base.start * sigma)
+            expected = brute_log_z(lattice)
+            try:
+                result = forward_backward(lattice)
+            except CrfError as exc:
+                assert type(exc) is CrfError and sigma > 50, "sigma %g: %r" % (sigma, exc)
+                assert "finite spread" in str(exc)
+                raised += 1
+                continue
+            assert result.log_z == pytest.approx(expected, rel=1e-9, abs=1e-12)
+            assert result.log_z_backward == pytest.approx(expected, rel=1e-9, abs=1e-12)
+        assert raised < 200
+
+    def test_path_forced_through_far_transition(self):
+        lattice = Lattice(
+            obs=np.zeros((2, 2)),
+            trans=np.array([[NEG_INF, -800.0], [NEG_INF, NEG_INF]]),
+            start=np.array([0.0, NEG_INF]),
+        )
+        assert brute_log_z(lattice) == -800.0
+        try:
+            result = forward_backward(lattice)
+        except CrfError as exc:
+            assert type(exc) is CrfError
+            return
+        assert result.log_z == pytest.approx(-800.0, rel=1e-12)
+        assert np.array_equal(result.node_marginals, [[1.0, 0.0], [0.0, 1.0]])
+
+    def test_decoupled_chains_raise_instead_of_dropping_one(self):
+        # two chains with no transition between them and equal total
+        # scores: chain 1 falls 1000 nats behind, then catches up
+        n_pos = 200
+        obs = np.zeros((n_pos, 2))
+        obs[: n_pos // 2, 1] = -10.0
+        obs[n_pos // 2 :, 1] = 10.0
+        trans = np.array([[0.0, NEG_INF], [NEG_INF, 0.0]])
+        lattice = Lattice(obs=obs, trans=trans, start=np.zeros(2))
+        try:
+            result = forward_backward(lattice)
+        except CrfError as exc:
+            assert type(exc) is CrfError and "finite spread" in str(exc)
+            return
+        assert result.log_z == pytest.approx(math.log(2.0), rel=1e-9)
 
 
 class TestViterbi:
@@ -338,6 +398,14 @@ class TestObjective:
         assert again_value == value
         assert np.array_equal(again_grad, grad)
 
+    def test_compiled_batch_is_its_sentences(self):
+        corpus = random_corpus(random.Random(8), ["A", "B"], 6)
+        space, index, compiled = _training_setup(ModelOrder.PRE_INDUCED, corpus)
+        packed = pack_batch(compiled, index, space)
+        assert isinstance(packed, CompiledBatch) and isinstance(packed, tuple)
+        assert list(packed) == compiled
+        assert packed.observed.shape == (total_parameters(index, space),)
+
     def test_empty_batch_rejected(self):
         space, index, _ = _training_setup(
             ModelOrder.FIRST, [Sentence.from_strings(["a"], ["O"])]
@@ -498,3 +566,57 @@ class TestPreInducedConstraints:
             labels = [space.output_labels[s] for s in path]
             reverted = revert(labels, ALPHA2)
             assert all(l in ALPHA2.base_labels for l in reverted)
+
+
+def _gold_score(lattice, space, index, weights, gold):
+    w_trans = weights[index.n_parameters :]
+    score = w_trans[space.start_slot[gold[0]]]
+    for t in range(1, len(gold)):
+        score += w_trans[space.trans_slot[gold[t - 1], gold[t]]]
+    return score + lattice.obs[np.arange(len(gold)), gold].sum()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    order=st.sampled_from(list(ModelOrder)),
+    seed=st.integers(0, 2**32 - 1),
+    n_sentences=st.integers(1, 9),
+    max_len=st.integers(1, 5),
+    chunk_cap=st.sampled_from([1, 2, _MAX_CHUNK]),
+)
+def test_batched_objective_is_sum_of_single_lattices(order, seed, n_sentences, max_len, chunk_cap):
+    """Objective and transition gradient of a packed batch against
+    per-sentence forward_backward, with chunks capped at chunk_cap
+    sentences so that small batches get split."""
+    corpus = random_corpus(random.Random(seed), ["A", "B"], n_sentences, max_len=max_len)
+    template = TemplateConfig(set_id=2)
+    space, index, compiled = _training_setup(order, corpus, template)
+    weights = np.random.default_rng(seed).normal(scale=0.5, size=total_parameters(index, space))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(crf, "_MAX_CHUNK", chunk_cap)
+        packed = pack_batch(compiled, index, space)
+        value, grad = log_likelihood_and_gradient(packed, weights, index, space)
+        list_value, list_grad = log_likelihood_and_gradient(list(compiled), weights, index, space)
+    assert value == list_value and np.array_equal(grad, list_grad)
+    per_length = Counter(len(cs.feature_starts) for cs in compiled)
+    if max(per_length.values()) > chunk_cap:
+        assert len(packed.chunks) > len(per_length)
+
+    total = 0.0
+    start_mass = np.zeros(space.n_states)
+    edge_mass = np.zeros((space.n_states, space.n_states))
+    for sentence, cs in zip(corpus, compiled):
+        lattice = build_lattice(extract_features(sentence, template), weights, index, space)
+        result = forward_backward(lattice)
+        total += _gold_score(lattice, space, index, weights, cs.gold) - result.log_z
+        start_mass += result.node_marginals[0]
+        edge_mass += result.edge_marginals.sum(axis=0)
+    assert value == pytest.approx(total, rel=1e-10)
+
+    observed = packed.observed[index.n_parameters :]
+    expected = observed.copy()
+    s_ok = space.start_slot >= 0
+    expected[space.start_slot[s_ok]] -= start_mass[s_ok]
+    allowed = space.trans_slot >= 0
+    expected[space.trans_slot[allowed]] -= edge_mass[allowed]
+    assert np.allclose(grad[index.n_parameters :], expected, rtol=1e-10, atol=1e-10)

@@ -8,7 +8,7 @@ from oracles import random_corpus
 from picrf.corpus import Sentence
 from picrf.crf_types import ModelOrder
 from picrf.features import TemplateConfig
-from picrf.model_io import FORMAT_LINE, ModelFormatError, load_model, save_model
+from picrf.model_io import FORMAT_LINE, Model, ModelFormatError, load_model, save_model
 from picrf.training import TrainConfig, train
 
 
@@ -149,6 +149,13 @@ class TestTampering:
         lines[i + 3] = text
         with pytest.raises(ModelFormatError, match="line %d: weight entry is not finite" % (i + 4)):
             _load_lines(lines)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected_at_construction(self, model, value):
+        weights = model.weights.copy()
+        weights[[3, 5]] = value
+        with pytest.raises(ModelFormatError, match="weight slot 3 is not finite"):
+            Model(model.order, model.alphabet, model.template, model.index, weights)
 
     def test_malformed_feature_line(self, model):
         lines = _lines(model)
