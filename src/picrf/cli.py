@@ -58,6 +58,15 @@ def _read_maybe_labeled(path: str):
     return read_conll(lines, label_column=-1 if has_labels else None)
 
 
+def _write_output(path: str, text: str) -> None:
+    """Write text to stdout if path is "-", else to the file at path."""
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+
+
 def _train_config(args) -> TrainConfig:
     return TrainConfig(
         model_order=ModelOrder(args.order),
@@ -90,12 +99,7 @@ def cmd_tag(args) -> int:
     model = load_model(args.model)
     corpus = _read_maybe_labeled(args.input)
     predicted = [model.decode(s, constrained=args.constrained) for s in corpus]
-    text = write_conll(corpus, predicted)
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    _write_output(args.output, write_conll(corpus, predicted))
     return 0
 
 
@@ -131,12 +135,7 @@ def cmd_transform(args) -> int:
         else:
             labels = revert(sentence.labels, alphabet)
         transformed.append(replace(sentence, labels=tuple(labels)))
-    text = write_conll(transformed)
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    _write_output(args.output, write_conll(transformed))
     return 0
 
 
@@ -153,12 +152,7 @@ def _synth_config(args) -> SynthConfig:
 
 def cmd_synth(args) -> int:
     corpus = generate_synthetic(_synth_config(args))
-    text = write_conll(corpus)
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    _write_output(args.out, write_conll(corpus))
     return 0
 
 
@@ -187,15 +181,7 @@ def cmd_bench(args) -> int:
     orders = _parse_orders(args.orders)
 
     if args.mode == "longdistance":
-        synth = SynthConfig(
-            entity_type_count=args.types,
-            sentences=args.train_size + args.test_size,
-            seed=args.seed,
-            gap_lengths=tuple(range(args.gap_min, args.gap_max + 1)),
-        )
-        rule = identity_rule if args.rule == "identity" else rotation_rule
-        synth = replace(synth, dependency_rule=rule(synth.entity_types))
-        report = run_longdistance(synth, args.train_size, args.test_size, orders, base)
+        report = run_longdistance(_synth_config(args), args.train_size, args.test_size, orders, base)
         sys.stdout.write(report.to_text())
         records = report.to_records()
     elif args.mode == "timing":

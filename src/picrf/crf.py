@@ -12,10 +12,15 @@ carry -inf and drop out of every sum. Weight vectors are laid out as the
 feature index's observation slots followed by one contiguous transition
 region.
 
-One batched kernel does the inference: a padded observation gather turns
-the feature block starts of B same-length sentences into a time-major
-(T, B, S) block of observation scores, and one forward/backward pass over
-that block gives log Z and the node and edge marginals. The pass is the
+One batched kernel does the inference. Observation scores are one sparse
+product: a token x feature incidence matrix X (one row per token, a 1 for
+each of its indexed features) times the observation weights viewed as one
+(n_features, block) row per feature, giving every token's scores at once;
+the gradient's observation region is the transpose, X^T (observed -
+expected), as in Wapiti (Lavergne, Cappe & Yvon 2010). The rows of B
+same-length sentences, stored time-major, reshape to a (T, B, S) block, and
+one forward/backward pass over that block gives log Z and the node and
+edge marginals. The pass is the
 scaled recursion of Rabiner (1989) in the probability domain: it
 exponentiates obs minus its max at each position and trans minus its
 finite max, divides the forward vector at each position by its sum and
@@ -27,10 +32,11 @@ less than a few hundred nats is exact without further checks (trained
 models span far less); wider or partly forbidden lattices are checked
 entry by entry after the pass (see _check_range).
 
-The training objective packs its batch once into length-grouped, padded
-chunks (CompiledBatch) and runs the kernel over them; build_lattice and
-forward_backward are its B = 1 view, the single-lattice API that Viterbi
-decoding and the brute-force oracles use.
+The training objective packs its batch once into one incidence matrix
+whose rows come in length-grouped chunks (CompiledBatch), gathers and
+scatters through it once per call and runs the kernel chunk by chunk;
+build_lattice and forward_backward are its B = 1 view, the single-lattice
+API that Viterbi decoding and the brute-force oracles use.
 """
 
 from __future__ import annotations
@@ -38,9 +44,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .corpus import split_label
 from .crf_types import ModelOrder
@@ -53,8 +61,9 @@ NEG_INF = float("-inf")
 # chain. Not a valid IOB2 label, so it cannot collide with real labels.
 START_SYMBOL = "<start>"
 
-# Target element count for one batched gather; keeps temporaries small
-# while amortizing interpreter overhead over wide numpy ops.
+# Target entry count of one chunk's (T, B, S) forward/backward tables;
+# keeps temporaries small while amortizing interpreter overhead over wide
+# numpy ops.
 _CHUNK_BUDGET = 4_000_000
 _MAX_CHUNK = 256
 
@@ -290,57 +299,39 @@ def _transition_counts(
     return counts
 
 
-def _pad_starts(sentences: Sequence[Sequence[np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """Feature block starts of B same-length sentences, padded time-major.
-
-    Returns the starts and their 0/1 mask, both (T, B, A) for A the most
-    active features at any position.
-    """
-    n_pos = len(sentences[0])
-    max_active = max((st.size for sent in sentences for st in sent), default=0)
-    starts = np.zeros((n_pos, len(sentences), max(max_active, 1)), dtype=np.int64)
-    mask = np.zeros(starts.shape)
-    for b, sent in enumerate(sentences):
-        for t, st in enumerate(sent):
-            starts[t, b, : st.size] = st
-            mask[t, b, : st.size] = 1.0
-    return starts, mask
+def _incidence(rows: Sequence[np.ndarray], index: FeatureIndex) -> sparse.csr_matrix:
+    """Token x feature incidence matrix: row i counts the indexed features
+    whose block starts rows[i] holds. A row with no feature is all zero."""
+    # int32 is the index type scipy would convert to anyway; passing it
+    # saves that copy on every decoded sentence
+    indptr = np.array([0, *accumulate(map(len, rows))], dtype=np.int32)
+    cols = (np.concatenate(rows) // index.block_size).astype(np.int32)
+    return sparse.csr_matrix(
+        (np.ones(cols.size), cols, indptr), shape=(len(rows), len(index.features)), copy=False
+    )
 
 
 def _gather_observations(
-    starts: np.ndarray,
-    mask: np.ndarray,
-    weights: np.ndarray,
-    index: FeatureIndex,
-    space: StateSpace,
+    incidence: sparse.csr_matrix, weights: np.ndarray, index: FeatureIndex, space: StateSpace
 ) -> np.ndarray:
-    """Lattice observation scores (T, B, S) of padded starts and their mask."""
-    blocks = weights[: index.n_parameters].reshape(-1, index.block_size)
-    gathered = np.take(blocks, starts // index.block_size, axis=0)
-    gathered *= mask[..., None]
-    sums = gathered.sum(axis=2)
-    n_fine = index.n_fine
-    obs_fine = sums[..., :n_fine]
+    """Lattice observation scores (N, S) of the N token rows of an incidence
+    matrix: its product with the weights viewed as one block per feature."""
+    sums = incidence @ weights[: index.n_parameters].reshape(-1, index.block_size)
     if index.has_coarse:
-        obs_fine = obs_fine.copy()
-        obs_fine[..., list(index.outside_obs_ids)] += sums[..., n_fine][..., None]
-    return obs_fine[..., space.obs_state_of]
+        sums[:, list(index.outside_obs_ids)] += sums[:, index.n_fine, None]
+    return sums[:, space.obs_state_of]
 
 
 def _scatter_observations(
-    starts: np.ndarray, mask: np.ndarray, mass: np.ndarray, index: FeatureIndex
+    incidence: sparse.csr_matrix, mass: np.ndarray, index: FeatureIndex
 ) -> np.ndarray:
-    """Observation-slot totals of a mass (T, B, n_fine) over observation
-    states, added up over each position's active features: the transpose
-    of _gather_observations. Returns the observation region (n_parameters,)."""
-    n_fine = index.n_fine
-    block = np.empty(mass.shape[:2] + (index.block_size,))
-    block[..., :n_fine] = mass
+    """Observation-slot totals of a mass (N, n_fine) over observation states
+    at the N token rows: the transpose of _gather_observations. Returns the
+    observation region (n_parameters,)."""
     if index.has_coarse:
-        block[..., n_fine] = mass[..., list(index.outside_obs_ids)].sum(axis=-1)
-    slots = starts[..., None] + np.arange(index.block_size)
-    values = block[:, :, None, :] * mask[..., None]
-    return np.bincount(slots.ravel(), weights=values.ravel(), minlength=index.n_parameters)
+        coarse = mass[:, list(index.outside_obs_ids)].sum(axis=1)
+        mass = np.concatenate([mass, coarse[:, None]], axis=1)
+    return (incidence.T @ mass).ravel()
 
 
 def build_lattice(
@@ -367,14 +358,14 @@ def build_lattice(
     if constrained and space.order != ModelOrder.PRE_INDUCED:
         raise CrfError("decode-time constraints only apply to the pre-induced model")
 
-    starts, mask = _pad_starts([index.encode_positions(position_features)])
-    obs = _gather_observations(starts, mask, weights, index, space)
+    incidence = _incidence(index.encode_positions(position_features), index)
+    obs = _gather_observations(incidence, weights, index, space)
     start, trans = _transition_tables(weights, index, space)
     if constrained:
         start_ok, trans_ok = space.constraint_masks
         start = np.where(start_ok, start, NEG_INF)
         trans = np.where(trans_ok, trans, NEG_INF)
-    return Lattice(obs=obs[:, 0], trans=trans, start=start)
+    return Lattice(obs=obs, trans=trans, start=start)
 
 
 @dataclass
@@ -581,11 +572,12 @@ def viterbi(lattice: Lattice) -> tuple[list[int], float]:
     obs, trans, start = lattice.obs, lattice.trans, lattice.start
     n_pos, n_states = obs.shape
     backpointer = np.zeros((n_pos, n_states), dtype=np.int64)
+    states = np.arange(n_states)
     delta = start + obs[0]
     for t in range(1, n_pos):
         scores = delta[:, None] + trans
-        backpointer[t] = np.argmax(scores, axis=0)
-        delta = obs[t] + scores[backpointer[t], np.arange(n_states)]
+        backpointer[t] = scores.argmax(axis=0)
+        delta = obs[t] + scores[backpointer[t], states]
     # argmax picks NaN over any number, so a NaN anywhere reaches best
     last = int(np.argmax(delta))
     best = float(delta[last])
@@ -653,22 +645,26 @@ class CompiledBatch(tuple):
     """A training batch packed once for one feature index and state space.
 
     A tuple of its CompiledSentence items in their original order, plus
-    chunks, the (starts, mask) pairs that _pad_starts made for each
-    length-grouped chunk of _chunk_jobs, and observed, the batch's feature
-    counts at the gold paths over the whole weight vector. Neither depends
-    on the weights, so the objective reuses them on every call.
+    incidence, the token x feature incidence matrix of the whole batch;
+    chunks, the (T, B) shape of each length-grouped chunk of _chunk_jobs,
+    whose T * B token rows follow the previous chunk's in incidence,
+    time-major (row t * B + b is position t of the chunk's sentence b); and
+    observed, the batch's feature counts at the gold paths over the whole
+    weight vector. None depends on the weights, so the objective reuses
+    them on every call.
     """
 
     index: FeatureIndex
     space: StateSpace
-    chunks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    incidence: sparse.csr_matrix
+    chunks: tuple[tuple[int, int], ...]
     observed: np.ndarray
 
 
 def pack_batch(
     batch: Sequence[CompiledSentence], index: FeatureIndex, space: StateSpace
 ) -> CompiledBatch:
-    """Group, pad and count a training batch for log_likelihood_and_gradient."""
+    """Group, index and count a training batch for log_likelihood_and_gradient."""
     if not batch:
         raise CrfError("batch must contain at least one sentence")
     if any(cs.gold is None for cs in batch):
@@ -678,28 +674,37 @@ def pack_batch(
     n_states = space.n_states
     start_mass = np.zeros(n_states)
     edge_mass = np.zeros((n_states, n_states))
-    observed = np.zeros(index.n_parameters)
+    rows: list[np.ndarray] = []
+    golds = []
     chunks = []
-    for job in _chunk_jobs(batch, index.block_size):
-        starts, mask = _pad_starts([cs.feature_starts for cs in job])
+    for job in _chunk_jobs(batch, n_states):
+        n_pos = len(job[0].feature_starts)
+        rows.extend(cs.feature_starts[t] for t in range(n_pos) for cs in job)
         gold = np.stack([cs.gold for cs in job], axis=1)
-        gold_mass = np.eye(index.n_fine)[space.obs_state_of[gold]]
-        observed += _scatter_observations(starts, mask, gold_mass, index)
+        golds.append(gold.ravel())
         start_mass += np.bincount(gold[0], minlength=n_states)
         edge_mass += np.bincount(
             (gold[:-1] * n_states + gold[1:]).ravel(), minlength=n_states * n_states
         ).reshape(n_states, n_states)
-        chunks.append((starts, mask))
+        chunks.append(gold.shape)
     if np.any(start_mass[space.start_slot < 0]) or np.any(edge_mass[space.trans_slot < 0]):
         raise CrfError("gold path uses a structurally forbidden transition")
     packed = CompiledBatch(batch)
     packed.index, packed.space, packed.chunks = index, space, tuple(chunks)
-    packed.observed = np.concatenate([observed, _transition_counts(start_mass, edge_mass, space)])
+    packed.incidence = _incidence(rows, index)
+    gold_mass = np.eye(index.n_fine)[space.obs_state_of[np.concatenate(golds)]]
+    packed.observed = np.concatenate(
+        [
+            _scatter_observations(packed.incidence, gold_mass, index),
+            _transition_counts(start_mass, edge_mass, space),
+        ]
+    )
     return packed
 
 
-def _chunk_jobs(batch: Sequence[CompiledSentence], block: int) -> list[list[CompiledSentence]]:
-    """Group sentences by length, then split groups into bounded chunks.
+def _chunk_jobs(batch: Sequence[CompiledSentence], n_states: int) -> list[list[CompiledSentence]]:
+    """Group sentences by length, then split groups into chunks whose
+    (T, B, S) forward/backward tables stay within _CHUNK_BUDGET entries.
 
     Chunk boundaries depend only on the batch contents, so the reduction
     order (and therefore every floating-point result) is reproducible.
@@ -710,11 +715,7 @@ def _chunk_jobs(batch: Sequence[CompiledSentence], block: int) -> list[list[Comp
     jobs: list[list[CompiledSentence]] = []
     for n_pos in sorted(groups):
         members = groups[n_pos]
-        max_active = max(
-            (s.size for cs in members for s in cs.feature_starts), default=1
-        )
-        per_sentence = max(n_pos * max(max_active, 1) * block, 1)
-        size = max(1, min(_MAX_CHUNK, _CHUNK_BUDGET // per_sentence))
+        size = max(1, min(_MAX_CHUNK, _CHUNK_BUDGET // (n_pos * n_states)))
         for i in range(0, len(members), size):
             jobs.append(members[i : i + size])
     return jobs
@@ -751,22 +752,24 @@ def log_likelihood_and_gradient(
     if not np.array_equal(space.obs_state_of, np.arange(index.n_fine)):
         projection = np.eye(index.n_fine)[space.obs_state_of]
     n_states = space.n_states
+    obs = _gather_observations(batch.incidence, weights, index, space)
+    mass = np.empty((obs.shape[0], index.n_fine))
     log_z = 0.0
-    expected_obs = np.zeros(index.n_parameters)
     start_mass = np.zeros(n_states)
     edge_mass = np.zeros((n_states, n_states))
-    for starts, mask in batch.chunks:
-        obs = _gather_observations(starts, mask, weights, index, space)
-        run = _forward_backward(obs, start, trans)
+    row = 0
+    for n_pos, size in batch.chunks:
+        rows = slice(row, row + n_pos * size)
+        row = rows.stop
+        run = _forward_backward(obs[rows].reshape(n_pos, size, n_states), start, trans)
         log_z += float(run.log_z.sum())
-        node = run.alphas * run.betas
-        start_mass += node[0].sum(axis=0)
+        node = (run.alphas * run.betas).reshape(-1, n_states)
+        start_mass += node[:size].sum(axis=0)
         edge_mass += run.trans_pot * (
             run.alphas[:-1].reshape(-1, n_states).T @ run.tails.reshape(-1, n_states)
         )
-        if projection is not None:
-            node = node @ projection
-        expected_obs += _scatter_observations(starts, mask, node, index)
+        mass[rows] = node if projection is None else node @ projection
+    expected_obs = _scatter_observations(batch.incidence, mass, index)
 
     objective = float(weights @ batch.observed) - log_z
     grad = batch.observed - np.concatenate(

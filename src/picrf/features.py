@@ -180,13 +180,11 @@ class FeatureIndex:
         Features absent from the index are dropped, which makes them
         contribute exactly zero score at decode time.
         """
+        block = self.block_size
+        ids = self.feature_ids
         encoded: list[np.ndarray] = []
         for active in position_features:
-            starts = [
-                fid * self.block_size
-                for fid in (self.feature_ids.get(f) for f in active)
-                if fid is not None
-            ]
+            starts = [fid * block for fid in map(ids.get, active) if fid is not None]
             encoded.append(np.asarray(starts, dtype=np.int64))
         return encoded
 

@@ -48,7 +48,6 @@ class TrainConfig:
     max_iterations: int = 500
     relative_tolerance: float = 1e-6
     history_size: int = 7
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "model_order", ModelOrder(self.model_order))

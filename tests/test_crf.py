@@ -383,7 +383,7 @@ class TestObjective:
         corpus += random_corpus(rng, ["A", "B"], 30)
         space, index, compiled = _training_setup(order, corpus)
         n_lengths = len({len(cs.feature_starts) for cs in compiled})
-        assert len(_chunk_jobs(compiled, index.block_size)) > n_lengths
+        assert len(_chunk_jobs(compiled, space.n_states)) > n_lengths
         weights = np.random.default_rng(1).normal(
             scale=0.3, size=total_parameters(index, space)
         )
@@ -450,6 +450,29 @@ class TestBuildLattice:
         a = build_lattice(known, weights, index, space)
         b = build_lattice(with_unknown, weights, index, space)
         assert np.array_equal(a.obs, b.obs)
+
+    @pytest.mark.parametrize("order", list(ModelOrder))
+    def test_observation_scores_follow_the_slot_layout(self, order):
+        """obs[t, s] is the sum of weights[slot] over observation_slots of
+        every indexed feature at t and the state that scores s; a position
+        with no indexed feature scores zero everywhere."""
+        template = TemplateConfig(set_id=2)
+        corpus = random_corpus(random.Random(4), ["A", "B"], 8, min_len=3, max_len=6)
+        space, index, _ = _training_setup(order, corpus, template)
+        weights = np.random.default_rng(4).normal(size=total_parameters(index, space))
+        feats = extract_features(corpus[0], template) + [["W[0]=never-seen"]]
+        lattice = build_lattice(feats, weights, index, space)
+        for t, active in enumerate(feats):
+            for s in range(space.n_states):
+                obs_label = index.obs_labels[space.obs_state_of[s]]
+                expected = sum(
+                    weights[slot]
+                    for feature in active
+                    if index.feature_id(feature) is not None
+                    for slot in index.observation_slots(feature, obs_label)
+                )
+                assert lattice.obs[t, s] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert not lattice.obs[-1].any()
 
     def test_psi_accessor(self):
         corpus = [Sentence.from_strings(["a", "b"], ["O", "O"])]
