@@ -98,7 +98,7 @@ def cmd_train(args) -> int:
 def cmd_tag(args) -> int:
     model = load_model(args.model)
     corpus = _read_maybe_labeled(args.input)
-    predicted = [model.decode(s, constrained=args.constrained) for s in corpus]
+    predicted = model.decode_corpus(corpus, constrained=args.constrained)
     _write_output(args.output, write_conll(corpus, predicted))
     return 0
 
@@ -113,7 +113,7 @@ def cmd_eval(args) -> int:
         predicted = [s.labels for s in pred_corpus]
     elif args.model:
         model = load_model(args.model)
-        predicted = [model.decode(s) for s in gold]
+        predicted = model.decode_corpus(gold)
     else:
         raise EvaluationError("need --pred or --model to produce predictions")
     report = score(gold, predicted)

@@ -35,8 +35,12 @@ entry by entry after the pass (see _check_range).
 The training objective packs its batch once into one incidence matrix
 whose rows come in length-grouped chunks (CompiledBatch), gathers and
 scatters through it once per call and runs the kernel chunk by chunk;
-build_lattice and forward_backward are its B = 1 view, the single-lattice
-API that Viterbi decoding and the brute-force oracles use.
+forward_backward is its B = 1 view, the single-lattice API the
+brute-force oracles use. Decoding runs the same batched path: build_lattice
+lays a batch of sentences out in the same length-grouped chunks, gathers
+their observation scores through one incidence matrix (in slices of at
+most _GATHER_TOKENS token rows) and builds the transition tables once, and
+viterbi runs over each chunk's (T, B, S) block.
 """
 
 from __future__ import annotations
@@ -66,6 +70,12 @@ START_SYMBOL = "<start>"
 # numpy ops.
 _CHUNK_BUDGET = 4_000_000
 _MAX_CHUNK = 256
+# Most token rows one observation gather of a decode covers; bounds the
+# incidence matrix and the (N, block) product built at once for any input.
+_GATHER_TOKENS = 8192
+# Most entries of the (B, S, S) step scores one Viterbi pass holds; keeps
+# them in cache (the second-order chain has S in the hundreds).
+_VITERBI_BUDGET = 1 << 18
 
 # The scaled recursion trusts a forward or backward entry, before
 # normalization, down to _FLOOR: a product term that underflows below the
@@ -252,7 +262,9 @@ def preinduced_constraint_masks(alphabet: LabelAlphabet) -> tuple[np.ndarray, np
 
 @dataclass
 class Lattice:
-    """Log-potentials of one sentence: obs is (T, S), trans (S, S), start (S,)."""
+    """Log-potentials of one sentence, obs (T, S), or of a block of B
+    same-length sentences, obs (T, B, S); trans (S, S) and start (S,) are
+    shared by the block."""
 
     obs: np.ndarray
     trans: np.ndarray
@@ -264,7 +276,7 @@ class Lattice:
 
     @property
     def n_states(self) -> int:
-        return self.obs.shape[1]
+        return self.obs.shape[-1]
 
     def psi(self, t: int, s_prev: int | None, s: int) -> float:
         """Additive log-potential; s_prev is ignored at the start position."""
@@ -303,7 +315,7 @@ def _incidence(rows: Sequence[np.ndarray], index: FeatureIndex) -> sparse.csr_ma
     """Token x feature incidence matrix: row i counts the indexed features
     whose block starts rows[i] holds. A row with no feature is all zero."""
     # int32 is the index type scipy would convert to anyway; passing it
-    # saves that copy on every decoded sentence
+    # saves that copy
     indptr = np.array([0, *accumulate(map(len, rows))], dtype=np.int32)
     cols = (np.concatenate(rows) // index.block_size).astype(np.int32)
     return sparse.csr_matrix(
@@ -335,20 +347,23 @@ def _scatter_observations(
 
 
 def build_lattice(
-    position_features: Sequence[Sequence[str]],
+    sentences: Sequence[Sequence[np.ndarray]],
     weights: np.ndarray,
     index: FeatureIndex,
     space: StateSpace,
     constrained: bool = False,
-) -> Lattice:
-    """Assemble the log-potential lattice for one sentence.
+) -> list[tuple[list[int], Lattice]]:
+    """Assemble the log-potential lattices of a batch of sentences.
 
-    position_features holds the active feature strings per position;
-    features unknown to the index are dropped and contribute zero score.
-    constrained=True applies the pre-induced decode-time validity masks.
+    sentences holds each sentence's feature block starts per position, as
+    FeatureIndex.encode_positions gives them (features unknown to the index
+    are dropped there and score zero). The sentences are laid out in the
+    length-grouped chunks of _chunk_jobs; each chunk comes back as the
+    indices of its B sentences in the batch and one Lattice whose obs is
+    their (T, B, S) block. The blocks share one start and one transition
+    table; constrained=True applies the pre-induced decode-time validity
+    masks to them.
     """
-    if len(position_features) == 0:
-        raise CrfError("lattice needs at least one position")
     weights = np.asarray(weights, dtype=np.float64)
     expected = total_parameters(index, space)
     if weights.shape != (expected,):
@@ -357,15 +372,28 @@ def build_lattice(
         )
     if constrained and space.order != ModelOrder.PRE_INDUCED:
         raise CrfError("decode-time constraints only apply to the pre-induced model")
+    if any(len(positions) == 0 for positions in sentences):
+        raise CrfError("lattice needs at least one position")
 
-    incidence = _incidence(index.encode_positions(position_features), index)
-    obs = _gather_observations(incidence, weights, index, space)
+    n_states = space.n_states
+    jobs, rows = _chunk_layout(sentences, n_states)
+    obs = np.empty((len(rows), n_states))
+    for lo in range(0, len(rows), _GATHER_TOKENS):
+        part = slice(lo, lo + _GATHER_TOKENS)
+        obs[part] = _gather_observations(_incidence(rows[part], index), weights, index, space)
     start, trans = _transition_tables(weights, index, space)
     if constrained:
         start_ok, trans_ok = space.constraint_masks
         start = np.where(start_ok, start, NEG_INF)
         trans = np.where(trans_ok, trans, NEG_INF)
-    return Lattice(obs=obs, trans=trans, start=start)
+    blocks = []
+    row = 0
+    for job in jobs:
+        n_pos, size = len(sentences[job[0]]), len(job)
+        block = obs[row : row + n_pos * size].reshape(n_pos, size, n_states)
+        row += n_pos * size
+        blocks.append((job, Lattice(obs=block, trans=trans, start=start)))
+    return blocks
 
 
 @dataclass
@@ -563,30 +591,56 @@ def forward_backward(lattice: Lattice) -> ForwardBackwardResult:
     return ForwardBackwardResult(log_alpha, log_beta, log_z, log_z_backward, node, edge)
 
 
-def viterbi(lattice: Lattice) -> tuple[list[int], float]:
-    """Highest-scoring state sequence and its log score.
+def _viterbi(
+    obs: np.ndarray, start: np.ndarray, trans: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best paths (B, T) and their log scores (B,) of a (T, B, S) block of
+    same-length lattices sharing start (S,) and transition (S, S)
+    potentials. Ties break toward the lower state index.
 
-    Ties break toward the lower state index at every argmax, making the
-    decode deterministic.
+    The block runs in slices of sentences whose (B, S, S) step scores stay
+    within _VITERBI_BUDGET entries.
     """
-    obs, trans, start = lattice.obs, lattice.trans, lattice.start
-    n_pos, n_states = obs.shape
-    backpointer = np.zeros((n_pos, n_states), dtype=np.int64)
-    states = np.arange(n_states)
-    delta = start + obs[0]
-    for t in range(1, n_pos):
-        scores = delta[:, None] + trans
-        backpointer[t] = scores.argmax(axis=0)
-        delta = obs[t] + scores[backpointer[t], states]
-    # argmax picks NaN over any number, so a NaN anywhere reaches best
-    last = int(np.argmax(delta))
-    best = float(delta[last])
-    _check_scores(best)
-    path = [last]
-    for t in range(n_pos - 1, 0, -1):
-        path.append(int(backpointer[t, path[-1]]))
-    path.reverse()
-    return path, best
+    n_pos, n_batch, n_states = obs.shape
+    paths = np.empty((n_pos, n_batch), dtype=np.int64)
+    best = np.empty(n_batch)
+    step = max(1, _VITERBI_BUDGET // (n_states * n_states))
+    # scores[b, s, r] = delta[b, r] + trans[r, s]: previous states r last,
+    # so that argmax and the gather read contiguous rows
+    into = trans.T
+    for lo in range(0, n_batch, step):
+        part = slice(lo, lo + step)
+        sentences = np.arange(min(step, n_batch - lo))
+        backpointers = np.empty((n_pos, sentences.size, n_states), dtype=np.int64)
+        scores = np.empty((sentences.size, n_states, n_states))
+        delta = start + obs[0, part]
+        for t in range(1, n_pos):
+            np.add(delta[:, None, :], into, out=scores)
+            backpointers[t] = scores.argmax(axis=2)
+            delta = np.take_along_axis(scores, backpointers[t][..., None], axis=2)[..., 0]
+            delta += obs[t, part]
+        # argmax picks NaN over any number, so a NaN anywhere reaches best
+        paths[-1, part] = delta.argmax(axis=1)
+        best[part] = delta[sentences, paths[-1, part]]
+        for t in range(n_pos - 1, 0, -1):
+            paths[t - 1, part] = backpointers[t, sentences, paths[t, part]]
+    _check_scores(float(best.sum()))
+    return paths.T, best
+
+
+def viterbi(lattice: Lattice) -> tuple[list[int], float] | tuple[np.ndarray, np.ndarray]:
+    """Highest-scoring state sequences and their log scores.
+
+    A one-sentence lattice (obs (T, S)) gives its path as a list and its
+    score; a (T, B, S) block gives a (B, T) array of paths and a (B,) array
+    of scores. Ties break toward the lower state index at every argmax,
+    making the decode deterministic. Raises CrfError on NaN or +inf
+    potentials and InfeasibleLatticeError when a sentence has no path.
+    """
+    if lattice.obs.ndim == 3:
+        return _viterbi(lattice.obs, lattice.start, lattice.trans)
+    paths, scores = _viterbi(lattice.obs[:, None], lattice.start, lattice.trans)
+    return paths[0].tolist(), float(scores[0])
 
 
 class CompiledSentence(NamedTuple):
@@ -674,13 +728,11 @@ def pack_batch(
     n_states = space.n_states
     start_mass = np.zeros(n_states)
     edge_mass = np.zeros((n_states, n_states))
-    rows: list[np.ndarray] = []
     golds = []
     chunks = []
-    for job in _chunk_jobs(batch, n_states):
-        n_pos = len(job[0].feature_starts)
-        rows.extend(cs.feature_starts[t] for t in range(n_pos) for cs in job)
-        gold = np.stack([cs.gold for cs in job], axis=1)
+    jobs, rows = _chunk_layout([cs.feature_starts for cs in batch], n_states)
+    for job in jobs:
+        gold = np.stack([batch[i].gold for i in job], axis=1)
         golds.append(gold.ravel())
         start_mass += np.bincount(gold[0], minlength=n_states)
         edge_mass += np.bincount(
@@ -702,23 +754,37 @@ def pack_batch(
     return packed
 
 
-def _chunk_jobs(batch: Sequence[CompiledSentence], n_states: int) -> list[list[CompiledSentence]]:
-    """Group sentences by length, then split groups into chunks whose
-    (T, B, S) forward/backward tables stay within _CHUNK_BUDGET entries.
+def _chunk_jobs(lengths: Sequence[int], n_states: int) -> list[list[int]]:
+    """Group sentences, given by their lengths, by length, then split groups
+    into chunks whose (T, B, S) forward/backward tables stay within
+    _CHUNK_BUDGET entries. Returns each chunk's sentence indices.
 
     Chunk boundaries depend only on the batch contents, so the reduction
     order (and therefore every floating-point result) is reproducible.
     """
-    groups: dict[int, list[CompiledSentence]] = {}
-    for cs in batch:
-        groups.setdefault(len(cs.feature_starts), []).append(cs)
-    jobs: list[list[CompiledSentence]] = []
+    groups: dict[int, list[int]] = {}
+    for i, n_pos in enumerate(lengths):
+        groups.setdefault(n_pos, []).append(i)
+    jobs: list[list[int]] = []
     for n_pos in sorted(groups):
         members = groups[n_pos]
         size = max(1, min(_MAX_CHUNK, _CHUNK_BUDGET // (n_pos * n_states)))
         for i in range(0, len(members), size):
             jobs.append(members[i : i + size])
     return jobs
+
+
+def _chunk_layout(
+    sentences: Sequence[Sequence[np.ndarray]], n_states: int
+) -> tuple[list[list[int]], list[np.ndarray]]:
+    """The chunks of _chunk_jobs over sentences' feature block starts, and
+    their token rows: chunk after chunk, time-major inside each (row t * B
+    + b of a chunk is position t of its sentence b)."""
+    jobs = _chunk_jobs([len(positions) for positions in sentences], n_states)
+    rows = [
+        sentences[i][t] for job in jobs for t in range(len(sentences[job[0]])) for i in job
+    ]
+    return jobs, rows
 
 
 def log_likelihood_and_gradient(

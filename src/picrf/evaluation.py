@@ -224,7 +224,7 @@ def run_comparison(
             )
             try:
                 model, report = train(train_corpus, config, alphabet)
-                predicted = [model.decode(s) for s in test_corpus]
+                predicted = model.decode_corpus(test_corpus)
                 cell_score = score(test_corpus, predicted)
             except Exception as exc:
                 raise EvaluationError(
@@ -369,7 +369,7 @@ def run_longdistance(
     for order in orders:
         config = replace(base_config, model_order=ModelOrder(order))
         model, report = train(train_corpus, config, alphabet)
-        predicted = [model.decode(s) for s in test_corpus]
+        predicted = model.decode_corpus(test_corpus)
         cells.append(
             LongDistanceCell(
                 order=ModelOrder(order),

@@ -14,6 +14,7 @@ import json
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import IO, Iterator, Sequence
 
 import numpy as np
@@ -25,6 +26,9 @@ from .features import FeatureIndex, TemplateConfig, extract_features, make_featu
 from .induction import LabelAlphabet, build_expanded_alphabet, revert
 
 FORMAT_LINE = "picrf model format 1"
+# Weight lines read and parsed in one step while loading; bounds the line
+# strings held at once.
+_WEIGHT_LINES_PER_READ = 1 << 16
 
 
 class ModelFormatError(Exception):
@@ -59,20 +63,39 @@ class Model:
         return state_space(self.order, self.alphabet)
 
     def decode(self, sentence: Sentence, constrained: bool = False) -> list[str]:
-        """Viterbi-decode one sentence to base IOB2 labels.
+        """Viterbi-decode one sentence to base IOB2 labels: decode_corpus of
+        a one-sentence corpus."""
+        return self.decode_corpus([sentence], constrained)[0]
 
-        Pre-induced decodes are reverted, so carrier labels never leak into
-        output. Deterministic: equal inputs give equal label sequences.
+    def decode_corpus(
+        self, corpus: Sequence[Sentence], constrained: bool = False
+    ) -> list[list[str]]:
+        """Viterbi-decode sentences to base IOB2 labels, in input order.
+
+        The corpus is decoded as one batch: each sentence's features are
+        encoded as soon as they are extracted, and build_lattice lays the
+        sentences out in length-grouped (T, B, S) blocks that viterbi
+        decodes block by block. Empty sentences decode to []. Pre-induced
+        decodes are reverted, so carrier labels never leak into output.
+        Deterministic: a sentence decodes to the same labels alone or in
+        any batch.
         """
-        if len(sentence) == 0:
-            return []
-        features = extract_features(sentence, self.template)
-        lattice = build_lattice(features, self.weights, self.index, self.space, constrained)
-        path, _ = viterbi(lattice)
-        labels = [self.space.output_labels[s] for s in path]
-        if self.order == ModelOrder.PRE_INDUCED:
-            labels = revert(labels, self.alphabet)
-        return labels
+        kept = [i for i, sentence in enumerate(corpus) if len(sentence)]
+        encoded = [
+            self.index.encode_positions(extract_features(corpus[i], self.template))
+            for i in kept
+        ]
+        names = np.array(self.space.output_labels, dtype=object)
+        decoded: list[list[str]] = [[] for _ in corpus]
+        for members, lattice in build_lattice(
+            encoded, self.weights, self.index, self.space, constrained
+        ):
+            paths, _ = viterbi(lattice)
+            for i, labels in zip(members, names[paths].tolist()):
+                if self.order == ModelOrder.PRE_INDUCED:
+                    labels = revert(labels, self.alphabet)
+                decoded[kept[i]] = labels
+        return decoded
 
 
 def _dump(model: Model, out: IO[str]) -> None:
@@ -123,6 +146,35 @@ class _LineReader:
             raise ModelFormatError("model file truncated at line %d" % (self.count + 1)) from None
         self.count += 1
         return raw.rstrip("\n")
+
+    def floats(self, n: int) -> np.ndarray:
+        """The next n lines as float64 values, parsed a slice of lines at a
+        time. A short read or a line that float() rejects raises the error
+        the line-by-line reads would have raised, naming the same line."""
+        values = np.empty(n)
+        for lo in range(0, n, _WEIGHT_LINES_PER_READ):
+            want = min(_WEIGHT_LINES_PER_READ, n - lo)
+            lines = list(islice(self._lines, want))
+            if len(lines) == want:
+                try:
+                    values[lo : lo + want] = np.fromiter(map(float, lines), np.float64, want)
+                except ValueError:
+                    pass
+                else:
+                    self.count += want
+                    continue
+            # a short read or a line that is not a number: find the first fault
+            for raw in lines:
+                self.count += 1
+                try:
+                    float(raw)
+                except ValueError:
+                    raise ModelFormatError(
+                        "line %d: weight entry is not a number: %r"
+                        % (self.count, raw.rstrip("\n"))
+                    ) from None
+            raise ModelFormatError("model file truncated at line %d" % (self.count + 1))
+        return values
 
     def keyed(self, key: str) -> str:
         line = self.next_line()
@@ -206,16 +258,8 @@ def _parse(reader: _LineReader) -> Model:
         raise ModelFormatError(
             "model declares %d weights, expected %d" % (n_weights, expected)
         )
-    weights = np.empty(n_weights)
     first_weight_line = reader.count + 1
-    for i in range(n_weights):
-        line = reader.next_line()
-        try:
-            weights[i] = float(line)
-        except ValueError:
-            raise ModelFormatError(
-                "line %d: weight entry is not a number: %r" % (reader.count, line)
-            ) from None
+    weights = reader.floats(n_weights)
     bad = np.flatnonzero(~np.isfinite(weights))
     if bad.size:
         raise ModelFormatError(

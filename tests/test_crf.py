@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_log_z, brute_viterbi, random_corpus, random_lattice
+from oracles import (
+    all_paths,
+    brute_log_z,
+    brute_viterbi,
+    path_scores,
+    random_corpus,
+    random_lattice,
+)
 from picrf import crf
 from picrf.corpus import Sentence, validate_iob2
 from picrf.crf import (
@@ -34,6 +41,16 @@ from picrf.features import BIAS_FEATURE, TemplateConfig, build_feature_index, ex
 from picrf.induction import build_expanded_alphabet, revert
 
 NEG_INF = float("-inf")
+
+
+def _lattice(feats, weights, index, space, constrained=False):
+    """One sentence's lattice, obs (T, S): the block build_lattice makes of
+    a one-sentence batch, viewed with B = 1."""
+    [(members, block)] = build_lattice(
+        [index.encode_positions(feats)], weights, index, space, constrained
+    )
+    assert members == [0] and block.obs.shape[1] == 1
+    return Lattice(block.obs[:, 0], block.trans, block.start)
 
 
 class TestStateSpace:
@@ -348,7 +365,7 @@ class TestObjective:
         w_trans = weights[index.n_parameters :]
         for sentence, cs in zip(corpus, compiled):
             feats = extract_features(sentence, template)
-            lattice = build_lattice(feats, weights, index, space)
+            lattice = _lattice(feats, weights, index, space)
             result = forward_backward(lattice)
             gold = cs.gold
             gold_score = w_trans[space.start_slot[gold[0]]]
@@ -383,7 +400,8 @@ class TestObjective:
         corpus += random_corpus(rng, ["A", "B"], 30)
         space, index, compiled = _training_setup(order, corpus)
         n_lengths = len({len(cs.feature_starts) for cs in compiled})
-        assert len(_chunk_jobs(compiled, space.n_states)) > n_lengths
+        lengths = [len(cs.feature_starts) for cs in compiled]
+        assert len(_chunk_jobs(lengths, space.n_states)) > n_lengths
         weights = np.random.default_rng(1).normal(
             scale=0.3, size=total_parameters(index, space)
         )
@@ -432,13 +450,13 @@ class TestBuildLattice:
         corpus = [Sentence.from_strings(["a"], ["O"])]
         space, index, _ = _training_setup(ModelOrder.FIRST, corpus)
         with pytest.raises(CrfError):
-            build_lattice([["BIAS"]], np.zeros(1), index, space)
+            _lattice([["BIAS"]], np.zeros(1), index, space)
 
     def test_empty_sentence_rejected(self):
         corpus = [Sentence.from_strings(["a"], ["O"])]
         space, index, _ = _training_setup(ModelOrder.FIRST, corpus)
         with pytest.raises(CrfError):
-            build_lattice([], np.zeros(total_parameters(index, space)), index, space)
+            _lattice([], np.zeros(total_parameters(index, space)), index, space)
 
     def test_unknown_features_contribute_zero(self):
         corpus = [Sentence.from_strings(["a"], ["O"])]
@@ -447,8 +465,8 @@ class TestBuildLattice:
         weights = rng.normal(size=total_parameters(index, space))
         known = [["BIAS", "W[0]=a"]]
         with_unknown = [["BIAS", "W[0]=a", "W[0]=never-seen"]]
-        a = build_lattice(known, weights, index, space)
-        b = build_lattice(with_unknown, weights, index, space)
+        a = _lattice(known, weights, index, space)
+        b = _lattice(with_unknown, weights, index, space)
         assert np.array_equal(a.obs, b.obs)
 
     @pytest.mark.parametrize("order", list(ModelOrder))
@@ -461,7 +479,7 @@ class TestBuildLattice:
         space, index, _ = _training_setup(order, corpus, template)
         weights = np.random.default_rng(4).normal(size=total_parameters(index, space))
         feats = extract_features(corpus[0], template) + [["W[0]=never-seen"]]
-        lattice = build_lattice(feats, weights, index, space)
+        lattice = _lattice(feats, weights, index, space)
         for t, active in enumerate(feats):
             for s in range(space.n_states):
                 obs_label = index.obs_labels[space.obs_state_of[s]]
@@ -480,7 +498,7 @@ class TestBuildLattice:
         rng = np.random.default_rng(2)
         weights = rng.normal(size=total_parameters(index, space))
         feats = extract_features(corpus[0], TemplateConfig(set_id=1))
-        lattice = build_lattice(feats, weights, index, space)
+        lattice = _lattice(feats, weights, index, space)
         assert lattice.psi(0, None, 1) == pytest.approx(lattice.start[1] + lattice.obs[0, 1])
         assert lattice.psi(1, 0, 2) == pytest.approx(lattice.trans[0, 2] + lattice.obs[1, 2])
 
@@ -488,7 +506,7 @@ class TestBuildLattice:
         corpus = [Sentence.from_strings(["a"], ["O"])]
         space, index, _ = _training_setup(ModelOrder.FIRST, corpus)
         with pytest.raises(CrfError):
-            build_lattice(
+            _lattice(
                 [["BIAS"]],
                 np.zeros(total_parameters(index, space)),
                 index,
@@ -525,10 +543,10 @@ class TestSecondOrderEmbedding:
         for sentence in corpus:
             feats = extract_features(sentence, template)
             first_path, first_score = viterbi(
-                build_lattice(feats, w_first, first_index, first_space)
+                _lattice(feats, w_first, first_index, first_space)
             )
             second_path, second_score = viterbi(
-                build_lattice(feats, w_second, second_index, second_space)
+                _lattice(feats, w_second, second_index, second_space)
             )
             first_labels = [first_space.output_labels[s] for s in first_path]
             second_labels = [second_space.output_labels[s] for s in second_path]
@@ -570,7 +588,7 @@ class TestPreInducedConstraints:
             weights = gen.normal(scale=2.0, size=total_parameters(index, space))
             for sentence in corpus[:8]:
                 feats = extract_features(sentence, template)
-                lattice = build_lattice(feats, weights, index, space, constrained=True)
+                lattice = _lattice(feats, weights, index, space, constrained=True)
                 path, _ = viterbi(lattice)
                 labels = [space.output_labels[s] for s in path]
                 reverted = revert(labels, ALPHA2)
@@ -585,7 +603,7 @@ class TestPreInducedConstraints:
         weights = gen.normal(size=total_parameters(index, space))
         for sentence in corpus:
             feats = extract_features(sentence, template)
-            path, _ = viterbi(build_lattice(feats, weights, index, space))
+            path, _ = viterbi(_lattice(feats, weights, index, space))
             labels = [space.output_labels[s] for s in path]
             reverted = revert(labels, ALPHA2)
             assert all(l in ALPHA2.base_labels for l in reverted)
@@ -629,7 +647,7 @@ def test_batched_objective_is_sum_of_single_lattices(order, seed, n_sentences, m
     start_mass = np.zeros(space.n_states)
     edge_mass = np.zeros((space.n_states, space.n_states))
     for sentence, cs in zip(corpus, compiled):
-        lattice = build_lattice(extract_features(sentence, template), weights, index, space)
+        lattice = _lattice(extract_features(sentence, template), weights, index, space)
         result = forward_backward(lattice)
         total += _gold_score(lattice, space, index, weights, cs.gold) - result.log_z
         start_mass += result.node_marginals[0]
@@ -643,3 +661,89 @@ def test_batched_objective_is_sum_of_single_lattices(order, seed, n_sentences, m
     allowed = space.trans_slot >= 0
     expected[space.trans_slot[allowed]] -= edge_mass[allowed]
     assert np.allclose(grad[index.n_parameters :], expected, rtol=1e-10, atol=1e-10)
+
+
+def _tie_broken_viterbi(lattice):
+    """Among the best paths, the one Viterbi's rule picks: the lowest final
+    state, then at each step back the lowest predecessor, so the path that
+    is smallest read from the end. Exact only for exactly summed potentials."""
+    paths = all_paths(lattice.n_positions, lattice.n_states)
+    scores = path_scores(lattice, paths)
+    best = [list(p) for p, v in zip(paths, scores) if v == scores.max()]
+    return min(best, key=lambda p: p[::-1]), float(scores.max())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_pos=st.integers(1, 4),
+    n_batch=st.integers(1, 5),
+    n_states=st.integers(1, 4),
+    integer=st.booleans(),
+    forbid=st.sampled_from([0.0, 0.3]),
+    constrained=st.booleans(),
+    one_per_slice=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_viterbi_matches_single_lattices_and_brute_force(
+    n_pos, n_batch, n_states, integer, forbid, constrained, one_per_slice, seed
+):
+    """viterbi over a (T, B, S) block gives each sentence the path and score
+    of its own lattice and of the exhaustive search. Integer potentials
+    force ties, which break toward the lower state index; -inf entries come
+    from random forbidden moves and from the pre-induced decode masks.
+    one_per_slice runs the block one sentence at a time."""
+    rng = np.random.default_rng(seed)
+    if constrained:
+        start_ok, trans_ok = preinduced_constraint_masks(build_expanded_alphabet(["A"]))
+        n_states = start_ok.size
+    else:
+        start_ok, trans_ok = np.ones(n_states, bool), np.ones((n_states, n_states), bool)
+
+    def draw(shape):
+        values = rng.integers(-2, 3, size=shape) if integer else rng.normal(size=shape)
+        return np.where(rng.random(shape) < forbid, NEG_INF, values.astype(float))
+
+    block = Lattice(
+        obs=draw((n_pos, n_batch, n_states)),
+        trans=np.where(trans_ok, draw((n_states, n_states)), NEG_INF),
+        start=np.where(start_ok, draw(n_states), NEG_INF),
+    )
+    singles = [Lattice(block.obs[:, b], block.trans, block.start) for b in range(n_batch)]
+    brute = [brute_viterbi(lattice) for lattice in singles]
+    with pytest.MonkeyPatch.context() as patch:
+        if one_per_slice:
+            patch.setattr(crf, "_VITERBI_BUDGET", 1)
+        if any(score == NEG_INF for _, score, _ in brute):
+            with pytest.raises(InfeasibleLatticeError):
+                viterbi(block)
+            return
+        paths, scores = viterbi(block)
+    assert paths.shape == (n_batch, n_pos) and scores.shape == (n_batch,)
+    for b, lattice in enumerate(singles):
+        path, score = viterbi(lattice)
+        assert paths[b].tolist() == path and scores[b] == score
+        b_path, b_score, unique = brute[b]
+        assert score == pytest.approx(b_score, abs=1e-9)
+        if integer:
+            assert (path, score) == _tie_broken_viterbi(lattice)
+        elif unique:
+            assert path == b_path
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_pos=st.integers(1, 4),
+    n_batch=st.integers(1, 5),
+    n_states=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_batched_viterbi_raises_on_nan(n_pos, n_batch, n_states, seed, data):
+    rng = np.random.default_rng(seed)
+    obs = rng.normal(size=(n_pos, n_batch, n_states))
+    where = tuple(data.draw(st.integers(0, n - 1)) for n in obs.shape)
+    obs[where] = np.nan
+    block = Lattice(obs, rng.normal(size=(n_states, n_states)), rng.normal(size=n_states))
+    with pytest.raises(CrfError):
+        viterbi(block)
+

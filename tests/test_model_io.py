@@ -1,10 +1,12 @@
 import io
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from oracles import random_corpus
+from picrf import crf, model_io
 from picrf.corpus import Sentence
 from picrf.crf_types import ModelOrder
 from picrf.features import TemplateConfig
@@ -70,6 +72,55 @@ class TestRoundTrip:
                 assert label in model.alphabet.base_labels
 
 
+def _decode_corpus():
+    """Unlabeled sentences of mixed lengths with empty ones interleaved;
+    length 3 alone has more sentences than the small chunk cap below."""
+    rng = random.Random(43)
+    corpus = random_corpus(rng, ["DNA", "RNA"], 30, min_len=1, max_len=9)
+    corpus += random_corpus(rng, ["DNA", "RNA"], 9, min_len=3, max_len=3)
+    rng.shuffle(corpus)
+    sentences = [Sentence.from_strings(s.texts) for s in corpus]
+    for i in range(0, len(sentences) + 8, 8):
+        sentences.insert(i, Sentence.from_strings([]))
+    return sentences
+
+
+class TestCorpusDecode:
+    @pytest.mark.parametrize(
+        "order, constrained",
+        [
+            (ModelOrder.FIRST, False),
+            (ModelOrder.PRE_INDUCED, False),
+            (ModelOrder.PRE_INDUCED, True),
+            (ModelOrder.SECOND, False),
+        ],
+    )
+    @pytest.mark.parametrize("small", [False, True], ids=["default", "small-slices"])
+    def test_corpus_decode_equals_per_sentence_decode(self, trained, order, constrained, small):
+        """With small, chunks hold at most 3 sentences, a gather slice 16
+        tokens and a Viterbi slice 2 sentences, so the decode crosses every
+        boundary of the batched path."""
+        model, _ = trained[order]
+        corpus = _decode_corpus()
+        with pytest.MonkeyPatch.context() as patch:
+            if small:
+                patch.setattr(crf, "_MAX_CHUNK", 3)
+                patch.setattr(crf, "_GATHER_TOKENS", 16)
+                patch.setattr(crf, "_VITERBI_BUDGET", 2 * model.space.n_states**2)
+                lengths = Counter(len(s) for s in corpus if len(s))
+                assert max(lengths.values()) > 3
+                assert sum(len(s) for s in corpus) > 16
+            batched = model.decode_corpus(corpus, constrained=constrained)
+        single = [model.decode(s, constrained=constrained) for s in corpus]
+        assert batched == single
+        assert [len(labels) for labels in batched] == [len(s) for s in corpus]
+
+    def test_empty_corpus(self, trained):
+        model, _ = trained[ModelOrder.FIRST]
+        assert model.decode_corpus([]) == []
+        assert model.decode_corpus([Sentence.from_strings([])] * 2) == [[], []]
+
+
 def _lines(model):
     buffer = io.StringIO()
     save_model(model, buffer)
@@ -99,6 +150,17 @@ class TestTampering:
         lines = _lines(model)
         with pytest.raises(ModelFormatError, match="truncated"):
             _load_lines(lines[: len(lines) // 2])
+
+    @pytest.mark.parametrize("per_read", [None, 9])
+    def test_truncation_inside_the_weights(self, model, per_read):
+        lines = _lines(model)
+        i = next(k for k, line in enumerate(lines) if line.startswith("weights:"))
+        cut = i + 1 + int(lines[i].split()[1]) // 2
+        with pytest.MonkeyPatch.context() as patch:
+            if per_read:
+                patch.setattr(model_io, "_WEIGHT_LINES_PER_READ", per_read)
+            with pytest.raises(ModelFormatError, match="truncated at line %d$" % (cut + 1)):
+                _load_lines(lines[:cut])
 
     def test_missing_end_marker(self, model):
         lines = _lines(model)
@@ -141,6 +203,27 @@ class TestTampering:
         lines[i + 1] = "not-a-number"
         with pytest.raises(ModelFormatError):
             _load_lines(lines)
+
+    @pytest.mark.parametrize("per_read", [None, 9])
+    def test_non_numeric_weight_names_its_line(self, model, per_read):
+        lines = _lines(model)
+        i = next(k for k, line in enumerate(lines) if line.startswith("weights:"))
+        bad = i + 1 + int(lines[i].split()[1]) // 2
+        lines[bad] = "0.5x"
+        lines[bad + 3] = "also-not-a-number"
+        with pytest.MonkeyPatch.context() as patch:
+            if per_read:
+                patch.setattr(model_io, "_WEIGHT_LINES_PER_READ", per_read)
+            with pytest.raises(
+                ModelFormatError, match="line %d: weight entry is not a number: '0.5x'" % (bad + 1)
+            ):
+                _load_lines(lines)
+
+    def test_weights_read_in_slices_load_bit_identically(self, model, monkeypatch):
+        monkeypatch.setattr(model_io, "_WEIGHT_LINES_PER_READ", 9)
+        assert model.weights.size % 9
+        loaded = _load_lines(_lines(model))
+        assert loaded.weights.tobytes() == model.weights.tobytes()
 
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
     def test_non_finite_weight(self, model, text):
