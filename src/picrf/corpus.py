@@ -38,7 +38,8 @@ class Token:
     text: str
 
     def __post_init__(self):
-        if not self.text or any(c.isspace() for c in self.text):
+        # str.split() splits on exactly the characters str.isspace() accepts
+        if not self.text or self.text.split() != [self.text]:
             raise CorpusError("token text must be non-empty and contain no whitespace: %r" % (self.text,))
 
 

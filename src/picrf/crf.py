@@ -37,9 +37,10 @@ whose rows come in length-grouped chunks (CompiledBatch), gathers and
 scatters through it once per call and runs the kernel chunk by chunk;
 forward_backward is its B = 1 view, the single-lattice API the
 brute-force oracles use. Decoding runs the same batched path: build_lattice
-lays a batch of sentences out in the same length-grouped chunks, gathers
-their observation scores through one incidence matrix (in slices of at
-most _GATHER_TOKENS token rows) and builds the transition tables once, and
+takes a batch's (N, K) feature id matrix, lays its sentences out in the
+same length-grouped chunks, gathers their observation scores through one
+incidence matrix built straight from that matrix (in slices of at most
+_GATHER_TOKENS token rows) and builds the transition tables once, and
 viterbi runs over each chunk's (T, B, S) block.
 """
 
@@ -48,7 +49,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -311,15 +311,17 @@ def _transition_counts(
     return counts
 
 
-def _incidence(rows: Sequence[np.ndarray], index: FeatureIndex) -> sparse.csr_matrix:
-    """Token x feature incidence matrix: row i counts the indexed features
-    whose block starts rows[i] holds. A row with no feature is all zero."""
+def _incidence(cols: np.ndarray, counts: np.ndarray, index: FeatureIndex) -> sparse.csr_matrix:
+    """Token x feature incidence matrix: row i holds a 1 for each of the
+    next counts[i] feature ids of cols. A row with no feature is all zero."""
     # int32 is the index type scipy would convert to anyway; passing it
     # saves that copy
-    indptr = np.array([0, *accumulate(map(len, rows))], dtype=np.int32)
-    cols = (np.concatenate(rows) // index.block_size).astype(np.int32)
+    indptr = np.zeros(len(counts) + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
     return sparse.csr_matrix(
-        (np.ones(cols.size), cols, indptr), shape=(len(rows), len(index.features)), copy=False
+        (np.ones(len(cols)), cols.astype(np.int32, copy=False), indptr),
+        shape=(len(counts), len(index.features)),
+        copy=False,
     )
 
 
@@ -347,7 +349,8 @@ def _scatter_observations(
 
 
 def build_lattice(
-    sentences: Sequence[Sequence[np.ndarray]],
+    feature_ids: np.ndarray,
+    lengths: Sequence[int],
     weights: np.ndarray,
     index: FeatureIndex,
     space: StateSpace,
@@ -355,14 +358,15 @@ def build_lattice(
 ) -> list[tuple[list[int], Lattice]]:
     """Assemble the log-potential lattices of a batch of sentences.
 
-    sentences holds each sentence's feature block starts per position, as
-    FeatureIndex.encode_positions gives them (features unknown to the index
-    are dropped there and score zero). The sentences are laid out in the
-    length-grouped chunks of _chunk_jobs; each chunk comes back as the
-    indices of its B sentences in the batch and one Lattice whose obs is
-    their (T, B, S) block. The blocks share one start and one transition
-    table; constrained=True applies the pre-induced decode-time validity
-    masks to them.
+    feature_ids (N, K) holds the index feature ids of the batch's N tokens,
+    sentence after sentence with the given lengths, and -1 where a column
+    has none, as features.feature_id_matrix gives them (features unknown to
+    the index are left out there and score zero). The sentences are laid
+    out in the length-grouped chunks of _chunk_jobs; each chunk comes back
+    as the indices of its B sentences in the batch and one Lattice whose
+    obs is their (T, B, S) block. The blocks share one start and one
+    transition table; constrained=True applies the pre-induced decode-time
+    validity masks to them.
     """
     weights = np.asarray(weights, dtype=np.float64)
     expected = total_parameters(index, space)
@@ -372,15 +376,29 @@ def build_lattice(
         )
     if constrained and space.order != ModelOrder.PRE_INDUCED:
         raise CrfError("decode-time constraints only apply to the pre-induced model")
-    if any(len(positions) == 0 for positions in sentences):
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if np.any(lengths < 1):
         raise CrfError("lattice needs at least one position")
+    if feature_ids.ndim != 2 or feature_ids.shape[0] != lengths.sum():
+        raise CrfError(
+            "feature id rows %s do not match %d tokens" % (feature_ids.shape, lengths.sum())
+        )
 
     n_states = space.n_states
-    jobs, rows = _chunk_layout(sentences, n_states)
-    obs = np.empty((len(rows), n_states))
-    for lo in range(0, len(rows), _GATHER_TOKENS):
-        part = slice(lo, lo + _GATHER_TOKENS)
-        obs[part] = _gather_observations(_incidence(rows[part], index), weights, index, space)
+    jobs = _chunk_jobs(lengths.tolist(), n_states)
+    firsts = np.cumsum(lengths) - lengths
+    # token rows chunk after chunk, time-major inside each (row t * B + b
+    # of a chunk is position t of its sentence b); none for an empty batch
+    order = np.concatenate(
+        [np.empty(0, np.int64)]
+        + [(firsts[job] + np.arange(lengths[job[0]])[:, None]).ravel() for job in jobs]
+    )
+    obs = np.empty((order.size, n_states))
+    for lo in range(0, order.size, _GATHER_TOKENS):
+        part = feature_ids[order[lo : lo + _GATHER_TOKENS]]
+        present = part >= 0
+        incidence = _incidence(part[present], present.sum(axis=1), index)
+        obs[lo : lo + _GATHER_TOKENS] = _gather_observations(incidence, weights, index, space)
     start, trans = _transition_tables(weights, index, space)
     if constrained:
         start_ok, trans_ok = space.constraint_masks
@@ -389,7 +407,7 @@ def build_lattice(
     blocks = []
     row = 0
     for job in jobs:
-        n_pos, size = len(sentences[job[0]]), len(job)
+        n_pos, size = int(lengths[job[0]]), len(job)
         block = obs[row : row + n_pos * size].reshape(n_pos, size, n_states)
         row += n_pos * size
         blocks.append((job, Lattice(obs=block, trans=trans, start=start)))
@@ -743,7 +761,9 @@ def pack_batch(
         raise CrfError("gold path uses a structurally forbidden transition")
     packed = CompiledBatch(batch)
     packed.index, packed.space, packed.chunks = index, space, tuple(chunks)
-    packed.incidence = _incidence(rows, index)
+    packed.incidence = _incidence(
+        np.concatenate(rows) // index.block_size, [len(r) for r in rows], index
+    )
     gold_mass = np.eye(index.n_fine)[space.obs_state_of[np.concatenate(golds)]]
     packed.observed = np.concatenate(
         [

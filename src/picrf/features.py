@@ -13,6 +13,18 @@ Feature set 1 enables the window family only; set 2 adds the affix family.
 Window positions outside the sentence yield BOS/EOS sentinel tokens that
 carry an unprintable prefix, so they cannot collide with real text.
 
+Every template reads one token at one window offset (W and NW at offset d,
+PRE and SUF at offset 0), or none (BIAS), so a token's features depend
+only on the word types around it. extract_features spells them out per
+position and stays the reference. feature_id_matrix, which decoding and
+build_feature_index use, makes the strings once per distinct word type
+and template slot instead, as in the attribute dictionary of CRFsuite
+(Okazaki 2007) and the compiled pattern tables of Wapiti (Lavergne, Cappe
+& Yvon 2010): it interns a corpus's tokens to type ids, builds one
+(n_types + 2, K) table of feature ids for its K template slots (the two
+extra rows are BOS and EOS), and gathers the (N, K) feature ids of all N
+tokens with numpy shifts over the type-id array.
+
 Each indexed feature owns a contiguous block of weight slots, one per
 observation-conditioned state, laid out in feature-index order. Models
 over the expanded alphabet append one extra coarse slot per feature that
@@ -26,7 +38,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -119,6 +131,74 @@ def extract_features(sentence: Sentence, config: TemplateConfig) -> list[list[st
     return features
 
 
+def _slot_columns(
+    types: Sequence[str], config: TemplateConfig
+) -> tuple[list[int], list[list[str | None]]]:
+    """The template slots of extract_features, in its order: each slot's
+    window offset, and its feature string for every type followed by BOS
+    and EOS, None where the slot emits nothing."""
+    words = [*types, BOS, EOS]
+    offsets: list[int] = []
+    columns: list[list[str | None]] = []
+    for d in config.window_offsets:
+        offsets.append(d)
+        columns.append(["W[%d]=%s" % (d, word) for word in words])
+    if config.use_normalized:
+        norms = [*map(normalize_token, types), BOS, EOS]
+        for d in config.window_offsets:
+            offsets.append(d)
+            columns.append(["NW[%d]=%s" % (d, norm) for norm in norms])
+    if config.set_id == 2:
+        for name, cut in (("PRE", lambda w, n: w[:n]), ("SUF", lambda w, n: w[-n:])):
+            for n in config.affix_lengths:
+                offsets.append(0)
+                columns.append(
+                    ["%s[%d]=%s" % (name, n, cut(w, n)) if len(w) >= n else None for w in types]
+                    + [None, None]
+                )
+    offsets.append(0)
+    columns.append([BIAS_FEATURE] * len(types) + [None, None])
+    return offsets, columns
+
+
+def feature_id_matrix(
+    corpus: Sequence[Sentence], config: TemplateConfig, lookup: Callable[[str], int]
+) -> np.ndarray:
+    """Feature ids (N, K) of the N tokens of a corpus, sentence after
+    sentence, one column per template slot.
+
+    Row i holds, in extract_features order, lookup of each feature string
+    extract_features emits for token i, and -1 where the slot emits nothing
+    (an affix longer than the token). lookup runs once per distinct word
+    type and slot, and may return -1 for a feature to leave out. Empty
+    sentences contribute no rows.
+    """
+    vocab: dict[str, int] = {}
+    types = np.fromiter(
+        (vocab.setdefault(token.text, len(vocab)) for sentence in corpus for token in sentence.tokens),
+        np.int64,
+    )
+    offsets, columns = _slot_columns(list(vocab), config)
+    # int32: the index type of the incidence matrices built from these ids
+    table = np.array(
+        [[-1 if feature is None else lookup(feature) for feature in column] for column in columns],
+        dtype=np.int32,
+    )
+    # each sentence's type ids padded with radius BOS rows before and
+    # radius EOS rows after, so that a window offset is a plain shift
+    radius = config.window_radius
+    lengths = np.fromiter(map(len, corpus), np.int64, len(corpus))
+    width = lengths + 2 * radius
+    padded = np.full(int(width.sum()), len(vocab) + 1)
+    pad_starts = np.cumsum(width) - width
+    padded[(pad_starts[:, None] + np.arange(radius)).ravel()] = len(vocab)
+    # the corpus's token i sits at padded[at[i]]
+    at = np.repeat(pad_starts + radius - (np.cumsum(lengths) - lengths), lengths)
+    at += np.arange(types.size)
+    padded[at] = types
+    return table[np.arange(len(offsets)), padded[at[:, None] + np.array(offsets)]]
+
+
 @dataclass(frozen=True)
 class FeatureIndex:
     """Deterministic feature-to-slot layout for one model order.
@@ -178,7 +258,8 @@ class FeatureIndex:
         """Map per-position feature strings to arrays of block start offsets.
 
         Features absent from the index are dropped, which makes them
-        contribute exactly zero score at decode time.
+        contribute exactly zero score. feature_id_matrix gives the same
+        features as feature ids, without building strings per token.
         """
         block = self.block_size
         ids = self.feature_ids
@@ -220,14 +301,20 @@ def build_feature_index(
 
     Slot order is first-occurrence order over the corpus, which makes the
     layout a deterministic function of corpus order and template config.
-    Features seen fewer than min_feature_count times are dropped.
+    Features seen fewer than min_feature_count times are dropped. Feature
+    strings are made once per word type and template slot (see
+    feature_id_matrix); the index equals the one that counting the strings
+    of extract_features over the corpus gives.
     """
-    counts: dict[str, int] = {}
-    for sentence in corpus:
-        for active in extract_features(sentence, config):
-            for feature in active:
-                counts[feature] = counts.get(feature, 0) + 1
-    kept = tuple(f for f, c in counts.items() if c >= config.min_feature_count)
+    if any(len(sentence) == 0 for sentence in corpus):
+        raise FeatureError("cannot extract features from an empty sentence")
+    strings: dict[str, int] = {}
+    ids = feature_id_matrix(corpus, config, lambda f: strings.setdefault(f, len(strings)))
+    # row-major, so the stream runs in the order extract_features emits it
+    found, first, counts = np.unique(ids[ids >= 0], return_index=True, return_counts=True)
+    keep = counts >= config.min_feature_count
+    names = list(strings)
+    kept = tuple(names[i] for i in found[keep][np.argsort(first[keep])])
     if not kept:
         raise FeatureError("no features survived the frequency cutoff")
     return make_feature_index(kept, alphabet, order)

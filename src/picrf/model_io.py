@@ -22,7 +22,12 @@ import numpy as np
 from .corpus import Sentence
 from .crf import StateSpace, build_lattice, state_space, total_parameters, viterbi
 from .crf_types import ModelOrder
-from .features import FeatureIndex, TemplateConfig, extract_features, make_feature_index
+from .features import FeatureIndex, TemplateConfig, feature_id_matrix, make_feature_index
+
+# Not called here: decoding builds features with feature_id_matrix.
+# benchmarks/spans.py wraps picrf.model_io.extract_features by name, so the
+# name stays until that wrap point moves.
+from .features import extract_features  # noqa: F401
 from .induction import LabelAlphabet, build_expanded_alphabet, revert
 
 FORMAT_LINE = "picrf model format 1"
@@ -72,8 +77,8 @@ class Model:
     ) -> list[list[str]]:
         """Viterbi-decode sentences to base IOB2 labels, in input order.
 
-        The corpus is decoded as one batch: each sentence's features are
-        encoded as soon as they are extracted, and build_lattice lays the
+        The corpus is decoded as one batch: feature_id_matrix gives the
+        feature ids of all its tokens at once, and build_lattice lays the
         sentences out in length-grouped (T, B, S) blocks that viterbi
         decodes block by block. Empty sentences decode to []. Pre-induced
         decodes are reverted, so carrier labels never leak into output.
@@ -81,19 +86,19 @@ class Model:
         any batch.
         """
         kept = [i for i, sentence in enumerate(corpus) if len(sentence)]
-        encoded = [
-            self.index.encode_positions(extract_features(corpus[i], self.template))
-            for i in kept
-        ]
-        names = np.array(self.space.output_labels, dtype=object)
+        sentences = [corpus[i] for i in kept]
+        feature_ids = self.index.feature_ids
+        ids = feature_id_matrix(sentences, self.template, lambda f: feature_ids.get(f, -1))
+        names = self.space.output_labels
+        if self.order == ModelOrder.PRE_INDUCED:
+            names = revert(names, self.alphabet)
+        names = np.array(names, dtype=object)
         decoded: list[list[str]] = [[] for _ in corpus]
         for members, lattice in build_lattice(
-            encoded, self.weights, self.index, self.space, constrained
+            ids, [len(s) for s in sentences], self.weights, self.index, self.space, constrained
         ):
             paths, _ = viterbi(lattice)
             for i, labels in zip(members, names[paths].tolist()):
-                if self.order == ModelOrder.PRE_INDUCED:
-                    labels = revert(labels, self.alphabet)
                 decoded[kept[i]] = labels
         return decoded
 
@@ -176,6 +181,36 @@ class _LineReader:
             raise ModelFormatError("model file truncated at line %d" % (self.count + 1))
         return values
 
+    def json_strings(self, n: int) -> list[str]:
+        """The next n lines as JSON strings, decoded by one json.loads of the
+        lines joined into one array. Each line must then hold exactly one
+        string, as strict JSON rejects a raw newline inside a string and an
+        empty item. A short read or a line that is not one JSON string
+        raises the error the line-by-line reads would have raised, naming
+        the same line."""
+        lines = [raw.rstrip("\n") for raw in islice(self._lines, n)]
+        if len(lines) == n:
+            try:
+                values = json.loads("[" + ",\n".join(lines) + "]")
+            except json.JSONDecodeError:
+                pass
+            else:
+                if len(values) == n and all(isinstance(v, str) for v in values):
+                    self.count += n
+                    return values
+        # a short read or a line that is not one JSON string: find the first fault
+        for line in lines:
+            self.count += 1
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError:
+                raise ModelFormatError(
+                    "line %d: feature entry is not a JSON string" % self.count
+                ) from None
+            if not isinstance(value, str):
+                raise ModelFormatError("line %d: feature entry is not a string" % self.count)
+        raise ModelFormatError("model file truncated at line %d" % (self.count + 1))
+
     def keyed(self, key: str) -> str:
         line = self.next_line()
         prefix = key + ": "
@@ -238,18 +273,7 @@ def _parse(reader: _LineReader) -> Model:
         )
 
     n_features = reader.keyed_int("features")
-    features = []
-    for _ in range(n_features):
-        line = reader.next_line()
-        try:
-            feature = json.loads(line)
-        except json.JSONDecodeError:
-            raise ModelFormatError(
-                "line %d: feature entry is not a JSON string" % reader.count
-            ) from None
-        if not isinstance(feature, str):
-            raise ModelFormatError("line %d: feature entry is not a string" % reader.count)
-        features.append(feature)
+    features = reader.json_strings(n_features)
     index = make_feature_index(features, alphabet, order)
 
     n_weights = reader.keyed_int("weights")

@@ -2,7 +2,8 @@
 
 Everything here enumerates explicitly: partition functions and best paths
 by scoring every state sequence, carrier expectations by scanning label
-sequences. Deliberately slow and simple.
+sequences, index feature lists by counting every extracted feature string.
+Deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 
 from picrf.corpus import Sentence
 from picrf.crf import Lattice
+from picrf.features import TemplateConfig, extract_features
 
 
 def all_paths(n_positions: int, n_states: int) -> np.ndarray:
@@ -49,6 +51,18 @@ def brute_viterbi(lattice: Lattice) -> tuple[list[int], float, bool]:
     best = int(np.argmax(scores))
     unique = int(np.sum(scores >= scores[best] - 1e-9)) == 1
     return list(paths[best]), float(scores[best]), unique
+
+
+def counted_features(corpus: list[Sentence], config: TemplateConfig) -> tuple[str, ...]:
+    """The feature list an index over the corpus keeps: every string
+    extract_features emits, counted, in first-occurrence order, without
+    those seen fewer than config.min_feature_count times."""
+    counts: dict[str, int] = {}
+    for sentence in corpus:
+        for active in extract_features(sentence, config):
+            for feature in active:
+                counts[feature] = counts.get(feature, 0) + 1
+    return tuple(f for f, c in counts.items() if c >= config.min_feature_count)
 
 
 def random_lattice(

@@ -33,6 +33,25 @@ class TestToken:
         with pytest.raises(CorpusError):
             Token(bad)
 
+    @staticmethod
+    def _accepts(text):
+        try:
+            Token(text)
+        except CorpusError:
+            return False
+        return True
+
+    @pytest.mark.parametrize(
+        "text", ["a\xa0b", "a\u2003b", "a\x1cb", "a\x85b", "\x85", "a\tb", "IL-2", "x"]
+    )
+    def test_whitespace_is_what_isspace_accepts(self, text):
+        assert self._accepts(text) == (not any(c.isspace() for c in text))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(max_size=6))
+    def test_whitespace_is_what_isspace_accepts_on_any_text(self, text):
+        assert self._accepts(text) == (bool(text) and not any(c.isspace() for c in text))
+
 
 class TestSentence:
     def test_label_length_mismatch(self):

@@ -45,10 +45,14 @@ NEG_INF = float("-inf")
 
 def _lattice(feats, weights, index, space, constrained=False):
     """One sentence's lattice, obs (T, S): the block build_lattice makes of
-    a one-sentence batch, viewed with B = 1."""
-    [(members, block)] = build_lattice(
-        [index.encode_positions(feats)], weights, index, space, constrained
-    )
+    a one-sentence batch, viewed with B = 1. feats are the sentence's
+    feature strings per position, encoded by the reference encode_positions
+    and padded with -1 into build_lattice's feature id matrix."""
+    encoded = index.encode_positions(feats)
+    ids = np.full((len(encoded), max(map(len, encoded), default=0)), -1)
+    for t, starts in enumerate(encoded):
+        ids[t, : starts.size] = starts // index.block_size
+    [(members, block)] = build_lattice(ids, [len(feats)], weights, index, space, constrained)
     assert members == [0] and block.obs.shape[1] == 1
     return Lattice(block.obs[:, 0], block.trans, block.start)
 

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import counted_features
 from picrf.corpus import Sentence
 from picrf.crf_types import ModelOrder
 from picrf.features import (
@@ -11,6 +14,7 @@ from picrf.features import (
     TemplateConfig,
     build_feature_index,
     extract_features,
+    feature_id_matrix,
     make_feature_index,
     normalize_token,
 )
@@ -232,3 +236,68 @@ class TestEncode:
         encoded = index.encode_positions([["nothing-known"]])
         assert encoded[0].size == 0
         assert encoded[0].dtype == np.int64
+
+
+# Words that collide under normalize_token (case, digits), words shorter
+# than the affix lengths, and a word spelled like the BOS sentinel.
+_WORDS = st.one_of(
+    st.sampled_from(["a", "A", "ab", "Ab", "a1", "A7", "x9y", "X0Y", "IL-2", "il-5", BOS]),
+    st.text(alphabet="aAbB09-", min_size=1, max_size=6),
+)
+_SENTENCES = st.lists(_WORDS, max_size=5).map(Sentence.from_strings)
+_CONFIGS = st.builds(
+    TemplateConfig,
+    set_id=st.sampled_from([1, 2]),
+    window_offsets=st.sampled_from([(-1, 0, 1), (-2, 0, 3), (0,), (1,), (-1, 0, 0)]),
+    use_normalized=st.booleans(),
+    affix_lengths=st.sampled_from([(2, 3, 4), (1,), (3, 5)]),
+    min_feature_count=st.sampled_from([0, 1, 2]),
+)
+
+
+def _non_empty(corpus):
+    return [sentence for sentence in corpus if len(sentence)]
+
+
+class TestFeatureTables:
+    """feature_id_matrix and the index built from it against the reference
+    per-position strings of extract_features."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_SENTENCES, min_size=1, max_size=5), st.lists(_SENTENCES, max_size=5), _CONFIGS)
+    @example([Sentence.from_strings(["gene"])], [Sentence.from_strings(["Gene"])], SET2)
+    def test_ids_equal_encoded_reference(self, seen, decoded, config):
+        """Per position, the row's ids are the reference encoding of the
+        same features, in the same order; features the index lacks (tokens
+        unseen at decode time) are left out, and empty sentences give no
+        rows."""
+        features = counted_features(_non_empty(seen), config)
+        if not features:
+            return
+        index = make_feature_index(features, ALPHA1, ModelOrder.FIRST)
+        ids = feature_id_matrix(decoded, config, lambda f: index.feature_ids.get(f, -1))
+        expected = [
+            starts // index.block_size
+            for sentence in _non_empty(decoded)
+            for starts in index.encode_positions(extract_features(sentence, config))
+        ]
+        assert ids.shape[0] == len(expected)
+        for row, want in zip(ids, expected):
+            assert row[row >= 0].tolist() == want.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_SENTENCES.filter(len), min_size=1, max_size=6), _CONFIGS)
+    @example([Sentence.from_strings(["A1", "a2", "a1"])], TemplateConfig(min_feature_count=2))
+    def test_index_equals_counted_strings(self, corpus, config):
+        """Same features in the same first-occurrence order, with the same
+        min_feature_count cutoff, as counting the strings."""
+        expected = counted_features(corpus, config)
+        if not expected:
+            with pytest.raises(FeatureError):
+                build_feature_index(corpus, config, ALPHA1, ModelOrder.FIRST)
+            return
+        assert build_feature_index(corpus, config, ALPHA1, ModelOrder.FIRST).features == expected
+
+    def test_empty_sentence_rejected_by_index(self):
+        with pytest.raises(FeatureError, match="empty sentence"):
+            build_feature_index(_corpus(["a"], []), SET1, ALPHA1, ModelOrder.FIRST)

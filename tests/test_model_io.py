@@ -95,21 +95,29 @@ class TestCorpusDecode:
             (ModelOrder.SECOND, False),
         ],
     )
-    @pytest.mark.parametrize("small", [False, True], ids=["default", "small-slices"])
-    def test_corpus_decode_equals_per_sentence_decode(self, trained, order, constrained, small):
-        """With small, chunks hold at most 3 sentences, a gather slice 16
-        tokens and a Viterbi slice 2 sentences, so the decode crosses every
+    @pytest.mark.parametrize(
+        "slices",
+        [None, (3, 16, 2), (2, 7, 1), (5, 1, 3)],
+        ids=["default", "small-slices", "chunk2-gather7-viterbi1", "chunk5-gather1-viterbi3"],
+    )
+    def test_corpus_decode_equals_per_sentence_decode(self, trained, order, constrained, slices):
+        """slices = (most sentences per chunk, token rows per gather slice,
+        sentences per Viterbi slice). Each setting splits some length group
+        into several chunks, some chunk into several Viterbi slices and the
+        corpus's token rows into several gather slices, whose boundaries
+        then fall inside chunks and sentences, so the decode crosses every
         boundary of the batched path."""
         model, _ = trained[order]
         corpus = _decode_corpus()
         with pytest.MonkeyPatch.context() as patch:
-            if small:
-                patch.setattr(crf, "_MAX_CHUNK", 3)
-                patch.setattr(crf, "_GATHER_TOKENS", 16)
-                patch.setattr(crf, "_VITERBI_BUDGET", 2 * model.space.n_states**2)
+            if slices:
+                max_chunk, gather_tokens, viterbi_sentences = slices
+                patch.setattr(crf, "_MAX_CHUNK", max_chunk)
+                patch.setattr(crf, "_GATHER_TOKENS", gather_tokens)
+                patch.setattr(crf, "_VITERBI_BUDGET", viterbi_sentences * model.space.n_states**2)
                 lengths = Counter(len(s) for s in corpus if len(s))
-                assert max(lengths.values()) > 3
-                assert sum(len(s) for s in corpus) > 16
+                assert max(lengths.values()) > max_chunk > viterbi_sentences
+                assert sum(len(s) for s in corpus) > gather_tokens
             batched = model.decode_corpus(corpus, constrained=constrained)
         single = [model.decode(s, constrained=constrained) for s in corpus]
         assert batched == single
@@ -246,6 +254,32 @@ class TestTampering:
         lines[i + 1] = "{unterminated"
         with pytest.raises(ModelFormatError):
             _load_lines(lines)
+
+    @pytest.mark.parametrize(
+        "bad_lines, message",
+        [
+            (['"a","b"'], "feature entry is not a JSON string"),
+            (["5"], "feature entry is not a string"),
+            # the third line's extra string restores the item count
+            (['"opened here', 'closed here"', '"c","d"'], "feature entry is not a JSON string"),
+            ([""], "feature entry is not a JSON string"),
+        ],
+        ids=["two-strings", "number", "string-across-lines", "empty"],
+    )
+    def test_malformed_feature_line_names_its_line(self, model, bad_lines, message):
+        lines = _lines(model)
+        i = next(k for k, line in enumerate(lines) if line.startswith("features:"))
+        bad = i + 1 + int(lines[i].split()[1]) // 2
+        lines[bad : bad + len(bad_lines)] = bad_lines
+        with pytest.raises(ModelFormatError, match="^line %d: %s$" % (bad + 1, message)):
+            _load_lines(lines)
+
+    def test_truncation_inside_the_features(self, model):
+        lines = _lines(model)
+        i = next(k for k, line in enumerate(lines) if line.startswith("features:"))
+        cut = i + 1 + int(lines[i].split()[1]) // 2
+        with pytest.raises(ModelFormatError, match="truncated at line %d$" % (cut + 1)):
+            _load_lines(lines[:cut])
 
     def test_misspelled_key(self, model):
         lines = _lines(model)
