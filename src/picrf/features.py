@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -51,6 +52,8 @@ EOS = "\x00<EOS>"
 BIAS_FEATURE = "BIAS"
 
 _DIGITS = re.compile(r"\d")
+# folds the ASCII digits, the only characters \d matches in ASCII text
+_ASCII_DIGITS = str.maketrans("123456789", "000000000")
 
 
 class FeatureError(Exception):
@@ -58,7 +61,13 @@ class FeatureError(Exception):
 
 
 def normalize_token(text: str) -> str:
-    """Lowercase the token and fold every decimal digit to '0'."""
+    """Lowercase the token and fold every decimal digit to '0'.
+
+    ASCII text is folded with one str.translate; other text keeps the
+    regex, which also folds non-ASCII decimal digits (Unicode category Nd).
+    """
+    if text.isascii():
+        return text.lower().translate(_ASCII_DIGITS)
     return _DIGITS.sub("0", text.lower())
 
 
@@ -136,42 +145,50 @@ def _slot_columns(
 ) -> tuple[list[int], list[list[str | None]]]:
     """The template slots of extract_features, in its order: each slot's
     window offset, and its feature string for every type followed by BOS
-    and EOS, None where the slot emits nothing."""
+    and EOS, None where the slot emits nothing. Each string is the slot's
+    prefix ("W[-1]=", "SUF[2]=", ...) concatenated with the word or affix."""
     words = [*types, BOS, EOS]
     offsets: list[int] = []
     columns: list[list[str | None]] = []
     for d in config.window_offsets:
         offsets.append(d)
-        columns.append(["W[%d]=%s" % (d, word) for word in words])
+        prefix = "W[%d]=" % d
+        columns.append([prefix + word for word in words])
     if config.use_normalized:
         norms = [*map(normalize_token, types), BOS, EOS]
         for d in config.window_offsets:
             offsets.append(d)
-            columns.append(["NW[%d]=%s" % (d, norm) for norm in norms])
+            prefix = "NW[%d]=" % d
+            columns.append([prefix + norm for norm in norms])
     if config.set_id == 2:
-        for name, cut in (("PRE", lambda w, n: w[:n]), ("SUF", lambda w, n: w[-n:])):
-            for n in config.affix_lengths:
-                offsets.append(0)
-                columns.append(
-                    ["%s[%d]=%s" % (name, n, cut(w, n)) if len(w) >= n else None for w in types]
-                    + [None, None]
-                )
+        for n in config.affix_lengths:
+            offsets.append(0)
+            prefix = "PRE[%d]=" % n
+            columns.append([prefix + w[:n] if len(w) >= n else None for w in types] + [None, None])
+        for n in config.affix_lengths:
+            offsets.append(0)
+            prefix = "SUF[%d]=" % n
+            columns.append([prefix + w[-n:] if len(w) >= n else None for w in types] + [None, None])
     offsets.append(0)
     columns.append([BIAS_FEATURE] * len(types) + [None, None])
     return offsets, columns
 
 
 def feature_id_matrix(
-    corpus: Sequence[Sentence], config: TemplateConfig, lookup: Callable[[str], int]
+    corpus: Sequence[Sentence],
+    config: TemplateConfig,
+    lookup: Callable[[str | None, int], int],
 ) -> np.ndarray:
     """Feature ids (N, K) of the N tokens of a corpus, sentence after
     sentence, one column per template slot.
 
-    Row i holds, in extract_features order, lookup of each feature string
+    Row i holds, in extract_features order, the id of each feature string
     extract_features emits for token i, and -1 where the slot emits nothing
-    (an affix longer than the token). lookup runs once per distinct word
-    type and slot, and may return -1 for a feature to leave out. Empty
-    sentences contribute no rows.
+    (an affix longer than the token). lookup(feature, -1) gives a feature's
+    id, or -1 for a feature to leave out, and must give -1 for None, which
+    stands for a slot that emits nothing; a dict's get does all that. It
+    runs once per distinct word type and slot. Empty sentences contribute
+    no rows.
     """
     vocab: dict[str, int] = {}
     types = np.fromiter(
@@ -180,10 +197,7 @@ def feature_id_matrix(
     )
     offsets, columns = _slot_columns(list(vocab), config)
     # int32: the index type of the incidence matrices built from these ids
-    table = np.array(
-        [[-1 if feature is None else lookup(feature) for feature in column] for column in columns],
-        dtype=np.int32,
-    )
+    table = np.array([list(map(lookup, column, repeat(-1))) for column in columns], dtype=np.int32)
     # each sentence's type ids padded with radius BOS rows before and
     # radius EOS rows after, so that a window offset is a plain shift
     radius = config.window_radius
@@ -309,7 +323,11 @@ def build_feature_index(
     if any(len(sentence) == 0 for sentence in corpus):
         raise FeatureError("cannot extract features from an empty sentence")
     strings: dict[str, int] = {}
-    ids = feature_id_matrix(corpus, config, lambda f: strings.setdefault(f, len(strings)))
+
+    def intern(feature: str | None, missing: int) -> int:
+        return missing if feature is None else strings.setdefault(feature, len(strings))
+
+    ids = feature_id_matrix(corpus, config, intern)
     # row-major, so the stream runs in the order extract_features emits it
     found, first, counts = np.unique(ids[ids >= 0], return_index=True, return_counts=True)
     keep = counts >= config.min_feature_count

@@ -22,18 +22,24 @@ import numpy as np
 from .corpus import Sentence
 from .crf import StateSpace, build_lattice, state_space, total_parameters, viterbi
 from .crf_types import ModelOrder
-from .features import FeatureIndex, TemplateConfig, feature_id_matrix, make_feature_index
+from .features import (
+    FeatureError,
+    FeatureIndex,
+    TemplateConfig,
+    feature_id_matrix,
+    make_feature_index,
+)
 
 # Not called here: decoding builds features with feature_id_matrix.
 # benchmarks/spans.py wraps picrf.model_io.extract_features by name, so the
 # name stays until that wrap point moves.
 from .features import extract_features  # noqa: F401
-from .induction import LabelAlphabet, build_expanded_alphabet, revert
+from .induction import AlphabetError, LabelAlphabet, build_expanded_alphabet, revert
 
 FORMAT_LINE = "picrf model format 1"
-# Weight lines read and parsed in one step while loading; bounds the line
-# strings held at once.
-_WEIGHT_LINES_PER_READ = 1 << 16
+# Weight lines read and parsed, or formatted and written, in one step while
+# loading or saving; bounds the line strings held at once.
+_WEIGHT_LINES_PER_READ = 1 << 12
 
 
 class ModelFormatError(Exception):
@@ -87,8 +93,7 @@ class Model:
         """
         kept = [i for i, sentence in enumerate(corpus) if len(sentence)]
         sentences = [corpus[i] for i in kept]
-        feature_ids = self.index.feature_ids
-        ids = feature_id_matrix(sentences, self.template, lambda f: feature_ids.get(f, -1))
+        ids = feature_id_matrix(sentences, self.template, self.index.feature_ids.get)
         names = self.space.output_labels
         if self.order == ModelOrder.PRE_INDUCED:
             names = revert(names, self.alphabet)
@@ -122,11 +127,12 @@ def _dump(model: Model, out: IO[str]) -> None:
     out.write("effective_states: %d\n" % space.effective_states)
     out.write("transition_params: %d\n" % space.n_transition_params)
     out.write("features: %d\n" % len(model.index.features))
-    for feature in model.index.features:
-        out.write(json.dumps(feature) + "\n")
+    out.write("".join(json.dumps(feature) + "\n" for feature in model.index.features))
     out.write("weights: %d\n" % model.weights.size)
-    for w in model.weights:
-        out.write("%.17g\n" % w)
+    for lo in range(0, model.weights.size, _WEIGHT_LINES_PER_READ):
+        # one % over the slice: the same formatting as "%.17g\n" % w per weight
+        part = tuple(model.weights[lo : lo + _WEIGHT_LINES_PER_READ].tolist())
+        out.write(("%.17g\n" * len(part)) % part)
     out.write("end\n")
 
 
@@ -221,16 +227,41 @@ class _LineReader:
         return line[len(prefix) :]
 
     def keyed_int(self, key: str) -> int:
+        """A count or flag: a non-negative integer."""
+        value = self.keyed(key)
+        if not value.isdecimal():
+            raise ModelFormatError(
+                "line %d: %s must be a non-negative integer, found %r" % (self.count, key, value)
+            )
+        return int(value)
+
+    def keyed_ints(self, key: str) -> tuple[int, ...]:
         value = self.keyed(key)
         try:
-            return int(value)
+            return tuple(int(v) for v in value.split())
         except ValueError:
             raise ModelFormatError(
-                "line %d: %s must be an integer, found %r" % (self.count, key, value)
+                "line %d: %s must be integers, found %r" % (self.count, key, value)
             ) from None
+
+    def end(self) -> None:
+        if self.next_line() != "end":
+            raise ModelFormatError("model file does not finish with the end marker")
+        if next(self._lines, None) is not None:
+            raise ModelFormatError("line %d: content after the end marker" % (self.count + 1))
 
 
 def _parse(reader: _LineReader) -> Model:
+    """The model a file describes. An AlphabetError or FeatureError from
+    checking the entity types, the template or the feature list is raised
+    as a ModelFormatError naming the last line read."""
+    try:
+        return _parse_lines(reader)
+    except (AlphabetError, FeatureError) as exc:
+        raise ModelFormatError("line %d: %s" % (reader.count, exc)) from None
+
+
+def _parse_lines(reader: _LineReader) -> Model:
     first = reader.next_line()
     if first != FORMAT_LINE:
         raise ModelFormatError(
@@ -247,9 +278,9 @@ def _parse(reader: _LineReader) -> Model:
 
     template = TemplateConfig(
         set_id=reader.keyed_int("template_set"),
-        window_offsets=tuple(int(v) for v in reader.keyed("window_offsets").split()),
+        window_offsets=reader.keyed_ints("window_offsets"),
         use_normalized=bool(reader.keyed_int("use_normalized")),
-        affix_lengths=tuple(int(v) for v in reader.keyed("affix_lengths").split()),
+        affix_lengths=reader.keyed_ints("affix_lengths"),
         min_feature_count=reader.keyed_int("min_feature_count"),
     )
 
@@ -290,8 +321,7 @@ def _parse(reader: _LineReader) -> Model:
             "line %d: weight entry is not finite: %r"
             % (first_weight_line + int(bad[0]), float(weights[bad[0]]))
         )
-    if reader.next_line() != "end":
-        raise ModelFormatError("model file does not finish with the end marker")
+    reader.end()
 
     return Model(order=order, alphabet=alphabet, template=template, index=index, weights=weights)
 

@@ -2,16 +2,19 @@
 
 Everything here enumerates explicitly: partition functions and best paths
 by scoring every state sequence, carrier expectations by scanning label
-sequences, index feature lists by counting every extracted feature string.
-Deliberately slow and simple.
+sequences, index feature lists by counting every extracted feature string,
+CoNLL parses row by row. Deliberately slow and simple. The module also
+generates the random inputs several test files share.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import numpy as np
+from hypothesis import strategies as st
 
 from picrf.corpus import Sentence
 from picrf.crf import Lattice
@@ -63,6 +66,62 @@ def counted_features(corpus: list[Sentence], config: TemplateConfig) -> tuple[st
             for feature in active:
                 counts[feature] = counts.get(feature, 0) + 1
     return tuple(f for f, c in counts.items() if c >= config.min_feature_count)
+
+
+def normalized(text: str) -> str:
+    """normalize_token by its definition: lowercase, then every character
+    the regex \\d matches (a Unicode decimal digit) to '0'."""
+    return re.sub(r"\d", "0", text.lower())
+
+
+# Whitespace that str.split() splits on but a file read does not end a
+# line at.
+_SPACES = "\t \x1c\x85\u2003"
+_CELL = st.text(
+    st.characters(blacklist_categories=("Cs",)).filter(lambda c: not c.isspace()),
+    min_size=1,
+    max_size=3,
+)
+
+
+@st.composite
+def conll_texts(draw) -> tuple[str, list[list[str]]]:
+    """CoNLL text and the cells of each of its rows: rows of 0-4 cells
+    separated and surrounded by assorted whitespace, whitespace-only rows,
+    and \\n or \\r\\n line ends, the last one possibly missing."""
+    rows = draw(st.lists(st.lists(_CELL, max_size=4), max_size=10))
+    lines = []
+    for cells in rows:
+        gap = draw(st.text(_SPACES, min_size=1, max_size=2))
+        edge = draw(st.text(_SPACES, max_size=2))
+        lines.append(edge + gap.join(cells) + edge + draw(st.sampled_from(["\n", "\r\n"])))
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return "".join(lines), rows
+
+
+def conll_reference(
+    rows: list[list[str]], token_column: int, label_column: int | None
+) -> tuple[list[tuple[tuple[str, ...], tuple[str, ...] | None]] | None, int | None]:
+    """read_conll by its definition, on rows of cells: each sentence's
+    texts and labels, or None and the line number of the first row that
+    lacks the token or the label column or has them coincide."""
+    sentences = []
+    texts, labels = [], []
+    for number, cells in enumerate(rows, start=1):
+        if cells:
+            n = len(cells)
+            if not -n <= token_column < n:
+                return None, number
+            texts.append(cells[token_column])
+            if label_column is not None:
+                if not -n <= label_column < n or label_column % n == token_column % n:
+                    return None, number
+                labels.append(cells[label_column])
+        if texts and (not cells or number == len(rows)):
+            sentences.append((tuple(texts), tuple(labels) if label_column is not None else None))
+            texts, labels = [], []
+    return sentences, None
 
 
 def random_lattice(

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
 
+from oracles import conll_reference, conll_texts
 from picrf.cli import main
 from picrf.corpus import read_conll
 from picrf.model_io import load_model
@@ -43,6 +47,26 @@ def corpus_files(tmp_path):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def run_captured(args):
+    """Exit code, stdout and stderr of one command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def shared_model(tmp_path_factory):
+    """A directory holding a small first-order model, for tests that
+    reuse one across hypothesis examples."""
+    directory = tmp_path_factory.mktemp("shared")
+    train = directory / "train.conll"
+    train.write_text(TRAIN_TEXT)
+    code, _, _ = run_captured(["train", "--train", train, "--out", directory / "model.txt"])
+    assert code == 0
+    return directory
 
 
 @pytest.fixture()
@@ -131,6 +155,26 @@ class TestTag:
         model_path.write_text("".join(lines))
         assert run(["tag", "--model", model_path, "--input", test]) == 1
         assert "line %d: weight entry is not finite" % (i + 2) in capsys.readouterr().err
+
+    @settings(max_examples=100, deadline=None)
+    @given(conll_texts())
+    def test_random_input_files(self, shared_model, text_rows):
+        """picrf tag takes the last column as gold only when every row has
+        two, so it reads any file and tags every token in order. picrf
+        train needs a label column besides the token on every row, so on a
+        file with a bad row it exits 1 naming that row."""
+        text, rows = text_rows
+        path = shared_model / "input.conll"
+        path.write_bytes(text.encode("utf-8"))
+        code, out, err = run_captured(["tag", "--model", shared_model / "model.txt", "--input", path])
+        assert (code, err) == (0, "")
+        tagged = [line.split("\t")[0] for line in out.split("\n") if line]
+        assert tagged == [cells[0] for cells in rows if cells]
+        _, bad_line = conll_reference(rows, 0, -1)
+        if bad_line is not None:
+            code, _, err = run_captured(["train", "--train", path, "--out", shared_model / "unused"])
+            assert code == 1
+            assert "line %d: " % bad_line in err
 
 
 class TestEval:

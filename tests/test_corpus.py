@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import conll_reference, conll_texts
 from picrf.corpus import (
     Chunk,
     CorpusError,
@@ -182,6 +183,26 @@ class TestReadConll:
         with pytest.raises(ParseError) as err:
             read_conll(io.StringIO("a\tO\n"), label_column=5)
         assert "line 1" in str(err.value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        conll_texts(),
+        st.sampled_from([0, 1, 2, -1, -2]),
+        st.sampled_from([None, -1, 0, 1, 3, -2]),
+    )
+    def test_random_text(self, text_rows, token_column, label_column):
+        """Sentences as the row-by-row reference reads them, or a ParseError
+        naming the first row that lacks a requested column or has the token
+        and label columns coincide."""
+        text, rows = text_rows
+        expected, bad_line = conll_reference(rows, token_column, label_column)
+        if bad_line is None:
+            sentences = read_conll(io.StringIO(text), token_column, label_column)
+            assert [(s.texts, s.labels) for s in sentences] == expected
+        else:
+            with pytest.raises(ParseError, match="^line %d: " % bad_line) as err:
+                read_conll(io.StringIO(text), token_column, label_column)
+            assert err.value.line_number == bad_line
 
 
 class TestWriteConll:

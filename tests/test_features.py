@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import counted_features
+from oracles import counted_features, normalized
 from picrf.corpus import Sentence
 from picrf.crf_types import ModelOrder
 from picrf.features import (
@@ -31,6 +31,21 @@ class TestNormalize:
     )
     def test_cases(self, text, expected):
         assert normalize_token(text) == expected
+
+    # non-ASCII decimal digits (Arabic-Indic, fullwidth, NKo), a numeral
+    # that is not a decimal digit, a capital whose lowercase is longer,
+    # the Kelvin sign (lowercases to ASCII k), and ASCII text
+    @settings(max_examples=500, deadline=None)
+    @given(st.text())
+    @example("\u0663")
+    @example("\uff13x")
+    @example("\u07c1")
+    @example("\xb2")
+    @example("\u0130")
+    @example("\u212a9")
+    @example("A1b2-Z9")
+    def test_equals_the_regex_definition(self, text):
+        assert normalize_token(text) == normalized(text)
 
 
 class TestTemplateConfig:
@@ -239,9 +254,13 @@ class TestEncode:
 
 
 # Words that collide under normalize_token (case, digits), words shorter
-# than the affix lengths, and a word spelled like the BOS sentinel.
+# than the affix lengths, a word spelled like the BOS sentinel, and
+# non-ASCII words, with non-ASCII digits and a titlecase letter.
 _WORDS = st.one_of(
-    st.sampled_from(["a", "A", "ab", "Ab", "a1", "A7", "x9y", "X0Y", "IL-2", "il-5", BOS]),
+    st.sampled_from(
+        ["a", "A", "ab", "Ab", "a1", "A7", "x9y", "X0Y", "IL-2", "il-5", BOS]
+        + ["\xc4\u0663", "\xe40", "\uff13x", "\u01c5", "\u01c6"]
+    ),
     st.text(alphabet="aAbB09-", min_size=1, max_size=6),
 )
 _SENTENCES = st.lists(_WORDS, max_size=5).map(Sentence.from_strings)
@@ -275,7 +294,7 @@ class TestFeatureTables:
         if not features:
             return
         index = make_feature_index(features, ALPHA1, ModelOrder.FIRST)
-        ids = feature_id_matrix(decoded, config, lambda f: index.feature_ids.get(f, -1))
+        ids = feature_id_matrix(decoded, config, index.feature_ids.get)
         expected = [
             starts // index.block_size
             for sentence in _non_empty(decoded)

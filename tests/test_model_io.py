@@ -1,13 +1,17 @@
+import contextlib
 import io
 import random
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import random_corpus
 from picrf import crf, model_io
-from picrf.corpus import Sentence
+from picrf.cli import main
+from picrf.corpus import Sentence, write_conll
 from picrf.crf_types import ModelOrder
 from picrf.features import TemplateConfig
 from picrf.model_io import FORMAT_LINE, Model, ModelFormatError, load_model, save_model
@@ -227,6 +231,24 @@ class TestTampering:
             ):
                 _load_lines(lines)
 
+    def test_weights_written_in_slices_format_each_weight(self, model, monkeypatch):
+        """The slice-at-a-time save writes the text "%.17g\\n" % w gives
+        for each weight, across slice boundaries and at the edges of the
+        float64 range, and loads back bit-identically."""
+        monkeypatch.setattr(model_io, "_WEIGHT_LINES_PER_READ", 9)
+        special = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 3.0, 1e16, 1e-5]
+        weights = model.weights.copy()
+        weights[: len(special)] = special
+        weights[-len(special) :] = [-w for w in special]
+        assert weights.size % 9
+        model = Model(model.order, model.alphabet, model.template, model.index, weights)
+        buffer = io.StringIO()
+        save_model(model, buffer)
+        header = "weights: %d\n" % weights.size
+        assert buffer.getvalue().split(header)[1] == "".join("%.17g\n" % w for w in weights) + "end\n"
+        loaded = load_model(io.StringIO(buffer.getvalue()))
+        assert loaded.weights.tobytes() == weights.tobytes()
+
     def test_weights_read_in_slices_load_bit_identically(self, model, monkeypatch):
         monkeypatch.setattr(model_io, "_WEIGHT_LINES_PER_READ", 9)
         assert model.weights.size % 9
@@ -298,3 +320,88 @@ class TestTampering:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_model(tmp_path / "absent.txt")
+
+
+# Junk that is never a number, a JSON string, a key line or a label.
+_JUNK = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"), max_size=6
+).map("#".__add__)
+_DAMAGE = ("junk", "junk-value", "empty", "duplicate", "truncate")
+
+
+def _damaged(lines, kind, i, junk="#"):
+    """The lines with line i replaced by junk, with junk in place of its
+    value (after "key: ", else appended), emptied or duplicated, or with the
+    file cut before line i."""
+    lines = list(lines)
+    if kind == "junk":
+        lines[i] = junk
+    elif kind == "junk-value":
+        key, sep, _ = lines[i].partition(": ")
+        lines[i] = key + sep + junk
+    elif kind == "empty":
+        lines[i] = ""
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        del lines[i:]
+    return lines
+
+
+@pytest.fixture(scope="module")
+def small_file(tmp_path_factory):
+    """The lines of a small saved pre-induced model (feature set 2) and a
+    directory with an unlabeled file to tag."""
+    corpus = random_corpus(random.Random(41), ["DNA", "RNA"], 12, min_len=2, max_len=6)
+    config = TrainConfig(
+        model_order=ModelOrder.PRE_INDUCED,
+        template=TemplateConfig(set_id=2, min_feature_count=2),
+        max_iterations=25,
+    )
+    directory = tmp_path_factory.mktemp("damaged")
+    unlabeled = [Sentence.from_strings(s.texts) for s in corpus[:4]]
+    (directory / "input.conll").write_text(write_conll(unlabeled), encoding="utf-8")
+    return _lines(train(corpus, config)[0]), directory
+
+
+class TestDamagedFiles:
+    """A saved file with one line damaged fails to load with
+    ModelFormatError, never another exception type."""
+
+    @pytest.mark.parametrize("kind", _DAMAGE)
+    def test_every_line(self, small_file, kind):
+        lines, _ = small_file
+        assert _load_lines(lines).weights.size
+        for i in range(len(lines)):
+            with pytest.raises(ModelFormatError):
+                _load_lines(_damaged(lines, kind, i))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(_DAMAGE), st.integers(min_value=0), _JUNK)
+    def test_random_damage(self, small_file, kind, at, junk):
+        """Also through picrf tag, which exits 1."""
+        lines, directory = small_file
+        damaged = _damaged(lines, kind, at % len(lines), junk)
+        with pytest.raises(ModelFormatError):
+            _load_lines(damaged)
+        path = directory / "model.txt"
+        path.write_text("".join(line + "\n" for line in damaged), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["tag", "--model", str(path), "--input", str(directory / "input.conll")])
+        assert code == 1 and err.getvalue().startswith("error: ")
+
+    def test_other_integers_in_header_values(self, small_file):
+        """A header value replaced by another integer, negative ones
+        included, may still describe a loadable model; else loading fails
+        with ModelFormatError."""
+        lines, _ = small_file
+        for i, line in enumerate(lines):
+            key, sep, _ = line.partition(": ")
+            for number in range(-3, 4) if sep else ():
+                damaged = list(lines)
+                damaged[i] = "%s: %d" % (key, number)
+                try:
+                    _load_lines(damaged)
+                except ModelFormatError:
+                    pass
