@@ -107,6 +107,8 @@ def cmd_eval(args) -> int:
     if args.pred and args.model:
         raise EvaluationError("give either --pred or --model, not both")
     gold_path = args.gold if args.gold else args.input
+    if gold_path is None:
+        raise EvaluationError("need --gold or --input for the gold labels")
     gold = _read_corpus(gold_path)
     if args.pred:
         pred_corpus = _read_corpus(args.pred)

@@ -3,7 +3,10 @@ batch log-likelihood objective.
 
 All three model orders run the same first-order machinery over different
 state sets: base labels, the expanded carrier alphabet, or label pairs for
-the second-order chain. A lattice holds additive log-potentials
+the second-order chain. state_space alone lays the pairs out: over n base
+labels, state a * n + b is the pair (a, b), with a = n the sentence start,
+and the move (a, b) -> (b, c) owns transition slot n + ((a * n + b) * n +
+c). A lattice holds additive log-potentials
 
     psi(t, s_prev, s) = transition(s_prev, s) + obs(t, s)
 
@@ -32,16 +35,17 @@ less than a few hundred nats is exact without further checks (trained
 models span far less); wider or partly forbidden lattices are checked
 entry by entry after the pass (see _check_range).
 
-The training objective packs its batch once into one incidence matrix
-whose rows come in length-grouped chunks (CompiledBatch), gathers and
+Training and decoding lay a batch out the same way: _time_major gives the
+length-grouped chunks of _chunk_jobs and the row order that puts each
+chunk's tokens time-major. The training objective packs its batch once
+into one incidence matrix in that row order (CompiledBatch), gathers and
 scatters through it once per call and runs the kernel chunk by chunk;
 forward_backward is its B = 1 view, the single-lattice API the
 brute-force oracles use. Decoding runs the same batched path: build_lattice
-takes a batch's (N, K) feature id matrix, lays its sentences out in the
-same length-grouped chunks, gathers their observation scores through one
-incidence matrix built straight from that matrix (in slices of at most
-_GATHER_TOKENS token rows) and builds the transition tables once, and
-viterbi runs over each chunk's (T, B, S) block.
+takes a batch's (N, K) feature id matrix, gathers its rows in that order
+through one incidence matrix built straight from the matrix (in slices of
+at most _GATHER_TOKENS token rows) and builds the transition tables once,
+and viterbi runs over each chunk's (T, B, S) block.
 """
 
 from __future__ import annotations
@@ -94,45 +98,6 @@ class InfeasibleLatticeError(CrfError):
     """Every path through the lattice is blocked by -inf potentials."""
 
 
-class PairExpansion(NamedTuple):
-    """Second-order chain realized as a first-order chain over label pairs.
-
-    states lists the L*L ordinary pairs (a, b) followed by L start pairs
-    (START_SYMBOL, b) that exist only at position 0. consistency[i, j] is
-    True when state j can follow state i, which requires the second
-    component of i to equal the first component of j; among ordinary pairs
-    that leaves L**3 allowed transitions, and each start pair fans out to L.
-    """
-
-    labels: tuple[str, ...]
-    pair_states: tuple[tuple[str, str], ...]
-    start_pairs: tuple[tuple[str, str], ...]
-    states: tuple[tuple[str, str], ...]
-    consistency: np.ndarray
-
-    def project(self, path: Sequence[int]) -> list[str]:
-        """Map a pair-state path to its label sequence (second components)."""
-        return [self.states[s][1] for s in path]
-
-
-def expand_second_order(labels: Sequence[str]) -> PairExpansion:
-    """Build the pair-state machinery for a base label inventory."""
-    labs = tuple(labels)
-    if not labs:
-        raise CrfError("cannot expand an empty label set")
-    n = len(labs)
-    pairs = tuple((a, b) for a in labs for b in labs)
-    starts = tuple((START_SYMBOL, b) for b in labs)
-    states = pairs + starts
-    total = len(states)
-    consistency = np.zeros((total, total), dtype=bool)
-    for i, (_, b) in enumerate(states):
-        bi = labs.index(b)
-        # allowed successors of (a, b) are exactly the pairs (b, c)
-        consistency[i, bi * n : (bi + 1) * n] = True
-    return PairExpansion(labs, pairs, starts, states, consistency)
-
-
 @dataclass(frozen=True)
 class StateSpace:
     """Lattice state inventory and weight-slot maps for one model order.
@@ -152,7 +117,6 @@ class StateSpace:
     start_slot: np.ndarray
     trans_slot: np.ndarray
     n_transition_params: int
-    n_pair_states: int
 
     @property
     def n_states(self) -> int:
@@ -160,8 +124,10 @@ class StateSpace:
 
     @property
     def effective_states(self) -> int:
-        """State count for model descriptions; excludes boundary pair copies."""
-        return self.n_pair_states if self.order == ModelOrder.SECOND else self.n_states
+        """State count for model descriptions; excludes the start pairs."""
+        if self.order == ModelOrder.SECOND:
+            return len(self.alphabet.base_labels) ** 2
+        return self.n_states
 
     @cached_property
     def constraint_masks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -186,39 +152,30 @@ def state_space(order: ModelOrder, alphabet: LabelAlphabet) -> StateSpace:
             start_slot=np.arange(n, dtype=np.int64),
             trans_slot=n + np.arange(n * n, dtype=np.int64).reshape(n, n),
             n_transition_params=n + n * n,
-            n_pair_states=0,
         )
 
-    expansion = expand_second_order(alphabet.base_labels)
-    labs = expansion.labels
-    n = len(labs)
-    total = n * n + n
-    obs_state_of = np.empty(total, dtype=np.int64)
-    obs_state_of[: n * n] = np.tile(np.arange(n), n)
-    obs_state_of[n * n :] = np.arange(n)
-
-    start_slot = np.full(total, -1, dtype=np.int64)
-    start_slot[n * n :] = np.arange(n)
-
-    # triple (prev, cur, nxt) owns slot n + ((prev * n + cur) * n + nxt),
-    # with prev = n standing for the sentence start
-    trans_slot = np.full((total, total), -1, dtype=np.int64)
-    for a in range(n + 1):
-        src_base = a * n if a < n else n * n
-        for b in range(n):
-            src = src_base + b
-            trans_slot[src, b * n : b * n + n] = n + (a * n + b) * n + np.arange(n)
-
+    # pairs: state a * n + b is (a, b), previous label then current, with
+    # a = n standing for the sentence start; (a, b) -> (b, c) owns slot
+    # n + ((a * n + b) * n + c), and no move leads into a start pair
+    labels = alphabet.base_labels
+    n = len(labels)
+    states = np.arange((n + 1) * n, dtype=np.int64)
+    prev, cur = np.divmod(states, n)
+    src, nxt = states[:, None], np.arange(n)
+    trans_slot = np.full((states.size, states.size), -1, dtype=np.int64)
+    trans_slot[src, cur[:, None] * n + nxt] = n + src * n + nxt
+    contexts = (*labels, START_SYMBOL)
     return StateSpace(
         order=order,
         alphabet=alphabet,
-        state_names=tuple("%s|%s" % pair for pair in expansion.states),
-        output_labels=tuple(pair[1] for pair in expansion.states),
-        obs_state_of=obs_state_of,
-        start_slot=start_slot,
+        state_names=tuple(
+            "%s|%s" % (contexts[a], labels[b]) for a, b in zip(prev.tolist(), cur.tolist())
+        ),
+        output_labels=tuple(labels[b] for b in cur.tolist()),
+        obs_state_of=cur,
+        start_slot=np.where(prev == n, cur, -1),
         trans_slot=trans_slot,
         n_transition_params=n + (n + 1) * n * n,
-        n_pair_states=n * n,
     )
 
 
@@ -362,7 +319,7 @@ def build_lattice(
     sentence after sentence with the given lengths, and -1 where a column
     has none, as features.feature_id_matrix gives them (features unknown to
     the index are left out there and score zero). The sentences are laid
-    out in the length-grouped chunks of _chunk_jobs; each chunk comes back
+    out in the chunks and row order of _time_major; each chunk comes back
     as the indices of its B sentences in the batch and one Lattice whose
     obs is their (T, B, S) block. The blocks share one start and one
     transition table; constrained=True applies the pre-induced decode-time
@@ -385,14 +342,7 @@ def build_lattice(
         )
 
     n_states = space.n_states
-    jobs = _chunk_jobs(lengths.tolist(), n_states)
-    firsts = np.cumsum(lengths) - lengths
-    # token rows chunk after chunk, time-major inside each (row t * B + b
-    # of a chunk is position t of its sentence b); none for an empty batch
-    order = np.concatenate(
-        [np.empty(0, np.int64)]
-        + [(firsts[job] + np.arange(lengths[job[0]])[:, None]).ravel() for job in jobs]
-    )
+    jobs, order = _time_major(lengths, n_states)
     obs = np.empty((order.size, n_states))
     for lo in range(0, order.size, _GATHER_TOKENS):
         part = feature_ids[order[lo : lo + _GATHER_TOKENS]]
@@ -675,27 +625,20 @@ def encode_gold_states(
 
     For the pre-induced order the sequence is run through the carrier
     transform first; for the second order it becomes the pair-state path
-    whose first state is the boundary pair (START_SYMBOL, y_0).
+    prev * n + cur of state_space, with prev = n (the start) at t = 0.
     """
     alphabet = space.alphabet
     try:
-        if space.order == ModelOrder.FIRST:
-            return np.array([alphabet.base_index[l] for l in labels], dtype=np.int64)
         if space.order == ModelOrder.PRE_INDUCED:
-            induced = induce(labels, alphabet)
-            return np.array([alphabet.expanded_index[l] for l in induced], dtype=np.int64)
+            ids = [alphabet.expanded_index[l] for l in induce(labels, alphabet)]
+        else:
+            ids = [alphabet.base_index[l] for l in labels]
     except KeyError as exc:
         raise CrfError("gold label outside the state set: %s" % (exc,)) from None
-
-    base = alphabet.base_index
-    n = len(alphabet.base_labels)
-    try:
-        ids = [base[l] for l in labels]
-    except KeyError as exc:
-        raise CrfError("gold label outside the state set: %s" % (exc,)) from None
-    states = np.empty(len(ids), dtype=np.int64)
-    for t, cur in enumerate(ids):
-        states[t] = n * n + cur if t == 0 else ids[t - 1] * n + cur
+    states = np.array(ids, dtype=np.int64)
+    if space.order == ModelOrder.SECOND:
+        n = len(alphabet.base_labels)
+        states += np.concatenate(([n], states[:-1])) * n
     return states
 
 
@@ -717,10 +660,9 @@ class CompiledBatch(tuple):
     """A training batch packed once for one feature index and state space.
 
     A tuple of its CompiledSentence items in their original order, plus
-    incidence, the token x feature incidence matrix of the whole batch;
-    chunks, the (T, B) shape of each length-grouped chunk of _chunk_jobs,
-    whose T * B token rows follow the previous chunk's in incidence,
-    time-major (row t * B + b is position t of the chunk's sentence b); and
+    incidence, the token x feature incidence matrix of the whole batch with
+    its rows in the order of _time_major; chunks, the (T, B) shape of each
+    of its chunks, whose T * B rows follow the previous chunk's; and
     observed, the batch's feature counts at the gold paths over the whole
     weight vector. None depends on the weights, so the objective reuses
     them on every call.
@@ -739,35 +681,35 @@ def pack_batch(
     """Group, index and count a training batch for log_likelihood_and_gradient."""
     if not batch:
         raise CrfError("batch must contain at least one sentence")
-    if any(cs.gold is None for cs in batch):
-        raise CrfError("every training sentence needs a gold path")
+    if any(cs.gold is None or len(cs.gold) != len(cs.feature_starts) for cs in batch):
+        raise CrfError("every training sentence needs a gold path of its length")
     if any(len(cs.feature_starts) == 0 for cs in batch):
         raise CrfError("training sentences must be non-empty")
     n_states = space.n_states
-    start_mass = np.zeros(n_states)
-    edge_mass = np.zeros((n_states, n_states))
-    golds = []
-    chunks = []
-    jobs, rows = _chunk_layout([cs.feature_starts for cs in batch], n_states)
-    for job in jobs:
-        gold = np.stack([batch[i].gold for i in job], axis=1)
-        golds.append(gold.ravel())
-        start_mass += np.bincount(gold[0], minlength=n_states)
-        edge_mass += np.bincount(
-            (gold[:-1] * n_states + gold[1:]).ravel(), minlength=n_states * n_states
-        ).reshape(n_states, n_states)
-        chunks.append(gold.shape)
+    lengths = np.array([len(cs.feature_starts) for cs in batch])
+    jobs, order = _time_major(lengths, n_states)
+    positions = [starts for cs in batch for starts in cs.feature_starts]
+    incidence = _incidence(
+        np.concatenate(positions) // index.block_size, [len(p) for p in positions], index
+    )[order]
+    # every gold move counted at once, a sentence's first position as a move
+    # from the extra previous state n_states: row n_states of the counts is
+    # the start mass, the rows above it the edge mass
+    gold = np.concatenate([cs.gold for cs in batch])
+    prev = np.roll(gold, 1)
+    prev[np.cumsum(lengths) - lengths] = n_states
+    moves = np.bincount(prev * n_states + gold, minlength=(n_states + 1) * n_states)
+    moves = moves.reshape(n_states + 1, n_states).astype(float)
+    start_mass, edge_mass = moves[n_states], moves[:n_states]
     if np.any(start_mass[space.start_slot < 0]) or np.any(edge_mass[space.trans_slot < 0]):
         raise CrfError("gold path uses a structurally forbidden transition")
     packed = CompiledBatch(batch)
-    packed.index, packed.space, packed.chunks = index, space, tuple(chunks)
-    packed.incidence = _incidence(
-        np.concatenate(rows) // index.block_size, [len(r) for r in rows], index
-    )
-    gold_mass = np.eye(index.n_fine)[space.obs_state_of[np.concatenate(golds)]]
+    packed.index, packed.space, packed.incidence = index, space, incidence
+    packed.chunks = tuple((int(lengths[job[0]]), len(job)) for job in jobs)
+    gold_mass = np.eye(index.n_fine)[space.obs_state_of[gold[order]]]
     packed.observed = np.concatenate(
         [
-            _scatter_observations(packed.incidence, gold_mass, index),
+            _scatter_observations(incidence, gold_mass, index),
             _transition_counts(start_mass, edge_mass, space),
         ]
     )
@@ -794,17 +736,19 @@ def _chunk_jobs(lengths: Sequence[int], n_states: int) -> list[list[int]]:
     return jobs
 
 
-def _chunk_layout(
-    sentences: Sequence[Sequence[np.ndarray]], n_states: int
-) -> tuple[list[list[int]], list[np.ndarray]]:
-    """The chunks of _chunk_jobs over sentences' feature block starts, and
-    their token rows: chunk after chunk, time-major inside each (row t * B
-    + b of a chunk is position t of its sentence b)."""
-    jobs = _chunk_jobs([len(positions) for positions in sentences], n_states)
-    rows = [
-        sentences[i][t] for job in jobs for t in range(len(sentences[job[0]])) for i in job
-    ]
-    return jobs, rows
+def _time_major(lengths: np.ndarray, n_states: int) -> tuple[list[list[int]], np.ndarray]:
+    """The chunks of _chunk_jobs over sentences of the given lengths, and the
+    row order that lays their tokens out chunk after chunk, time-major
+    inside each: row t * B + b of a chunk is position t of its sentence b.
+    order[r] is the index, in sentence-after-sentence order, of the token
+    at row r; it is empty for an empty batch."""
+    jobs = _chunk_jobs(lengths.tolist(), n_states)
+    firsts = np.cumsum(lengths) - lengths
+    order = np.concatenate(
+        [np.empty(0, np.int64)]
+        + [(firsts[job] + np.arange(lengths[job[0]])[:, None]).ravel() for job in jobs]
+    )
+    return jobs, order
 
 
 def log_likelihood_and_gradient(

@@ -92,6 +92,10 @@ class TemplateConfig:
             raise FeatureError("set_id must be 1 or 2, got %r" % (self.set_id,))
         if not self.window_offsets:
             raise FeatureError("window_offsets must be non-empty")
+        for name in ("window_offsets", "affix_lengths"):
+            values = getattr(self, name)
+            if any(type(v) is not int for v in values) or len(set(values)) != len(values):
+                raise FeatureError("%s must be distinct integers, got %r" % (name, values))
         if any(length < 1 for length in self.affix_lengths):
             raise FeatureError("affix lengths must be positive")
         if self.min_feature_count < 0:
@@ -100,6 +104,16 @@ class TemplateConfig:
     @property
     def window_radius(self) -> int:
         return max(abs(d) for d in self.window_offsets)
+
+    @property
+    def feature_prefixes(self) -> frozenset[str]:
+        """The prefix, up to and including its first '=', of every feature
+        string this template can emit except BIAS ("W[-1]=", "PRE[3]=", ...)."""
+        families = ("W", "NW") if self.use_normalized else ("W",)
+        prefixes = {"%s[%d]=" % (f, d) for f in families for d in self.window_offsets}
+        if self.set_id == 2:
+            prefixes.update("%s[%d]=" % (f, n) for f in ("PRE", "SUF") for n in self.affix_lengths)
+        return frozenset(prefixes)
 
 
 def extract_features(sentence: Sentence, config: TemplateConfig) -> list[list[str]]:

@@ -23,6 +23,7 @@ from .corpus import Sentence
 from .crf import StateSpace, build_lattice, state_space, total_parameters, viterbi
 from .crf_types import ModelOrder
 from .features import (
+    BIAS_FEATURE,
     FeatureError,
     FeatureIndex,
     TemplateConfig,
@@ -276,10 +277,17 @@ def _parse_lines(reader: _LineReader) -> Model:
     types = [reader.next_line() for _ in range(n_types)]
     alphabet = build_expanded_alphabet(types)
 
+    set_id = reader.keyed_int("template_set")
+    window_offsets = reader.keyed_ints("window_offsets")
+    use_normalized = reader.keyed_int("use_normalized")
+    if use_normalized > 1:
+        raise ModelFormatError(
+            "line %d: use_normalized must be 0 or 1, found %d" % (reader.count, use_normalized)
+        )
     template = TemplateConfig(
-        set_id=reader.keyed_int("template_set"),
-        window_offsets=reader.keyed_ints("window_offsets"),
-        use_normalized=bool(reader.keyed_int("use_normalized")),
+        set_id=set_id,
+        window_offsets=window_offsets,
+        use_normalized=bool(use_normalized),
         affix_lengths=reader.keyed_ints("affix_lengths"),
         min_feature_count=reader.keyed_int("min_feature_count"),
     )
@@ -305,6 +313,16 @@ def _parse_lines(reader: _LineReader) -> Model:
 
     n_features = reader.keyed_int("features")
     features = reader.json_strings(n_features)
+    # the template emits BIAS and strings that start with one of its
+    # prefixes; a feature's prefix runs to its first "="
+    emitted = template.feature_prefixes | {BIAS_FEATURE}
+    heads = [f[: f.find("=") + 1] or f for f in features]
+    if not emitted.issuperset(heads):
+        i = next(i for i, head in enumerate(heads) if head not in emitted)
+        raise ModelFormatError(
+            "line %d: the template cannot emit feature %r"
+            % (reader.count - n_features + 1 + i, features[i])
+        )
     index = make_feature_index(features, alphabet, order)
 
     n_weights = reader.keyed_int("weights")

@@ -203,6 +203,12 @@ class TestEval:
         assert run(["eval", "--gold", test]) == 1
         assert capsys.readouterr().err.strip()
 
+    @pytest.mark.parametrize("source", ["--pred", "--model"])
+    def test_neither_gold_nor_input_rejected(self, corpus_files, capsys, source):
+        _, test = corpus_files
+        assert run(["eval", source, test]) == 1
+        assert capsys.readouterr().err == "error: need --gold or --input for the gold labels\n"
+
 
 class TestTransform:
     def test_induce_then_revert_round_trips(self, corpus_files, tmp_path, capsys):

@@ -25,7 +25,6 @@ from picrf.crf import (
     build_lattice,
     compile_sentence,
     encode_gold_states,
-    expand_second_order,
     _MAX_CHUNK,
     _chunk_jobs,
     forward_backward,
@@ -37,7 +36,13 @@ from picrf.crf import (
     viterbi,
 )
 from picrf.crf_types import ModelOrder
-from picrf.features import BIAS_FEATURE, TemplateConfig, build_feature_index, extract_features
+from picrf.features import (
+    BIAS_FEATURE,
+    TemplateConfig,
+    build_feature_index,
+    extract_features,
+    feature_id_matrix,
+)
 from picrf.induction import build_expanded_alphabet, revert
 
 NEG_INF = float("-inf")
@@ -67,7 +72,7 @@ class TestStateSpace:
         second = state_space(ModelOrder.SECOND, alpha)
         assert first.n_states == base == first.effective_states
         assert pre.n_states == 3 * n_types + 1 == pre.effective_states
-        assert second.n_pair_states == base * base == second.effective_states
+        assert second.effective_states == base * base
         assert second.n_states == base * base + base
 
     def test_transition_slots_disjoint(self):
@@ -95,31 +100,45 @@ class TestStateSpace:
             assert second.output_labels[i] == b
 
 
-class TestExpandSecondOrder:
-    def test_counts_for_three_labels(self):
-        exp = expand_second_order(["X", "Y", "Z"])
-        assert len(exp.pair_states) == 9
-        assert len(exp.start_pairs) == 3
-        n_pairs = len(exp.pair_states)
-        pair_block = exp.consistency[:n_pairs, :n_pairs]
-        assert int(pair_block.sum()) == 27
+class TestPairLayout:
+    """The second-order state space against an explicit enumeration of its
+    pairs: (a, b) with a a label or the sentence start, and b a label."""
 
-    def test_consistency_requires_matching_middle(self):
-        exp = expand_second_order(["X", "Y"])
-        states = exp.states
-        for i, (_, b) in enumerate(states):
-            for j, (c, d) in enumerate(states):
-                expected = (b == c) and (c != "<start>")
-                assert bool(exp.consistency[i, j]) == expected
+    @pytest.mark.parametrize("types", [["A"], ["A", "B"]])
+    def test_every_move_against_enumeration(self, types):
+        alpha = build_expanded_alphabet(types)
+        space = state_space(ModelOrder.SECOND, alpha)
+        labels = alpha.base_labels
+        n = len(labels)
+        contexts = list(labels) + [None]  # None: the sentence start
+        pairs = [(a, b) for a in contexts for b in labels]
+        assert space.n_states == len(pairs)
+        expected_trans = np.full((len(pairs), len(pairs)), -1)
+        expected_start = np.full(len(pairs), -1)
+        for a in range(n + 1):
+            for b in range(n):
+                src = pairs.index((contexts[a], labels[b]))
+                if contexts[a] is None:
+                    expected_start[src] = b
+                for c in range(n):
+                    dst = pairs.index((labels[b], labels[c]))
+                    expected_trans[src, dst] = n + ((a * n + b) * n + c)
+        assert np.array_equal(space.trans_slot, expected_trans)
+        assert np.array_equal(space.start_slot, expected_start)
+        assert space.n_transition_params == n + (n + 1) * n * n
+        for i, (a, b) in enumerate(pairs):
+            assert space.state_names[i] == "%s|%s" % ("<start>" if a is None else a, b)
+            assert space.output_labels[i] == b
+            assert space.obs_state_of[i] == labels.index(b)
 
-    def test_projection_length(self):
-        exp = expand_second_order(["X", "Y"])
-        path = [4, 0, 1]
-        assert len(exp.project(path)) == 3
-
-    def test_empty_rejected(self):
-        with pytest.raises(CrfError):
-            expand_second_order([])
+    def test_gold_states_are_consecutive_label_pairs(self):
+        alpha = build_expanded_alphabet(["A", "B"])
+        space = state_space(ModelOrder.SECOND, alpha)
+        gold = ["B-A", "I-A", "O", "B-B", "B-A"]
+        states = encode_gold_states(gold, space)
+        names = [space.state_names[s] for s in states]
+        assert names == ["<start>|B-A"] + ["%s|%s" % pair for pair in zip(gold, gold[1:])]
+        assert [space.output_labels[s] for s in states] == gold
 
 
 class TestForwardBackward:
@@ -442,6 +461,12 @@ class TestObjective:
         with pytest.raises(CrfError):
             log_likelihood_and_gradient([cs], np.zeros(total_parameters(index, space)), index, space)
 
+    def test_gold_length_mismatch_rejected(self):
+        corpus = [Sentence.from_strings(["a", "b"], ["O", "O"])]
+        space, index, [cs] = _training_setup(ModelOrder.FIRST, corpus)
+        with pytest.raises(CrfError, match="gold path of its length"):
+            pack_batch([cs._replace(gold=cs.gold[:1])], index, space)
+
     def test_weight_length_mismatch(self):
         corpus = [Sentence.from_strings(["a"], ["O"])]
         space, index, compiled = _training_setup(ModelOrder.FIRST, corpus)
@@ -665,6 +690,32 @@ def test_batched_objective_is_sum_of_single_lattices(order, seed, n_sentences, m
     allowed = space.trans_slot >= 0
     expected[space.trans_slot[allowed]] -= edge_mass[allowed]
     assert np.allclose(grad[index.n_parameters :], expected, rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("order", list(ModelOrder))
+@pytest.mark.parametrize("chunk_cap", [2, _MAX_CHUNK])
+def test_training_and_decode_lay_out_the_same_rows(order, chunk_cap):
+    """pack_batch and build_lattice put the same sentences in the same rows:
+    the packed incidence's observation scores, cut by its chunks, are the
+    (T, B, S) blocks build_lattice makes from feature_id_matrix."""
+    corpus = random_corpus(random.Random(3), ["A", "B"], 12, max_len=5)
+    template = TemplateConfig(set_id=2)
+    space, index, compiled = _training_setup(order, corpus, template)
+    weights = np.random.default_rng(3).normal(size=total_parameters(index, space))
+    ids = feature_id_matrix(corpus, template, index.feature_ids.get)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(crf, "_MAX_CHUNK", chunk_cap)
+        packed = pack_batch(compiled, index, space)
+        blocks = build_lattice(ids, [len(s) for s in corpus], weights, index, space)
+    assert len({len(s) for s in corpus}) > 1
+    assert list(packed.chunks) == [block.obs.shape[:2] for _, block in blocks]
+    obs = crf._gather_observations(packed.incidence, weights, index, space)
+    row = 0
+    for (n_pos, size), (members, block) in zip(packed.chunks, blocks):
+        assert np.array_equal(obs[row : row + n_pos * size].reshape(block.obs.shape), block.obs)
+        assert {len(corpus[i]) for i in members} == {n_pos}
+        row += n_pos * size
+    assert row == obs.shape[0] == ids.shape[0]
 
 
 def _tie_broken_viterbi(lattice):

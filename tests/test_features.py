@@ -66,6 +66,29 @@ class TestTemplateConfig:
         with pytest.raises(FeatureError):
             TemplateConfig(window_offsets=())
 
+    @pytest.mark.parametrize(
+        "field,values",
+        [
+            ("window_offsets", (-1, 0, 0)),
+            ("affix_lengths", (2, 2)),
+            ("window_offsets", ("x",)),
+            ("window_offsets", (0, True)),
+            ("affix_lengths", (2.0,)),
+        ],
+    )
+    def test_duplicate_or_non_integer_entries_rejected(self, field, values):
+        with pytest.raises(FeatureError, match=field):
+            TemplateConfig(**{field: values})
+
+    def test_feature_prefixes(self):
+        assert SET1.feature_prefixes == {
+            "W[-1]=", "W[0]=", "W[1]=", "NW[-1]=", "NW[0]=", "NW[1]="
+        }
+        plain = TemplateConfig(set_id=2, window_offsets=(0,), use_normalized=False)
+        assert plain.feature_prefixes == {
+            "W[0]=", "PRE[2]=", "PRE[3]=", "PRE[4]=", "SUF[2]=", "SUF[3]=", "SUF[4]="
+        }
+
 
 class TestExtractFeatures:
     def test_window_with_bos(self):
@@ -267,7 +290,7 @@ _SENTENCES = st.lists(_WORDS, max_size=5).map(Sentence.from_strings)
 _CONFIGS = st.builds(
     TemplateConfig,
     set_id=st.sampled_from([1, 2]),
-    window_offsets=st.sampled_from([(-1, 0, 1), (-2, 0, 3), (0,), (1,), (-1, 0, 0)]),
+    window_offsets=st.sampled_from([(-1, 0, 1), (-2, 0, 3), (0,), (1,)]),
     use_normalized=st.booleans(),
     affix_lengths=st.sampled_from([(2, 3, 4), (1,), (3, 5)]),
     min_feature_count=st.sampled_from([0, 1, 2]),

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import random
 from collections import Counter
 
@@ -390,6 +391,37 @@ class TestDamagedFiles:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["tag", "--model", str(path), "--input", str(directory / "input.conll")])
         assert code == 1 and err.getvalue().startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "key,value,culprits",
+        [
+            ("window_offsets", "3", ('"W[', '"NW[')),
+            ("window_offsets", "-1 0", ('"W[1]=', '"NW[1]=')),
+            ("use_normalized", "2", ("use_normalized:",)),
+            ("use_normalized", "0", ('"NW[',)),
+            ("template_set", "1", ('"PRE[', '"SUF[')),
+            ("affix_lengths", "3 4", ('"PRE[2]=', '"SUF[2]=')),
+        ],
+    )
+    def test_template_that_cannot_emit_the_features(self, small_file, key, value, culprits):
+        """A template edited so that it no longer emits every saved feature
+        is rejected, naming the first line that does not fit."""
+        lines, _ = small_file
+        damaged = [key + ": " + value if line.startswith(key + ": ") else line for line in lines]
+        named = next(i for i, line in enumerate(damaged) if line.startswith(culprits)) + 1
+        with pytest.raises(ModelFormatError, match="^line %d: " % named):
+            _load_lines(damaged)
+
+    @pytest.mark.parametrize(
+        "feature", ["W[7]=a", "NW[-2]=a", "PRE[9]=abcdefghi", "SUF[1]=a", "SHAPE=Aa", "BIAS2", ""]
+    )
+    def test_feature_the_template_cannot_emit(self, small_file, feature):
+        lines, _ = small_file
+        i = next(i for i, line in enumerate(lines) if line.startswith("weights: ")) - 1
+        damaged = list(lines)
+        damaged[i] = json.dumps(feature)
+        with pytest.raises(ModelFormatError, match="^line %d: " % (i + 1)):
+            _load_lines(damaged)
 
     def test_other_integers_in_header_values(self, small_file):
         """A header value replaced by another integer, negative ones
