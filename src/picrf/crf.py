@@ -15,37 +15,37 @@ carry -inf and drop out of every sum. Weight vectors are laid out as the
 feature index's observation slots followed by one contiguous transition
 region.
 
-One batched kernel does the inference. Observation scores are one sparse
-product: a token x feature incidence matrix X (one row per token, a 1 for
-each of its indexed features) times the observation weights viewed as one
-(n_features, block) row per feature, giving every token's scores at once;
-the gradient's observation region is the transpose, X^T (observed -
-expected), as in Wapiti (Lavergne, Cappe & Yvon 2010). The rows of B
-same-length sentences, stored time-major, reshape to a (T, B, S) block, and
-one forward/backward pass over that block gives log Z and the node and
-edge marginals. The pass is the
-scaled recursion of Rabiner (1989) in the probability domain: it
-exponentiates obs minus its max at each position and trans minus its
-finite max, divides the forward vector at each position by its sum and
-the backward vector by the same sum, and recovers log Z as the sum of the
-logs of those normalizers plus the shifts. Range contract: the result is
-exact to rounding, or the pass raises CrfError naming the finite spread
-of the potentials. Every lattice whose potentials are finite and spread
-less than a few hundred nats is exact without further checks (trained
-models span far less); wider or partly forbidden lattices are checked
-entry by entry after the pass (see _check_range).
+Observation scores are one sparse product: a token x feature incidence
+matrix X (one row per token, a 1 for each of its indexed features) times
+the observation weights viewed as one (n_features, block) row per feature,
+giving every token's scores at once; the gradient's observation region is
+the transpose, X^T (observed - expected), as in Wapiti (Lavergne, Cappe &
+Yvon 2010). The forward/backward pass is the scaled recursion of Rabiner
+(1989) in the probability domain: it exponentiates obs minus its max at
+each position and trans minus its finite max, divides the forward vector
+at each position by its sum and the backward vector by the same sum, and
+recovers log Z as the sum of the logs of those normalizers plus the
+shifts. Range contract: the result is exact to rounding, or the pass
+raises CrfError naming the finite spread of the potentials. Every lattice
+whose potentials are finite and spread less than a few hundred nats is
+exact without further checks (trained models span far less); wider or
+partly forbidden lattices are checked entry by entry after the pass (see
+_check_range).
 
-Training and decoding lay a batch out the same way: _time_major gives the
-length-grouped chunks of _chunk_jobs and the row order that puts each
-chunk's tokens time-major. The training objective packs its batch once
-into one incidence matrix in that row order (CompiledBatch), gathers and
-scatters through it once per call and runs the kernel chunk by chunk;
-forward_backward is its B = 1 view, the single-lattice API the
-brute-force oracles use. Decoding runs the same batched path: build_lattice
-takes a batch's (N, K) feature id matrix, gathers its rows in that order
-through one incidence matrix built straight from the matrix (in slices of
-at most _GATHER_TOKENS token rows) and builds the transition tables once,
-and viterbi runs over each chunk's (T, B, S) block.
+Training runs one pass over the whole batch. pack_batch lays it out once
+(CompiledBatch), longest sentence first and position-major
+(_packed_layout): row block t holds position t of the widths[t] sentences
+longer than t, a prefix of those of block t - 1. _forward_backward keeps
+every table state-major, (S, N) over the N token rows: a step is one
+(S, S) @ (S, widths[t]) product, its edge counts one alphas @ tails^T
+product, and a position's shift and normalizer reduce over the leading
+state axis. forward_backward is its B = 1 view, the single-lattice API
+the brute-force oracles use.
+
+Decoding groups sentences by length instead: build_lattice gathers a
+batch's (N, K) feature id matrix in the chunks of _time_major, _GATHER_TOKENS
+rows at a time, and builds the transition tables once; viterbi runs over
+each chunk's (T, B, S) block.
 """
 
 from __future__ import annotations
@@ -69,9 +69,8 @@ NEG_INF = float("-inf")
 # chain. Not a valid IOB2 label, so it cannot collide with real labels.
 START_SYMBOL = "<start>"
 
-# Target entry count of one chunk's (T, B, S) forward/backward tables;
-# keeps temporaries small while amortizing interpreter overhead over wide
-# numpy ops.
+# Target entry count of one decode chunk's (T, B, S) block: temporaries
+# stay small, numpy ops wide enough to amortize interpreter overhead.
 _CHUNK_BUDGET = 4_000_000
 _MAX_CHUNK = 256
 # Most token rows one observation gather of a decode covers; bounds the
@@ -128,6 +127,11 @@ class StateSpace:
         if self.order == ModelOrder.SECOND:
             return len(self.alphabet.base_labels) ** 2
         return self.n_states
+
+    @cached_property
+    def observes_itself(self) -> bool:
+        """Whether each state is its own observation state (not so for pairs)."""
+        return bool(np.array_equal(self.obs_state_of, np.arange(self.n_states)))
 
     @cached_property
     def constraint_masks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -282,27 +286,29 @@ def _incidence(cols: np.ndarray, counts: np.ndarray, index: FeatureIndex) -> spa
     )
 
 
-def _gather_observations(
-    incidence: sparse.csr_matrix, weights: np.ndarray, index: FeatureIndex, space: StateSpace
+def _observation_sums(
+    incidence: sparse.csr_matrix, weights: np.ndarray, index: FeatureIndex
 ) -> np.ndarray:
-    """Lattice observation scores (N, S) of the N token rows of an incidence
-    matrix: its product with the weights viewed as one block per feature."""
+    """(N, block) sums of the weight blocks of the features of the N token
+    rows of an incidence matrix, the coarse slot added into the outside
+    class: column j < n_fine is the score of observation state j."""
     sums = incidence @ weights[: index.n_parameters].reshape(-1, index.block_size)
-    if index.has_coarse:
-        sums[:, list(index.outside_obs_ids)] += sums[:, index.n_fine, None]
-    return sums[:, space.obs_state_of]
+    for j in index.outside_obs_ids if index.has_coarse else ():
+        sums[:, j] += sums[:, index.n_fine]
+    return sums
 
 
 def _scatter_observations(
-    incidence: sparse.csr_matrix, mass: np.ndarray, index: FeatureIndex
+    incidence: sparse.csr_matrix, mass: np.ndarray, index: FeatureIndex, out=None
 ) -> np.ndarray:
-    """Observation-slot totals of a mass (N, n_fine) over observation states
-    at the N token rows: the transpose of _gather_observations. Returns the
-    observation region (n_parameters,)."""
+    """Observation-slot totals of a mass (n_fine, N) over observation states
+    at the N token rows, with out (N, block) as scratch: the transpose of
+    _observation_sums. Returns the observation region (n_parameters,)."""
+    out = np.empty((mass.shape[1], index.block_size)) if out is None else out
+    np.copyto(out[:, : index.n_fine], mass.T)
     if index.has_coarse:
-        coarse = mass[:, list(index.outside_obs_ids)].sum(axis=1)
-        mass = np.concatenate([mass, coarse[:, None]], axis=1)
-    return (incidence.T @ mass).ravel()
+        np.sum(mass[list(index.outside_obs_ids)], axis=0, out=out[:, index.n_fine])
+    return (incidence.T @ out).ravel()
 
 
 def build_lattice(
@@ -344,11 +350,13 @@ def build_lattice(
     n_states = space.n_states
     jobs, order = _time_major(lengths, n_states)
     obs = np.empty((order.size, n_states))
+    # a slice where each state is its own observation state: no extra copy
+    columns = slice(index.n_fine) if space.observes_itself else space.obs_state_of
     for lo in range(0, order.size, _GATHER_TOKENS):
         part = feature_ids[order[lo : lo + _GATHER_TOKENS]]
         present = part >= 0
         incidence = _incidence(part[present], present.sum(axis=1), index)
-        obs[lo : lo + _GATHER_TOKENS] = _gather_observations(incidence, weights, index, space)
+        obs[lo : lo + _GATHER_TOKENS] = _observation_sums(incidence, weights, index)[:, columns]
     start, trans = _transition_tables(weights, index, space)
     if constrained:
         start_ok, trans_ok = space.constraint_masks
@@ -393,80 +401,88 @@ def _check_scores(total: float) -> None:
 
 
 class _Scaled(NamedTuple):
-    """Scaled forward/backward tables of a (T, B, S) block of lattices.
-
-    alphas[t] sums to 1 over states, scale[t] (T, B, 1) is the sum it was
-    divided by, and betas are divided by the same normalizers, so
-    alphas * betas are the node marginals. tails[t] is pot[t + 1] *
-    betas[t + 1] / scale[t + 1], so the edge marginals at t are
-    alphas[t][:, :, None] * trans_pot * tails[t][:, None, :]. log_scale[t]
-    is log scale[t] plus the shifts taken out at t; over t it sums to log Z.
-    """
+    """Scaled forward/backward tables of a packed batch, one column per
+    token row. alphas[:, r] sums to 1, scale[r] is the sum it was divided
+    by, and betas are divided by the same normalizers, so alphas * betas
+    are the node marginals. tails[:, r] is pot[:, r] * betas[:, r] /
+    scale[r]; edges sums alphas[:, p, None] * tails[None, :, r] over each
+    row p and its next row r. log_scale[r] is log scale[r] plus the shifts
+    taken out at r."""
 
     alphas: np.ndarray
     betas: np.ndarray
     tails: np.ndarray
     trans_pot: np.ndarray
+    edges: np.ndarray
     scale: np.ndarray
     log_scale: np.ndarray
 
-    @property
-    def log_z(self) -> np.ndarray:
-        return self.log_scale.sum(axis=0)
+
+def _steps(widths: np.ndarray) -> list[tuple[slice, slice]]:
+    """The (previous, current) column slices of each step t >= 1 of a packed
+    layout: the first widths[t] rows of block t - 1, and block t."""
+    starts = (np.cumsum(widths) - widths).tolist()
+    pairs = zip(starts, starts[1:], widths[1:].tolist())
+    return [(slice(a, a + w), slice(b, b + w)) for a, b, w in pairs]
 
 
-def _forward_backward(obs: np.ndarray, start: np.ndarray, trans: np.ndarray) -> _Scaled:
-    """Scaled forward/backward over a (T, B, S) block of same-length lattices.
+def _forward_backward(
+    obs: np.ndarray, widths: np.ndarray, start: np.ndarray, trans: np.ndarray
+) -> _Scaled:
+    """Scaled forward/backward over a packed batch of lattices sharing the
+    start (S,) and transition (S, S) potentials.
 
-    The lattices share the start (S,) and transition (S, S) potentials.
-    Raises CrfError on NaN or +inf potentials, InfeasibleLatticeError when
-    a lattice has no path, and CrfError when the result would not be exact
-    (see _check_range).
+    obs (S, N) holds the observation log-potentials of the batch's N tokens
+    in the row blocks of _packed_layout with the given widths; it is
+    overwritten when the potentials need no range check. Raises CrfError on
+    NaN or +inf potentials, InfeasibleLatticeError when a lattice has no
+    path, and CrfError when the result would not be exact (_check_range).
     """
-    n_pos = obs.shape[0]
-    obs_shift = obs.max(axis=2, keepdims=True)
+    n_batch, steps = widths[0], _steps(widths)
+    obs_shift = obs.max(axis=0)
     start_shift = float(start.max())
-    trans_shift = float(trans.max()) if n_pos > 1 else 0.0
+    trans_shift = float(trans.max()) if steps else 0.0
     _check_scores(float(obs_shift.sum()) + start_shift + trans_shift)
-    pot = np.exp(obs - obs_shift)
-    trans_pot = np.exp(trans - trans_shift) if n_pos > 1 else np.zeros_like(trans)
+    # spreads in nats; below _SAFE_SPAN the pass is exact without a check
+    d_obs = float((obs_shift - obs.min(axis=0)).max())
+    d_start = start_shift - float(start.min())
+    d_trans = trans_shift - float(trans.min()) if steps else 0.0
+    checked = max(d_obs + max(d_start, d_trans), 2.0 * d_trans) > _SAFE_SPAN
+    pot = np.subtract(obs, obs_shift, out=None if checked else obs)
+    np.exp(pot, out=pot)
+    trans_pot = np.exp(trans - trans_shift) if steps else np.zeros_like(trans)
 
-    alphas = np.empty_like(pot)
-    scale = np.empty(pot.shape[:2] + (1,))
-    np.multiply(pot[0], np.exp(start - start_shift), out=alphas[0])
+    alphas, scale = np.empty_like(pot), np.empty(pot.shape[1])
+    np.multiply(pot[:, :n_batch], np.exp(start - start_shift)[:, None], out=alphas[:, :n_batch])
     # a normalizer of 0 (no path, or underflow) and backward entries that
     # overflow are classified by _check_range
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for t in range(n_pos):
-            if t:
-                np.einsum("bs,st->bt", alphas[t - 1], trans_pot, out=alphas[t])
-                alphas[t] *= pot[t]
-            np.sum(alphas[t], axis=1, keepdims=True, out=scale[t])
-            alphas[t] /= scale[t]
-        tails = pot[1:] / scale[1:]
-        betas = np.empty_like(pot)
-        betas[-1] = 1.0
-        for t in range(n_pos - 2, -1, -1):
-            tails[t] *= betas[t + 1]
-            np.einsum("st,bt->bs", trans_pot, tails[t], out=betas[t])
-        log_scale = np.log(scale[..., 0]) + obs_shift[..., 0]
-    log_scale[0] += start_shift
-    log_scale[1:] += trans_shift
-    run = _Scaled(alphas, betas, tails, trans_pot, scale, log_scale)
-    _check_range(run, obs, obs_shift, start, start_shift, trans, trans_shift)
+        for prev, rows in [(None, slice(0, n_batch))] + steps:
+            if prev is not None:
+                np.matmul(trans_pot.T, alphas[:, prev], out=alphas[:, rows])
+                alphas[:, rows] *= pot[:, rows]
+            np.sum(alphas[:, rows], axis=0, out=scale[rows])
+            alphas[:, rows] /= scale[rows]
+        tails = np.divide(pot, scale, out=pot)
+        # a sentence's last position has nothing after it: beta 1
+        betas, edges = np.ones_like(pot), np.zeros_like(trans_pot)
+        for prev, rows in reversed(steps):
+            tails[:, rows] *= betas[:, rows]
+            np.matmul(trans_pot, tails[:, rows], out=betas[:, prev])
+            edges += alphas[:, prev] @ tails[:, rows].T
+        log_scale = np.log(scale) + obs_shift
+    log_scale[:n_batch] += start_shift
+    log_scale[n_batch:] += trans_shift
+    run = _Scaled(alphas, betas, tails, trans_pot, edges, scale, log_scale)
+    if checked:
+        _check_range(run, obs, widths, start, trans)
     return run
 
 
 def _check_range(
-    run: _Scaled,
-    obs: np.ndarray,
-    obs_shift: np.ndarray,
-    start: np.ndarray,
-    start_shift: float,
-    trans: np.ndarray,
-    trans_shift: float,
+    run: _Scaled, obs: np.ndarray, widths: np.ndarray, start: np.ndarray, trans: np.ndarray
 ) -> None:
-    """Raise unless the scaled pass is exact to rounding.
+    """Raise unless the scaled pass over a packed batch is exact to rounding.
 
     The pass is exact when every forward and backward entry, before
     normalization, is either zero by the lattice's structure (a -inf
@@ -476,48 +492,44 @@ def _check_range(
     nats) of trans (d_trans), start (d_start) and any one position of obs
     (d_obs) satisfy max(d_obs + max(d_start, d_trans), 2 d_trans) <=
     _SAFE_SPAN, every entry is at least exp(-_SAFE_SPAN) > _FLOOR and
-    nothing needs checking. Otherwise the tables are checked directly.
+    _forward_backward skips this check of the tables.
     """
-    n_pos = obs.shape[0]
-    d_obs = float((obs_shift[..., 0] - obs.min(axis=2)).max())
-    d_start = start_shift - float(start.min())
-    d_trans = trans_shift - float(trans.min()) if n_pos > 1 else 0.0
-    if max(d_obs + max(d_start, d_trans), 2.0 * d_trans) <= _SAFE_SPAN:
-        return
-
     alphas, betas, scale = run.alphas, run.betas, run.scale
+    n_batch, steps = widths[0], _steps(widths)
+    # row n_batch + i follows row previous[i] in its sentence
+    previous = np.arange(n_batch, scale.size) - np.repeat(widths[:-1], widths[1:])
     obs_ok, start_ok, trans_ok = obs > NEG_INF, start > NEG_INF, trans > NEG_INF
     with np.errstate(invalid="ignore", over="ignore"):
-        low_alpha = np.min(alphas, axis=2, where=alphas > 0, initial=np.inf, keepdims=True)
-        low_beta = np.min(betas, axis=2, where=betas > 0, initial=np.inf, keepdims=True)
+        low_alpha = np.min(alphas, axis=0, where=alphas > 0, initial=np.inf)
+        low_beta = np.min(betas, axis=0, where=betas > 0, initial=np.inf)
         in_range = bool(
-            np.isfinite(run.log_z).all()
+            np.isfinite(run.log_scale).all()
             and (low_alpha * scale).min() >= _FLOOR
-            and (low_beta[:-1] * scale[1:]).min(initial=np.inf) >= _FLOOR
+            and (low_beta[previous] * scale[n_batch:]).min(initial=np.inf) >= _FLOOR
             and betas.max() < np.inf
         )
     # zeros every pass must produce: no way in from the start or the
     # previous position, or a -inf observation; no way out before the end
-    enter = np.empty((n_pos, 1, start.size), dtype=bool)
-    enter[0] = start_ok
-    enter[1:] = trans_ok.any(axis=0)
-    dead_ends = (n_pos - 1) * obs.shape[1] * int((~trans_ok.any(axis=1)).sum())
+    structural = np.count_nonzero(~(obs_ok[:, :n_batch] & start_ok[:, None]))
+    structural += np.count_nonzero(~(obs_ok[:, n_batch:] & trans_ok.any(axis=0)[:, None]))
+    dead_ends = previous.size * int((~trans_ok.any(axis=1)).sum())
     if (
         in_range
-        and np.count_nonzero(alphas == 0) == np.count_nonzero(~(obs_ok & enter))
+        and np.count_nonzero(alphas == 0) == structural
         and np.count_nonzero(betas == 0) == dead_ends
     ):
         return
 
-    reach = np.empty(obs.shape, dtype=bool)
-    reach[0] = obs_ok[0] & start_ok
-    for t in range(1, n_pos):
-        reach[t] = obs_ok[t] & (reach[t - 1] @ trans_ok)
-    if not reach[-1].any(axis=1).all():
+    reach = obs_ok.copy()
+    reach[:, :n_batch] &= start_ok[:, None]
+    for prev, rows in steps:
+        reach[:, rows] &= trans_ok.T @ reach[:, prev]
+    # a sentence with no path has a position that nothing reaches
+    if not reach.any(axis=0).all():
         raise InfeasibleLatticeError("every path through the lattice is blocked")
     onward = np.ones(obs.shape, dtype=bool)
-    for t in range(n_pos - 2, -1, -1):
-        onward[t] = (obs_ok[t + 1] & onward[t + 1]) @ trans_ok.T
+    for prev, rows in reversed(steps):
+        onward[:, prev] = trans_ok @ (obs_ok[:, rows] & onward[:, rows])
     if in_range and np.array_equal(alphas > 0, reach) and np.array_equal(betas > 0, onward):
         return
     raise CrfError(
@@ -526,9 +538,9 @@ def _check_range(
         "start %.4g, widest position of obs %.4g; always exact while "
         "max(obs + max(start, trans), 2 * trans) <= %g)"
         % (
-            _finite_spread(trans) if n_pos > 1 else 0.0,
+            _finite_spread(trans) if steps else 0.0,
             _finite_spread(start),
-            float(_finite_spread(obs, axis=2).max()),
+            float(_finite_spread(obs, axis=0).max()),
             _SAFE_SPAN,
         )
     )
@@ -544,8 +556,9 @@ def _finite_spread(x: np.ndarray, axis=None):
 
 def forward_backward(lattice: Lattice) -> ForwardBackwardResult:
     """Exact marginal inference over one lattice (the kernel with B = 1)."""
-    run = _forward_backward(lattice.obs[:, None], lattice.start, lattice.trans)
-    alphas, betas, log_scale = run.alphas[:, 0], run.betas[:, 0], run.log_scale[:, 0]
+    widths = np.ones(lattice.n_positions, dtype=np.int64)
+    run = _forward_backward(lattice.obs.T.copy(), widths, lattice.start, lattice.trans)
+    alphas, betas, log_scale = run.alphas.T, run.betas.T, run.log_scale
     log_z = float(log_scale.sum())
     # alpha_t carries the normalizers up to t, beta_t (same normalizers)
     # the ones after t
@@ -554,7 +567,7 @@ def forward_backward(lattice: Lattice) -> ForwardBackwardResult:
         log_alpha = np.log(alphas) + prefix
         log_beta = np.log(betas) + (log_z - prefix)
     node = alphas * betas
-    edge = alphas[:-1, :, None] * run.trans_pot * run.tails[:, 0, None, :]
+    edge = alphas[:-1, :, None] * run.trans_pot * run.tails.T[1:, None, :]
     log_z_backward = log_z + math.log(node[0].sum())
     return ForwardBackwardResult(log_alpha, log_beta, log_z, log_z_backward, node, edge)
 
@@ -660,25 +673,24 @@ class CompiledBatch(tuple):
     """A training batch packed once for one feature index and state space.
 
     A tuple of its CompiledSentence items in their original order, plus
-    incidence, the token x feature incidence matrix of the whole batch with
-    its rows in the order of _time_major; chunks, the (T, B) shape of each
-    of its chunks, whose T * B rows follow the previous chunk's; and
-    observed, the batch's feature counts at the gold paths over the whole
-    weight vector. None depends on the weights, so the objective reuses
-    them on every call.
+    widths, the block widths of the batch's packed layout (see
+    _packed_layout); incidence, the token x feature incidence matrix of the
+    whole batch with its rows in that layout; and observed, the batch's
+    feature counts at the gold paths over the whole weight vector. None
+    depends on the weights, so the objective reuses them on every call.
     """
 
     index: FeatureIndex
     space: StateSpace
+    widths: np.ndarray
     incidence: sparse.csr_matrix
-    chunks: tuple[tuple[int, int], ...]
     observed: np.ndarray
 
 
 def pack_batch(
     batch: Sequence[CompiledSentence], index: FeatureIndex, space: StateSpace
 ) -> CompiledBatch:
-    """Group, index and count a training batch for log_likelihood_and_gradient."""
+    """Lay out, index and count a training batch for log_likelihood_and_gradient."""
     if not batch:
         raise CrfError("batch must contain at least one sentence")
     if any(cs.gold is None or len(cs.gold) != len(cs.feature_starts) for cs in batch):
@@ -687,7 +699,7 @@ def pack_batch(
         raise CrfError("training sentences must be non-empty")
     n_states = space.n_states
     lengths = np.array([len(cs.feature_starts) for cs in batch])
-    jobs, order = _time_major(lengths, n_states)
+    widths, order = _packed_layout(lengths)
     positions = [starts for cs in batch for starts in cs.feature_starts]
     incidence = _incidence(
         np.concatenate(positions) // index.block_size, [len(p) for p in positions], index
@@ -704,9 +716,8 @@ def pack_batch(
     if np.any(start_mass[space.start_slot < 0]) or np.any(edge_mass[space.trans_slot < 0]):
         raise CrfError("gold path uses a structurally forbidden transition")
     packed = CompiledBatch(batch)
-    packed.index, packed.space, packed.incidence = index, space, incidence
-    packed.chunks = tuple((int(lengths[job[0]]), len(job)) for job in jobs)
-    gold_mass = np.eye(index.n_fine)[space.obs_state_of[gold[order]]]
+    packed.index, packed.space, packed.widths, packed.incidence = index, space, widths, incidence
+    gold_mass = np.eye(index.n_fine)[space.obs_state_of[gold[order]]].T
     packed.observed = np.concatenate(
         [
             _scatter_observations(incidence, gold_mass, index),
@@ -716,33 +727,37 @@ def pack_batch(
     return packed
 
 
-def _chunk_jobs(lengths: Sequence[int], n_states: int) -> list[list[int]]:
-    """Group sentences, given by their lengths, by length, then split groups
-    into chunks whose (T, B, S) forward/backward tables stay within
-    _CHUNK_BUDGET entries. Returns each chunk's sentence indices.
-
-    Chunk boundaries depend only on the batch contents, so the reduction
-    order (and therefore every floating-point result) is reproducible.
-    """
-    groups: dict[int, list[int]] = {}
-    for i, n_pos in enumerate(lengths):
-        groups.setdefault(n_pos, []).append(i)
-    jobs: list[list[int]] = []
-    for n_pos in sorted(groups):
-        members = groups[n_pos]
-        size = max(1, min(_MAX_CHUNK, _CHUNK_BUDGET // (n_pos * n_states)))
-        for i in range(0, len(members), size):
-            jobs.append(members[i : i + size])
-    return jobs
+def _packed_layout(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Block widths and row order of the packed layout of sentences of the
+    given lengths: ranked longest first (a stable sort), row block t holds
+    position t of the widths[t] sentences longer than t, in rank order.
+    order[r] is the index, in sentence-after-sentence order, of the token
+    at row r."""
+    ranked = np.argsort(-lengths, kind="stable")
+    widths = np.cumsum(np.bincount(lengths)[::-1])[::-1][1:]
+    step = np.repeat(np.arange(widths.size), widths)
+    rank = np.arange(step.size) - np.repeat(np.cumsum(widths) - widths, widths)
+    return widths, (np.cumsum(lengths) - lengths)[ranked[rank]] + step
 
 
 def _time_major(lengths: np.ndarray, n_states: int) -> tuple[list[list[int]], np.ndarray]:
-    """The chunks of _chunk_jobs over sentences of the given lengths, and the
-    row order that lays their tokens out chunk after chunk, time-major
-    inside each: row t * B + b of a chunk is position t of its sentence b.
-    order[r] is the index, in sentence-after-sentence order, of the token
-    at row r; it is empty for an empty batch."""
-    jobs = _chunk_jobs(lengths.tolist(), n_states)
+    """Decode chunks of sentences of the given lengths, and their row order.
+
+    Sentences are grouped by length and the groups split into chunks whose
+    (T, B, S) blocks stay within _CHUNK_BUDGET entries; the boundaries
+    depend only on the lengths, so every floating-point result is
+    reproducible. Returns each chunk's sentence indices and the row order
+    that lays their tokens out chunk after chunk, time-major inside each:
+    row t * B + b of a chunk is position t of its sentence b, and order[r]
+    is the index, in sentence-after-sentence order, of the token at row r.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, n_pos in enumerate(lengths.tolist()):
+        groups.setdefault(n_pos, []).append(i)
+    jobs: list[list[int]] = []
+    for n_pos, members in sorted(groups.items()):
+        size = max(1, min(_MAX_CHUNK, _CHUNK_BUDGET // (n_pos * n_states)))
+        jobs += [members[i : i + size] for i in range(0, len(members), size)]
     firsts = np.cumsum(lengths) - lengths
     order = np.concatenate(
         [np.empty(0, np.int64)]
@@ -778,33 +793,17 @@ def log_likelihood_and_gradient(
         batch = pack_batch(batch, index, space)
 
     start, trans = _transition_tables(weights, index, space)
-    projection = None
-    if not np.array_equal(space.obs_state_of, np.arange(index.n_fine)):
-        projection = np.eye(index.n_fine)[space.obs_state_of]
-    n_states = space.n_states
-    obs = _gather_observations(batch.incidence, weights, index, space)
-    mass = np.empty((obs.shape[0], index.n_fine))
-    log_z = 0.0
-    start_mass = np.zeros(n_states)
-    edge_mass = np.zeros((n_states, n_states))
-    row = 0
-    for n_pos, size in batch.chunks:
-        rows = slice(row, row + n_pos * size)
-        row = rows.stop
-        run = _forward_backward(obs[rows].reshape(n_pos, size, n_states), start, trans)
-        log_z += float(run.log_z.sum())
-        node = (run.alphas * run.betas).reshape(-1, n_states)
-        start_mass += node[:size].sum(axis=0)
-        edge_mass += run.trans_pot * (
-            run.alphas[:-1].reshape(-1, n_states).T @ run.tails.reshape(-1, n_states)
-        )
-        mass[rows] = node if projection is None else node @ projection
-    expected_obs = _scatter_observations(batch.incidence, mass, index)
+    sums = _observation_sums(batch.incidence, weights, index)
+    run = _forward_backward(sums.T[space.obs_state_of], batch.widths, start, trans)
+    node = np.multiply(run.alphas, run.betas, out=run.betas)
+    start_mass = node[:, : batch.widths[0]].sum(axis=1)
+    if not space.observes_itself:
+        node = np.eye(index.n_fine)[space.obs_state_of].T @ node
+    expected_obs = _scatter_observations(batch.incidence, node, index, out=sums)
+    expected_trans = _transition_counts(start_mass, run.trans_pot * run.edges, space)
 
-    objective = float(weights @ batch.observed) - log_z
-    grad = batch.observed - np.concatenate(
-        [expected_obs, _transition_counts(start_mass, edge_mass, space)]
-    )
+    objective = float(weights @ batch.observed) - float(run.log_scale.sum())
+    grad = batch.observed - np.concatenate([expected_obs, expected_trans])
     if np.isfinite(l2_variance):
         objective -= float(weights @ weights) / (2.0 * l2_variance)
         grad -= weights / l2_variance

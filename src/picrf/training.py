@@ -11,9 +11,12 @@ and its projected-gradient stop is pinned at max-norm 1e-8.
 from __future__ import annotations
 
 import json
+import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from functools import partial
+from itertools import count
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -69,6 +72,7 @@ class IterationRecord:
     objective: float
     gradient_max: float
     seconds: float
+    objective_calls: int
 
 
 @dataclass
@@ -81,10 +85,16 @@ class TrainReport:
     iterations: list[IterationRecord]
     termination: str
     final_objective: float
+    objective_calls: int
 
     @property
     def n_iterations(self) -> int:
         return len(self.iterations)
+
+    @property
+    def calls_per_iteration(self) -> float:
+        """Objective calls the optimizer made per accepted iteration."""
+        return self.objective_calls / max(1, len(self.iterations))
 
     @property
     def mean_seconds_per_iteration(self) -> float:
@@ -99,6 +109,7 @@ class TrainReport:
                 "objective": r.objective,
                 "gradient_max": r.gradient_max,
                 "seconds": r.seconds,
+                "objective_calls": r.objective_calls,
             }
             for r in self.iterations
         ]
@@ -113,27 +124,41 @@ class TrainReport:
                     "feature_set": self.feature_set,
                     "n_parameters": self.n_parameters,
                     "final_objective": self.final_objective,
+                    "objective_calls": self.objective_calls,
+                    "calls_per_iteration": self.calls_per_iteration,
                 }
             )
         )
         return "".join(line + "\n" for line in lines)
 
     def to_text(self) -> str:
-        lines = ["%10s  %18s  %12s  %10s" % ("iteration", "objective", "grad max", "seconds")]
+        lines = [
+            "%10s  %18s  %12s  %10s  %6s"
+            % ("iteration", "objective", "grad max", "seconds", "calls")
+        ]
         for r in self.iterations:
             lines.append(
-                "%10d  %18.8f  %12.4e  %10.4f" % (r.iteration, r.objective, r.gradient_max, r.seconds)
+                "%10d  %18.8f  %12.4e  %10.4f  %6d"
+                % (r.iteration, r.objective, r.gradient_max, r.seconds, r.objective_calls)
             )
         lines.append(
-            "stopped: %s after %d iterations, %.4f s/iteration mean"
-            % (self.termination, self.n_iterations, self.mean_seconds_per_iteration)
+            "stopped: %s after %d iterations, %.4f s/iteration mean, "
+            "%d objective calls (%.2f per iteration)"
+            % (
+                self.termination,
+                self.n_iterations,
+                self.mean_seconds_per_iteration,
+                self.objective_calls,
+                self.calls_per_iteration,
+            )
         )
         return "".join(line + "\n" for line in lines)
 
     def summary(self) -> str:
         return (
             "trained %s model, feature set %d: %d parameters, %d iterations, "
-            "objective %.6f, %.4f s/iteration, stopped on %s"
+            "objective %.6f, %.4f s/iteration, %.2f objective calls/iteration, "
+            "stopped on %s"
             % (
                 self.order,
                 self.feature_set,
@@ -141,6 +166,7 @@ class TrainReport:
                 self.n_iterations,
                 self.final_objective,
                 self.mean_seconds_per_iteration,
+                self.calls_per_iteration,
                 self.termination,
             )
         )
@@ -210,6 +236,17 @@ def train(
     and indexing happen once, before the optimizer loop, and per-iteration
     wall times exclude them.
     """
+    return _train(corpus, config, alphabet)
+
+
+def _train(
+    corpus: Sequence[Sentence],
+    config: TrainConfig,
+    alphabet: LabelAlphabet | None,
+    pause: Callable[[], None] | None = None,
+) -> tuple[Model, TrainReport]:
+    """train, calling pause (when given) at the end of every iteration; the
+    time pause takes counts toward no iteration."""
     if not corpus:
         raise TrainingError("training corpus is empty")
     if alphabet is None:
@@ -225,8 +262,11 @@ def train(
     n_params = total_parameters(index, space)
 
     cache: list[tuple[np.ndarray, float, float]] = []
+    # clock time and optimizer objective calls at the last iteration's end
+    clock = {"last": 0.0, "calls": 0, "calls_before": 0}
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
+        clock["calls"] += 1
         value, grad = log_likelihood_and_gradient(compiled, x, index, space, config.l2_variance)
         _check_finite(value, grad)
         cache.append((x.copy(), -value, float(np.max(np.abs(grad)))))
@@ -234,7 +274,6 @@ def train(
         return -value, -grad
 
     records: list[IterationRecord] = []
-    clock = {"last": 0.0}
 
     def callback(xk: np.ndarray) -> None:
         now = time.perf_counter()
@@ -248,7 +287,13 @@ def train(
                 compiled, xk, index, space, config.l2_variance
             )
             f, gmax = -value, float(np.max(np.abs(grad)))
-        records.append(IterationRecord(len(records) + 1, -f, gmax, elapsed))
+        calls = clock["calls"] - clock["calls_before"]
+        clock["calls_before"] = clock["calls"]
+        records.append(IterationRecord(len(records) + 1, -f, gmax, elapsed, calls))
+        if pause is not None:
+            waited = time.perf_counter()
+            pause()
+            clock["last"] += time.perf_counter() - waited
 
     x0 = np.zeros(n_params)
     clock["last"] = time.perf_counter()
@@ -281,8 +326,65 @@ def train(
         iterations=records,
         termination=_termination_reason(result),
         final_objective=float(-result.fun),
+        objective_calls=clock["calls"],
     )
     return model, report
+
+
+# Pause before each turn of measure_iteration_cost. OpenBLAS worker threads
+# spin for about 0.1 s after a threaded product, and a turn that starts
+# within that time runs slower: on the criterion-6 corpus, on 2 cores, a
+# first-order iteration took 15-18 ms right after second-order turns and
+# 7-10 ms after a 0.15 s pause.
+_TURN_PAUSE = 0.15
+
+
+class _Stopped(Exception):
+    """Ends a training thread that measure_iteration_cost no longer needs."""
+
+
+class _Turn:
+    """A training run in a thread of its own that runs only while it has
+    the turn. target(pause) trains, calling pause at each iteration's end;
+    step() gives the thread the turn and returns once it calls pause or
+    its training returns (result) or raises, which step() raises again."""
+
+    def __init__(self, target: Callable[[Callable[[], None]], object]):
+        self._go, self._done = threading.Semaphore(0), threading.Semaphore(0)
+        self.finished, self.result, self._error, self._stopping = False, None, None, False
+        self._thread = threading.Thread(target=self._run, args=(target,), daemon=True)
+        self._thread.start()
+
+    def _run(self, target) -> None:
+        self._go.acquire()
+        try:
+            if not self._stopping:
+                self.result = target(self._pause)
+        except _Stopped:
+            pass
+        except BaseException as exc:  # handed to the thread that called step()
+            self._error = exc
+        finally:
+            self.finished = True
+            self._done.release()
+
+    def _pause(self) -> None:
+        self._done.release()
+        self._go.acquire()
+        if self._stopping:
+            raise _Stopped
+
+    def step(self) -> None:
+        self._go.release()
+        self._done.acquire()
+        if self._error is not None:
+            raise self._error
+
+    def stop(self) -> None:
+        """End the thread, at its next pause if it is still training."""
+        self._stopping = True
+        self._go.release()
+        self._thread.join()
 
 
 @dataclass(frozen=True)
@@ -351,6 +453,15 @@ def measure_iteration_cost(
     with the stopping tolerances effectively disabled; the warm-up
     iterations are discarded. Runs that stop with fewer than three
     measured iterations are an error (the corpus is too easy to time).
+
+    The runs take turns an iteration at a time: round k runs iteration k of
+    every run, in config order in even rounds and in reverse in odd ones,
+    so that a slow phase of the machine falls on every order alike rather
+    than on one order's whole window. Each run trains in a thread of its
+    own, only the thread whose turn it is runs, and the wait for a turn
+    (with a pause of _TURN_PAUSE before it, so that one order's BLAS
+    threads have gone idle before the next order's turn) counts toward no
+    iteration; each run's weights are those train gives.
     """
     if len(configs) < 2:
         raise TrainingError("need at least two configs to compare iteration cost")
@@ -370,14 +481,26 @@ def measure_iteration_cost(
     if alphabet is None:
         alphabet = build_expanded_alphabet(corpus_entity_types(corpus))
 
+    timing = [
+        replace(config, max_iterations=warmup + measured, relative_tolerance=1e-300)
+        for config in configs
+    ]
+    turns = [_Turn(partial(_train, corpus, config, alphabet)) for config in timing]
+    try:
+        for k in count():
+            running = [turn for turn in turns if not turn.finished]
+            if not running:
+                break
+            for turn in running if k % 2 == 0 else running[::-1]:
+                time.sleep(_TURN_PAUSE)
+                turn.step()
+    finally:
+        for turn in turns:
+            turn.stop()
+
     rows: list[TimingRow] = []
-    for config in configs:
-        timing_config = replace(
-            config,
-            max_iterations=warmup + measured,
-            relative_tolerance=1e-300,
-        )
-        _, report = train(corpus, timing_config, alphabet)
+    for config, turn in zip(configs, turns):
+        _, report = turn.result
         seconds = [r.seconds for r in report.iterations[warmup:]]
         if len(seconds) < 3:
             raise TrainingError(

@@ -1,6 +1,5 @@
 import math
 import random
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,8 +24,6 @@ from picrf.crf import (
     build_lattice,
     compile_sentence,
     encode_gold_states,
-    _MAX_CHUNK,
-    _chunk_jobs,
     forward_backward,
     log_likelihood_and_gradient,
     pack_batch,
@@ -241,6 +238,44 @@ class TestExactOrLoud:
             assert result.log_z_backward == pytest.approx(expected, rel=1e-9, abs=1e-12)
         assert raised < 200
 
+    @pytest.mark.parametrize("sigma", [1.0, 200.0, 400.0, 800.0])
+    def test_packed_batches_match_single_lattices_or_raise(self, sigma):
+        """A packed batch of lattices sharing start and trans is exact, or
+        raises CrfError, exactly when one of its lattices alone would."""
+        rng = np.random.default_rng(int(sigma) + 1)
+        raised = 0
+        for _ in range(100):
+            n_states = int(rng.integers(1, 5))
+            lengths = rng.integers(1, 6, size=int(rng.integers(1, 5)))
+            trans, start = rng.normal(size=(n_states, n_states)), rng.normal(size=n_states)
+            obs = [rng.normal(size=(n, n_states)) * sigma for n in lengths]
+            singles = [Lattice(o, trans * sigma, start * sigma) for o in obs]
+            widths, order = crf._packed_layout(lengths)
+            packed = np.concatenate(obs)[order].T.copy()
+            try:
+                exact = [forward_backward(lattice).log_z for lattice in singles]
+            except CrfError:
+                with pytest.raises(CrfError, match="finite spread"):
+                    crf._forward_backward(packed, widths, start * sigma, trans * sigma)
+                raised += 1
+                continue
+            run = crf._forward_backward(packed, widths, start * sigma, trans * sigma)
+            expected = sum(brute_log_z(lattice) for lattice in singles)
+            assert run.log_scale.sum() == pytest.approx(sum(exact), rel=1e-12, abs=1e-12)
+            assert run.log_scale.sum() == pytest.approx(expected, rel=1e-9, abs=1e-12)
+        assert raised < 100 and (raised > 0) == (sigma > 50)
+
+    @pytest.mark.parametrize("lengths", [[3], [3, 1, 2], [1, 2, 3, 1]])
+    def test_subnormal_backward_entry_raises(self, lengths):
+        """State 0 leaves by moves 720 nats down, so its backward entry at
+        every position with a next one is subnormal: not exact, though no
+        entry is zero."""
+        trans = np.array([[-720.0, -720.0], [0.0, 0.0]])
+        widths, _ = crf._packed_layout(np.array(lengths))
+        packed = np.zeros((2, sum(lengths)))
+        with pytest.raises(CrfError, match="finite spread"):
+            crf._forward_backward(packed, widths, np.zeros(2), trans)
+
     def test_path_forced_through_far_transition(self):
         lattice = Lattice(
             obs=np.zeros((2, 2)),
@@ -415,29 +450,6 @@ class TestObjective:
             vm, _ = log_likelihood_and_gradient(compiled, minus, index, space, l2_variance=5.0)
             fd = (vp - vm) / (2 * h)
             assert abs(fd - grad[slot]) / max(1.0, abs(grad[slot])) < 1e-6
-
-    @pytest.mark.parametrize("order", list(ModelOrder))
-    def test_chunked_batch_matches_single_sentences(self, order):
-        rng = random.Random(5)
-        corpus = random_corpus(rng, ["A", "B"], _MAX_CHUNK + 20, min_len=4, max_len=4)
-        corpus += random_corpus(rng, ["A", "B"], 30)
-        space, index, compiled = _training_setup(order, corpus)
-        n_lengths = len({len(cs.feature_starts) for cs in compiled})
-        lengths = [len(cs.feature_starts) for cs in compiled]
-        assert len(_chunk_jobs(lengths, space.n_states)) > n_lengths
-        weights = np.random.default_rng(1).normal(
-            scale=0.3, size=total_parameters(index, space)
-        )
-        value, grad = log_likelihood_and_gradient(compiled, weights, index, space)
-
-        parts = [log_likelihood_and_gradient([cs], weights, index, space) for cs in compiled]
-        assert value == pytest.approx(sum(v for v, _ in parts), rel=1e-10)
-        expected = np.sum([g for _, g in parts], axis=0)
-        assert np.allclose(grad, expected, rtol=1e-10, atol=1e-10 * np.abs(expected).max())
-
-        again_value, again_grad = log_likelihood_and_gradient(compiled, weights, index, space)
-        assert again_value == value
-        assert np.array_equal(again_grad, grad)
 
     def test_compiled_batch_is_its_sentences(self):
         corpus = random_corpus(random.Random(8), ["A", "B"], 6)
@@ -646,76 +658,172 @@ def _gold_score(lattice, space, index, weights, gold):
     return score + lattice.obs[np.arange(len(gold)), gold].sum()
 
 
+def _corpus_of_lengths(seed, lengths):
+    rng = random.Random(seed)
+    return [random_corpus(rng, ["A", "B"], 1, min_len=n, max_len=n)[0] for n in lengths]
+
+
+def _reference_objective(corpus, template, weights, index, space):
+    """The objective and its full gradient from per-sentence forward_backward
+    on build_lattice's one-sentence lattices: gold counts minus marginals,
+    scattered slot by slot through index.observation_slots."""
+    n_params = index.n_parameters
+    grad = np.zeros(total_parameters(index, space))
+    trans_grad = grad[n_params:]
+    value = 0.0
+    for sentence in corpus:
+        feats = extract_features(sentence, template)
+        lattice = _lattice(feats, weights, index, space)
+        result = forward_backward(lattice)
+        gold = encode_gold_states(sentence.labels, space)
+        value += _gold_score(lattice, space, index, weights, gold) - result.log_z
+        mass = np.zeros((len(gold), index.n_fine))
+        np.add.at(mass, (np.arange(len(gold)), space.obs_state_of[gold]), 1.0)
+        for t in range(len(gold)):
+            np.add.at(mass[t], space.obs_state_of, -result.node_marginals[t])
+        for t, active in enumerate(feats):
+            for feature in active:
+                if index.feature_id(feature) is None:
+                    continue
+                for j, label in enumerate(index.obs_labels):
+                    for slot in index.observation_slots(feature, label):
+                        grad[slot] += mass[t, j]
+        trans_grad[space.start_slot[gold[0]]] += 1.0
+        for prev, cur in zip(gold, gold[1:]):
+            trans_grad[space.trans_slot[prev, cur]] += 1.0
+        s_ok = space.start_slot >= 0
+        trans_grad[space.start_slot[s_ok]] -= result.node_marginals[0][s_ok]
+        allowed = space.trans_slot >= 0
+        trans_grad[space.trans_slot[allowed]] -= result.edge_marginals.sum(axis=0)[allowed]
+    return value, grad
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     order=st.sampled_from(list(ModelOrder)),
     seed=st.integers(0, 2**32 - 1),
-    n_sentences=st.integers(1, 9),
-    max_len=st.integers(1, 5),
-    chunk_cap=st.sampled_from([1, 2, _MAX_CHUNK]),
+    lengths=st.lists(st.integers(1, 6), min_size=1, max_size=9),
 )
-def test_batched_objective_is_sum_of_single_lattices(order, seed, n_sentences, max_len, chunk_cap):
-    """Objective and transition gradient of a packed batch against
-    per-sentence forward_backward, with chunks capped at chunk_cap
-    sentences so that small batches get split."""
-    corpus = random_corpus(random.Random(seed), ["A", "B"], n_sentences, max_len=max_len)
+def test_packed_objective_matches_single_lattices(order, seed, lengths):
+    """Objective and full gradient of a packed batch of mixed lengths
+    against per-sentence forward_backward; a CompiledBatch, a plain list
+    and a repeated call give bit-identical results."""
+    corpus = _corpus_of_lengths(seed, lengths)
     template = TemplateConfig(set_id=2)
     space, index, compiled = _training_setup(order, corpus, template)
     weights = np.random.default_rng(seed).normal(scale=0.5, size=total_parameters(index, space))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(crf, "_MAX_CHUNK", chunk_cap)
-        packed = pack_batch(compiled, index, space)
-        value, grad = log_likelihood_and_gradient(packed, weights, index, space)
-        list_value, list_grad = log_likelihood_and_gradient(list(compiled), weights, index, space)
-    assert value == list_value and np.array_equal(grad, list_grad)
-    per_length = Counter(len(cs.feature_starts) for cs in compiled)
-    if max(per_length.values()) > chunk_cap:
-        assert len(packed.chunks) > len(per_length)
+    packed = pack_batch(compiled, index, space)
+    value, grad = log_likelihood_and_gradient(packed, weights, index, space)
+    list_value, list_grad = log_likelihood_and_gradient(list(compiled), weights, index, space)
+    again_value, again_grad = log_likelihood_and_gradient(packed, weights, index, space)
+    assert value == list_value == again_value
+    assert np.array_equal(grad, list_grad) and np.array_equal(grad, again_grad)
 
-    total = 0.0
-    start_mass = np.zeros(space.n_states)
-    edge_mass = np.zeros((space.n_states, space.n_states))
-    for sentence, cs in zip(corpus, compiled):
-        lattice = _lattice(extract_features(sentence, template), weights, index, space)
-        result = forward_backward(lattice)
-        total += _gold_score(lattice, space, index, weights, cs.gold) - result.log_z
-        start_mass += result.node_marginals[0]
-        edge_mass += result.edge_marginals.sum(axis=0)
-    assert value == pytest.approx(total, rel=1e-10)
-
-    observed = packed.observed[index.n_parameters :]
-    expected = observed.copy()
-    s_ok = space.start_slot >= 0
-    expected[space.start_slot[s_ok]] -= start_mass[s_ok]
-    allowed = space.trans_slot >= 0
-    expected[space.trans_slot[allowed]] -= edge_mass[allowed]
-    assert np.allclose(grad[index.n_parameters :], expected, rtol=1e-10, atol=1e-10)
+    expected_value, expected = _reference_objective(corpus, template, weights, index, space)
+    assert value == pytest.approx(expected_value, rel=1e-10)
+    assert np.allclose(grad, expected, rtol=1e-10, atol=1e-10 * np.abs(expected).max())
 
 
 @pytest.mark.parametrize("order", list(ModelOrder))
-@pytest.mark.parametrize("chunk_cap", [2, _MAX_CHUNK])
-def test_training_and_decode_lay_out_the_same_rows(order, chunk_cap):
-    """pack_batch and build_lattice put the same sentences in the same rows:
-    the packed incidence's observation scores, cut by its chunks, are the
-    (T, B, S) blocks build_lattice makes from feature_id_matrix."""
-    corpus = random_corpus(random.Random(3), ["A", "B"], 12, max_len=5)
-    template = TemplateConfig(set_id=2)
+@pytest.mark.parametrize("set_id", [1, 2])
+def test_training_and_decode_score_every_token_the_same(order, set_id):
+    """The observation scores the objective runs its kernel on are
+    build_lattice's, token for token, and sit in the packed layout: longest
+    sentence first (ties in corpus order), row block t holding position t
+    of the sentences longer than t."""
+    lengths = [3, 1, 5, 3, 2, 5, 4, 1]
+    corpus = _corpus_of_lengths(3, lengths)
+    template = TemplateConfig(set_id=set_id)
     space, index, compiled = _training_setup(order, corpus, template)
     weights = np.random.default_rng(3).normal(size=total_parameters(index, space))
-    ids = feature_id_matrix(corpus, template, index.feature_ids.get)
+    seen = []
+    kernel = crf._forward_backward
+
+    def spy(obs, widths, start, trans):
+        seen.append(obs.copy())
+        return kernel(obs, widths, start, trans)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(crf, "_MAX_CHUNK", chunk_cap)
-        packed = pack_batch(compiled, index, space)
-        blocks = build_lattice(ids, [len(s) for s in corpus], weights, index, space)
-    assert len({len(s) for s in corpus}) > 1
-    assert list(packed.chunks) == [block.obs.shape[:2] for _, block in blocks]
-    obs = crf._gather_observations(packed.incidence, weights, index, space)
-    row = 0
-    for (n_pos, size), (members, block) in zip(packed.chunks, blocks):
-        assert np.array_equal(obs[row : row + n_pos * size].reshape(block.obs.shape), block.obs)
-        assert {len(corpus[i]) for i in members} == {n_pos}
-        row += n_pos * size
-    assert row == obs.shape[0] == ids.shape[0]
+        patch.setattr(crf, "_forward_backward", spy)
+        log_likelihood_and_gradient(compiled, weights, index, space)
+    [obs] = seen
+
+    ranked = sorted(range(len(lengths)), key=lambda i: -lengths[i])
+    widths = [sum(n > t for n in lengths) for t in range(max(lengths))]
+    ids = feature_id_matrix(corpus, template, index.feature_ids.get)
+    blocks = build_lattice(ids, lengths, weights, index, space)
+    decoded = {i: block.obs[:, b] for members, block in blocks for b, i in enumerate(members)}
+    assert obs.shape == (space.n_states, sum(lengths))
+    for rank, i in enumerate(ranked):
+        rows = [sum(widths[:t]) + rank for t in range(lengths[i])]
+        assert np.array_equal(obs[:, rows].T, decoded[i])
+
+
+def _batch_with_one_bad_sentence(order, bad_length, where):
+    """Five sentences of lengths 2-6, and one more of bad_length at index
+    where whose tokens no other sentence has. Returns the corpus, the
+    setup and the bad sentence's first two W[0] feature ids."""
+    corpus = _corpus_of_lengths(11, [2, 4, 6, 3, 5])
+    bad = Sentence.from_strings(
+        ["zq%d" % t for t in range(bad_length)], ["O"] * bad_length
+    )
+    corpus.insert(where, bad)
+    space, index, compiled = _training_setup(order, corpus, TemplateConfig(set_id=1))
+    first_ids = [index.feature_id("W[0]=zq%d" % t) for t in range(min(bad_length, 2))]
+    return corpus, space, index, compiled, first_ids
+
+
+@pytest.mark.parametrize("order", list(ModelOrder))
+@pytest.mark.parametrize("bad_length", [1, 3, 6, 7])
+@pytest.mark.parametrize("where", [0, 3, 5])
+def test_one_out_of_range_sentence_raises_wherever_it_sorts(order, bad_length, where):
+    """sigma = 800 observation weights on one sentence's own words make its
+    lattice inexact; the batch raises, whatever its place in the layout."""
+    _, space, index, compiled, (fid, *_) = _batch_with_one_bad_sentence(
+        order, bad_length, where
+    )
+    weights = np.random.default_rng(5).normal(scale=0.1, size=total_parameters(index, space))
+    block = index.block_start(fid)
+    weights[block : block + index.block_size] = np.random.default_rng(6).normal(
+        scale=800.0, size=index.block_size
+    )
+    with pytest.raises(CrfError, match="finite spread"):
+        log_likelihood_and_gradient(compiled, weights, index, space)
+    weights[block : block + index.block_size] = 0.0
+    value, _ = log_likelihood_and_gradient(compiled, weights, index, space)
+    assert np.isfinite(value)
+
+
+@pytest.mark.parametrize("order", list(ModelOrder))
+@pytest.mark.parametrize("bad_length", [2, 3, 6, 7])
+@pytest.mark.parametrize("where", [0, 3, 5])
+def test_one_infeasible_sentence_raises_wherever_it_sorts(order, bad_length, where):
+    """One sentence's own words allow only label B-A at its first position
+    and I-B at its second, and the move between them is forbidden: that
+    sentence alone has no path, and the batch raises."""
+    corpus, space, index, compiled, (first, second) = _batch_with_one_bad_sentence(
+        order, bad_length, where
+    )
+    weights = np.random.default_rng(5).normal(scale=0.1, size=total_parameters(index, space))
+    labels = list(index.obs_labels)
+    only = {first: labels.index("B-A"), second: labels.index("I-B")}
+    for fid, keep in only.items():
+        block = index.block_start(fid)
+        weights[block : block + index.n_fine] = NEG_INF
+        weights[block + keep] = 0.0
+    into = space.obs_state_of[:, None] == only[second]
+    from_ = space.obs_state_of[:, None] == only[first]
+    move = (from_ & into.T) & (space.trans_slot >= 0)
+    weights[index.n_parameters + space.trans_slot[move]] = NEG_INF
+    for i, sentence in enumerate(corpus):
+        lattice = _lattice(extract_features(sentence, TemplateConfig(set_id=1)), weights, index, space)
+        if i == where:
+            with pytest.raises(InfeasibleLatticeError):
+                forward_backward(lattice)
+        else:
+            assert np.isfinite(forward_backward(lattice).log_z)
+    with pytest.raises(InfeasibleLatticeError):
+        log_likelihood_and_gradient(compiled, weights, index, space)
 
 
 def _tie_broken_viterbi(lattice):

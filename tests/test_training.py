@@ -1,8 +1,10 @@
 import json
+import threading
 
 import numpy as np
 import pytest
 
+import picrf.training
 from picrf.corpus import LabelError, Sentence, SynthConfig, generate_synthetic
 from picrf.crf_types import ModelOrder
 from picrf.features import TemplateConfig
@@ -152,6 +154,33 @@ class TestTrain:
         assert "stopped: %s" % report.termination in text
         assert str(report.n_parameters) in report.summary()
 
+    def test_report_counts_the_optimizers_objective_calls(self, monkeypatch):
+        results = []
+        minimize = picrf.training.minimize
+
+        def recording(*args, **kwargs):
+            results.append(minimize(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(picrf.training, "minimize", recording)
+        _, report = train(tiny_corpus(), TrainConfig(max_iterations=10))
+        [result] = results
+        assert report.objective_calls == result.nfev
+        per_iteration = [r.objective_calls for r in report.iterations]
+        assert min(per_iteration) >= 1 and sum(per_iteration) <= result.nfev
+        assert report.calls_per_iteration == result.nfev / report.n_iterations
+        rows = [json.loads(line) for line in report.to_jsonl().strip().split("\n")]
+        assert [row["objective_calls"] for row in rows[:-1]] == per_iteration
+        assert set(rows[0]) == {"iteration", "objective", "gradient_max", "seconds", "objective_calls"}
+        assert set(rows[-1]) == {
+            "termination", "order", "feature_set", "n_parameters", "final_objective",
+            "objective_calls", "calls_per_iteration",
+        }
+        assert rows[-1]["objective_calls"] == result.nfev
+        calls = "%.2f" % report.calls_per_iteration
+        assert "%d objective calls (%s per iteration)" % (result.nfev, calls) in report.to_text()
+        assert "%s objective calls/iteration" % calls in report.summary()
+
 
 class TestTimings:
     def make_corpus(self):
@@ -177,6 +206,72 @@ class TestTimings:
         )
         assert "s/iteration" in report.to_text()
         del base
+
+    def test_orders_take_turns_an_iteration_at_a_time(self, monkeypatch):
+        """Round k runs iteration k of every order, in config order in even
+        rounds and reversed in odd ones; the waits are not timed, and no
+        training thread outlives the call."""
+        corpus = self.make_corpus()
+        orders = [ModelOrder.FIRST, ModelOrder.PRE_INDUCED, ModelOrder.SECOND]
+        configs = [TrainConfig(model_order=o, template=TemplateConfig(set_id=1)) for o in orders]
+        log = []
+        objective, record = picrf.training.log_likelihood_and_gradient, picrf.training.IterationRecord
+
+        def logged_objective(batch, weights, index, space, l2_variance):
+            log.append(("call", space.order))
+            return objective(batch, weights, index, space, l2_variance)
+
+        def logged_record(*args):
+            log.append(("end", None))
+            return record(*args)
+
+        monkeypatch.setattr(picrf.training, "log_likelihood_and_gradient", logged_objective)
+        monkeypatch.setattr(picrf.training, "IterationRecord", logged_record)
+        monkeypatch.setattr(picrf.training, "_TURN_PAUSE", 0.3)
+        threads = threading.active_count()
+        reports = []
+        caller = threading.Thread(
+            target=lambda: reports.append(measure_iteration_cost(corpus, configs, 3, 1))
+        )
+        caller.start()
+        caller.join(timeout=120)
+        assert not caller.is_alive() and threading.active_count() == threads
+        [report] = reports
+        ends = [log[i - 1][1] for i, (kind, _) in enumerate(log) if kind == "end"]
+        assert ends == (orders + orders[::-1]) * 2
+        assert [row.measured_iterations for row in report.rows] == [3, 3, 3]
+        # the pause and the other orders' turns count toward no iteration
+        assert max(max(row.seconds) for row in report.rows) < 0.3
+
+    def test_failing_order_stops_every_run(self, monkeypatch):
+        corpus = self.make_corpus()
+        orders = [ModelOrder.FIRST, ModelOrder.PRE_INDUCED, ModelOrder.SECOND]
+        configs = [TrainConfig(model_order=o, template=TemplateConfig(set_id=1)) for o in orders]
+        calls = {order: 0 for order in orders}
+        objective = picrf.training.log_likelihood_and_gradient
+
+        def failing(batch, weights, index, space, l2_variance):
+            calls[space.order] += 1
+            if space.order == ModelOrder.PRE_INDUCED and calls[space.order] == 3:
+                raise TrainingError("objective failed")
+            return objective(batch, weights, index, space, l2_variance)
+
+        monkeypatch.setattr(picrf.training, "log_likelihood_and_gradient", failing)
+        threads = threading.active_count()
+        errors = []
+
+        def measure():
+            try:
+                measure_iteration_cost(corpus, configs, measured=10, warmup=2)
+            except TrainingError as exc:
+                errors.append(exc)
+
+        caller = threading.Thread(target=measure)
+        caller.start()
+        caller.join(timeout=120)
+        assert not caller.is_alive() and threading.active_count() == threads
+        assert [str(exc) for exc in errors] == ["objective failed"]
+        assert 0 < calls[ModelOrder.SECOND] < 5
 
     def test_carrier_label_rejected_like_train(self):
         corpus = tiny_corpus() + [Sentence.from_strings(["x", "y"], ["B-PER", "PER[O]"])]
