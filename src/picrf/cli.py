@@ -142,6 +142,10 @@ def cmd_transform(args) -> int:
 
 
 def _synth_config(args) -> SynthConfig:
+    if args.gap_min > args.gap_max:
+        raise CorpusError(
+            "--gap-min %d is greater than --gap-max %d" % (args.gap_min, args.gap_max)
+        )
     config = SynthConfig(
         entity_type_count=args.types,
         sentences=args.sentences,

@@ -42,10 +42,9 @@ product, and a position's shift and normalizer reduce over the leading
 state axis. forward_backward is its B = 1 view, the single-lattice API
 the brute-force oracles use.
 
-Decoding groups sentences by length instead: build_lattice gathers a
-batch's (N, K) feature id matrix in the chunks of _time_major, _GATHER_TOKENS
-rows at a time, and builds the transition tables once; viterbi runs over
-each chunk's (T, B, S) block.
+Decoding uses the same layout: build_lattice gathers a batch's (N, K)
+feature id matrix in _packed_layout's row order into one (N, S) lattice,
+and viterbi runs one max-product step per position over the prefix rows.
 """
 
 from __future__ import annotations
@@ -69,16 +68,10 @@ NEG_INF = float("-inf")
 # chain. Not a valid IOB2 label, so it cannot collide with real labels.
 START_SYMBOL = "<start>"
 
-# Target entry count of one decode chunk's (T, B, S) block: temporaries
-# stay small, numpy ops wide enough to amortize interpreter overhead.
-_CHUNK_BUDGET = 4_000_000
-_MAX_CHUNK = 256
-# Most token rows one observation gather of a decode covers; bounds the
-# incidence matrix and the (N, block) product built at once for any input.
-_GATHER_TOKENS = 8192
-# Most entries of the (B, S, S) step scores one Viterbi pass holds; keeps
-# them in cache (the second-order chain has S in the hundreds).
-_VITERBI_BUDGET = 1 << 18
+# Most entries of the (rows, S, S) step scores one Viterbi slice holds:
+# 512 KB, so that they stay in a core's L2 cache while the argmax and the
+# gather read them (the second-order chain has S in the hundreds).
+_VITERBI_BUDGET = 1 << 16
 
 # The scaled recursion trusts a forward or backward entry, before
 # normalization, down to _FLOOR: a product term that underflows below the
@@ -223,9 +216,10 @@ def preinduced_constraint_masks(alphabet: LabelAlphabet) -> tuple[np.ndarray, np
 
 @dataclass
 class Lattice:
-    """Log-potentials of one sentence, obs (T, S), or of a block of B
-    same-length sentences, obs (T, B, S); trans (S, S) and start (S,) are
-    shared by the block."""
+    """Log-potentials of one sentence, obs (T, S), or of a packed batch,
+    obs (N, S) over its N token rows in the row order of _packed_layout;
+    trans (S, S) and start (S,) are shared by the batch. psi and
+    n_positions read obs as one sentence."""
 
     obs: np.ndarray
     trans: np.ndarray
@@ -318,18 +312,18 @@ def build_lattice(
     index: FeatureIndex,
     space: StateSpace,
     constrained: bool = False,
-) -> list[tuple[list[int], Lattice]]:
-    """Assemble the log-potential lattices of a batch of sentences.
+) -> tuple[Lattice, np.ndarray, np.ndarray]:
+    """Assemble the packed log-potential lattice of a batch of sentences.
 
     feature_ids (N, K) holds the index feature ids of the batch's N tokens,
     sentence after sentence with the given lengths, and -1 where a column
     has none, as features.feature_id_matrix gives them (features unknown to
-    the index are left out there and score zero). The sentences are laid
-    out in the chunks and row order of _time_major; each chunk comes back
-    as the indices of its B sentences in the batch and one Lattice whose
-    obs is their (T, B, S) block. The blocks share one start and one
-    transition table; constrained=True applies the pre-induced decode-time
-    validity masks to them.
+    the index are left out there and score zero). Returns the Lattice whose
+    obs (N, S) holds the tokens in the packed layout's row order, with the
+    layout's block widths and row order (see _packed_layout), so that
+    viterbi(lattice, widths) decodes every sentence. constrained=True
+    applies the pre-induced decode-time validity masks to the start and
+    transition tables.
     """
     weights = np.asarray(weights, dtype=np.float64)
     expected = total_parameters(index, space)
@@ -347,29 +341,19 @@ def build_lattice(
             "feature id rows %s do not match %d tokens" % (feature_ids.shape, lengths.sum())
         )
 
-    n_states = space.n_states
-    jobs, order = _time_major(lengths, n_states)
-    obs = np.empty((order.size, n_states))
+    widths, order = _packed_layout(lengths)
+    rows = feature_ids[order]
+    present = rows >= 0
+    incidence = _incidence(rows[present], present.sum(axis=1), index)
     # a slice where each state is its own observation state: no extra copy
     columns = slice(index.n_fine) if space.observes_itself else space.obs_state_of
-    for lo in range(0, order.size, _GATHER_TOKENS):
-        part = feature_ids[order[lo : lo + _GATHER_TOKENS]]
-        present = part >= 0
-        incidence = _incidence(part[present], present.sum(axis=1), index)
-        obs[lo : lo + _GATHER_TOKENS] = _observation_sums(incidence, weights, index)[:, columns]
+    obs = _observation_sums(incidence, weights, index)[:, columns]
     start, trans = _transition_tables(weights, index, space)
     if constrained:
         start_ok, trans_ok = space.constraint_masks
         start = np.where(start_ok, start, NEG_INF)
         trans = np.where(trans_ok, trans, NEG_INF)
-    blocks = []
-    row = 0
-    for job in jobs:
-        n_pos, size = int(lengths[job[0]]), len(job)
-        block = obs[row : row + n_pos * size].reshape(n_pos, size, n_states)
-        row += n_pos * size
-        blocks.append((job, Lattice(obs=block, trans=trans, start=start)))
-    return blocks
+    return Lattice(obs=obs, trans=trans, start=start), widths, order
 
 
 @dataclass
@@ -573,55 +557,69 @@ def forward_backward(lattice: Lattice) -> ForwardBackwardResult:
 
 
 def _viterbi(
-    obs: np.ndarray, start: np.ndarray, trans: np.ndarray
+    obs: np.ndarray, widths: np.ndarray, start: np.ndarray, trans: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Best paths (B, T) and their log scores (B,) of a (T, B, S) block of
-    same-length lattices sharing start (S,) and transition (S, S)
-    potentials. Ties break toward the lower state index.
+    """Best paths and their log scores of a packed batch of lattices sharing
+    start (S,) and transition (S, S) potentials. Ties break toward the lower
+    state index.
 
-    The block runs in slices of sentences whose (B, S, S) step scores stay
-    within _VITERBI_BUDGET entries.
+    obs (N, S) holds the observation log-potentials of the batch's N tokens
+    in the row blocks of _packed_layout with the given widths. Returns the
+    best state at every row (N,) and every sentence's best score (B,) in
+    rank order, the order of block 0. Each step runs in slices of rows
+    whose (rows, S, S) step scores stay within _VITERBI_BUDGET entries.
     """
-    n_pos, n_batch, n_states = obs.shape
-    paths = np.empty((n_pos, n_batch), dtype=np.int64)
+    n_batch, n_states = widths[0], obs.shape[1]
+    firsts = (np.cumsum(widths) - widths).tolist()
+    # the sentences of rank ends[t] to widths[t] - 1 end at position t
+    ends = widths[1:].tolist() + [0]
+    states = np.empty(obs.shape[0], dtype=np.intp)
+    backpointers = np.empty(obs.shape, dtype=np.min_scalar_type(n_states - 1))
     best = np.empty(n_batch)
     step = max(1, _VITERBI_BUDGET // (n_states * n_states))
+    scores = np.empty((min(step, n_batch), n_states, n_states))
     # scores[b, s, r] = delta[b, r] + trans[r, s]: previous states r last,
     # so that argmax and the gather read contiguous rows
     into = trans.T
-    for lo in range(0, n_batch, step):
-        part = slice(lo, lo + step)
-        sentences = np.arange(min(step, n_batch - lo))
-        backpointers = np.empty((n_pos, sentences.size, n_states), dtype=np.int64)
-        scores = np.empty((sentences.size, n_states, n_states))
-        delta = start + obs[0, part]
-        for t in range(1, n_pos):
-            np.add(delta[:, None, :], into, out=scores)
-            backpointers[t] = scores.argmax(axis=2)
-            delta = np.take_along_axis(scores, backpointers[t][..., None], axis=2)[..., 0]
-            delta += obs[t, part]
+    delta = start + obs[:n_batch]
+    for t, (first, width, end) in enumerate(zip(firsts, widths.tolist(), ends)):
+        if t:
+            for lo in range(0, width, step):
+                part = np.add(delta[lo : lo + step, None, :], into, out=scores[: width - lo])
+                pointers = part.argmax(axis=2)
+                backpointers[first + lo : first + lo + len(part)] = pointers
+                delta[lo : lo + step] = np.take_along_axis(part, pointers[..., None], 2)[..., 0]
+            delta += obs[first : first + width]
         # argmax picks NaN over any number, so a NaN anywhere reaches best
-        paths[-1, part] = delta.argmax(axis=1)
-        best[part] = delta[sentences, paths[-1, part]]
-        for t in range(n_pos - 1, 0, -1):
-            paths[t - 1, part] = backpointers[t, sentences, paths[t, part]]
+        last = delta[end:].argmax(axis=1)
+        states[first + end : first + width] = last
+        best[end:width] = delta[np.arange(end, width), last]
+        delta = delta[:end]
+    for prev, rows in reversed(_steps(widths)):
+        states[prev] = backpointers[np.arange(rows.start, rows.stop), states[rows]]
     _check_scores(float(best.sum()))
-    return paths.T, best
+    return states, best
 
 
-def viterbi(lattice: Lattice) -> tuple[list[int], float] | tuple[np.ndarray, np.ndarray]:
+def viterbi(
+    lattice: Lattice, widths: np.ndarray | None = None
+) -> tuple[list[int], float] | tuple[np.ndarray, np.ndarray]:
     """Highest-scoring state sequences and their log scores.
 
-    A one-sentence lattice (obs (T, S)) gives its path as a list and its
-    score; a (T, B, S) block gives a (B, T) array of paths and a (B,) array
-    of scores. Ties break toward the lower state index at every argmax,
+    Without widths the lattice is one sentence, obs (T, S), and its path
+    comes back as a list with its score (the packed kernel with widths =
+    1). With the block widths of a packed lattice, as build_lattice gives
+    them, the best state at each of its N rows comes back as an (N,) array
+    in the lattice's row order, and the sentences' scores as a (B,) array
+    in rank order. Ties break toward the lower state index at every argmax,
     making the decode deterministic. Raises CrfError on NaN or +inf
     potentials and InfeasibleLatticeError when a sentence has no path.
     """
-    if lattice.obs.ndim == 3:
-        return _viterbi(lattice.obs, lattice.start, lattice.trans)
-    paths, scores = _viterbi(lattice.obs[:, None], lattice.start, lattice.trans)
-    return paths[0].tolist(), float(scores[0])
+    if widths is not None:
+        return _viterbi(lattice.obs, widths, lattice.start, lattice.trans)
+    widths = np.ones(lattice.n_positions, dtype=np.int64)
+    states, scores = _viterbi(lattice.obs, widths, lattice.start, lattice.trans)
+    return states.tolist(), float(scores[0])
 
 
 class CompiledSentence(NamedTuple):
@@ -738,32 +736,6 @@ def _packed_layout(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     step = np.repeat(np.arange(widths.size), widths)
     rank = np.arange(step.size) - np.repeat(np.cumsum(widths) - widths, widths)
     return widths, (np.cumsum(lengths) - lengths)[ranked[rank]] + step
-
-
-def _time_major(lengths: np.ndarray, n_states: int) -> tuple[list[list[int]], np.ndarray]:
-    """Decode chunks of sentences of the given lengths, and their row order.
-
-    Sentences are grouped by length and the groups split into chunks whose
-    (T, B, S) blocks stay within _CHUNK_BUDGET entries; the boundaries
-    depend only on the lengths, so every floating-point result is
-    reproducible. Returns each chunk's sentence indices and the row order
-    that lays their tokens out chunk after chunk, time-major inside each:
-    row t * B + b of a chunk is position t of its sentence b, and order[r]
-    is the index, in sentence-after-sentence order, of the token at row r.
-    """
-    groups: dict[int, list[int]] = {}
-    for i, n_pos in enumerate(lengths.tolist()):
-        groups.setdefault(n_pos, []).append(i)
-    jobs: list[list[int]] = []
-    for n_pos, members in sorted(groups.items()):
-        size = max(1, min(_MAX_CHUNK, _CHUNK_BUDGET // (n_pos * n_states)))
-        jobs += [members[i : i + size] for i in range(0, len(members), size)]
-    firsts = np.cumsum(lengths) - lengths
-    order = np.concatenate(
-        [np.empty(0, np.int64)]
-        + [(firsts[job] + np.arange(lengths[job[0]])[:, None]).ravel() for job in jobs]
-    )
-    return jobs, order
 
 
 def log_likelihood_and_gradient(

@@ -86,6 +86,21 @@ class ScoreReport:
         return "".join(line + "\n" for line in lines)
 
 
+def _check_pairing(
+    gold_sentences: Sequence[Sentence], predicted: Sequence[Sequence[str]]
+) -> None:
+    """Raise unless there is one predicted label per token of every sentence."""
+    if len(gold_sentences) != len(predicted):
+        raise EvaluationError(
+            "%d predicted sequences for %d sentences" % (len(predicted), len(gold_sentences))
+        )
+    for si, (sentence, pred) in enumerate(zip(gold_sentences, predicted)):
+        if len(pred) != len(sentence):
+            raise EvaluationError(
+                "sentence %d: %d tokens but %d predicted labels" % (si, len(sentence), len(pred))
+            )
+
+
 def score(
     gold_sentences: Sequence[Sentence],
     predicted: Sequence[Sequence[str]],
@@ -96,10 +111,7 @@ def score(
     all match a gold chunk. Sentence order does not matter beyond the
     pairing of gold and predicted sequences.
     """
-    if len(gold_sentences) != len(predicted):
-        raise EvaluationError(
-            "%d predicted sequences for %d sentences" % (len(predicted), len(gold_sentences))
-        )
+    _check_pairing(gold_sentences, predicted)
     counts: dict[str, list[int]] = {}
 
     def cell(name: str) -> list[int]:
@@ -108,10 +120,6 @@ def score(
     for si, (sentence, pred) in enumerate(zip(gold_sentences, predicted)):
         if sentence.labels is None:
             raise EvaluationError("sentence %d has no gold labels" % si)
-        if len(pred) != len(sentence):
-            raise EvaluationError(
-                "sentence %d: %d tokens but %d predicted labels" % (si, len(sentence), len(pred))
-            )
         try:
             gold_chunks = extract_chunks(sentence.labels)
         except CorpusError as exc:
@@ -272,6 +280,7 @@ def second_entity_accuracy(
     """Fraction of sentences whose second entity got the right type."""
     if not test_corpus:
         raise EvaluationError("empty test corpus")
+    _check_pairing(test_corpus, predicted)
     hits = 0
     for sentence, pred in zip(test_corpus, predicted):
         pos = _second_entity_position(sentence.labels)

@@ -85,27 +85,34 @@ class Model:
         """Viterbi-decode sentences to base IOB2 labels, in input order.
 
         The corpus is decoded as one batch: feature_id_matrix gives the
-        feature ids of all its tokens at once, and build_lattice lays the
-        sentences out in length-grouped (T, B, S) blocks that viterbi
-        decodes block by block. Empty sentences decode to []. Pre-induced
-        decodes are reverted, so carrier labels never leak into output.
+        feature ids of all its tokens at once, build_lattice lays them out
+        in one packed lattice, as training does, and viterbi decodes every
+        sentence in one pass; the row order puts the states back in
+        sentence order. Empty sentences decode to []. Pre-induced decodes
+        are reverted, so carrier labels never leak into output.
         Deterministic: a sentence decodes to the same labels alone or in
         any batch.
         """
+        decoded: list[list[str]] = [[] for _ in corpus]
         kept = [i for i, sentence in enumerate(corpus) if len(sentence)]
+        if not kept:
+            return decoded
         sentences = [corpus[i] for i in kept]
+        lengths = [len(s) for s in sentences]
         ids = feature_id_matrix(sentences, self.template, self.index.feature_ids.get)
+        lattice, widths, order = build_lattice(
+            ids, lengths, self.weights, self.index, self.space, constrained
+        )
+        rows, _ = viterbi(lattice, widths)
+        states = np.empty_like(rows)
+        states[order] = rows
         names = self.space.output_labels
         if self.order == ModelOrder.PRE_INDUCED:
             names = revert(names, self.alphabet)
-        names = np.array(names, dtype=object)
-        decoded: list[list[str]] = [[] for _ in corpus]
-        for members, lattice in build_lattice(
-            ids, [len(s) for s in sentences], self.weights, self.index, self.space, constrained
-        ):
-            paths, _ = viterbi(lattice)
-            for i, labels in zip(members, names[paths].tolist()):
-                decoded[kept[i]] = labels
+        labels = np.array(names, dtype=object)[states].tolist()
+        ends = np.cumsum(lengths).tolist()
+        for i, end, n_pos in zip(kept, ends, lengths):
+            decoded[i] = labels[end - n_pos : end]
         return decoded
 
 

@@ -241,6 +241,11 @@ class TestSynth:
         types = {l.split("-", 1)[1] for s in sentences for l in s.labels if l != "O"}
         assert types == {"A", "B", "C"}
 
+    def test_empty_gap_range_fails_cleanly(self):
+        code, out, err = run_captured(["synth", "--gap-min", 5, "--gap-max", 2])
+        assert code == 1 and out == ""
+        assert "--gap-min 5 is greater than --gap-max 2" in err
+
     def test_seed_determinism(self, tmp_path, capsys):
         assert run(["synth", "--sentences", 10, "--seed", 3]) == 0
         first = capsys.readouterr().out
@@ -291,6 +296,14 @@ class TestBench:
         out = capsys.readouterr().out
         assert "second" in out
         assert out.count("\n") >= 5
+
+    def test_empty_gap_range_fails_cleanly(self):
+        code, out, err = run_captured(
+            ["bench", "longdistance", "--gap-min", 5, "--gap-max", 2, "--train-size", 10,
+             "--test-size", 5]
+        )
+        assert code == 1 and out == ""
+        assert "--gap-min 5 is greater than --gap-max 2" in err
 
     def test_window_spanning_gap_fails_cleanly(self, capsys):
         code = run(["bench", "longdistance", "--gap-min", 1, "--train-size", 10,

@@ -46,17 +46,18 @@ NEG_INF = float("-inf")
 
 
 def _lattice(feats, weights, index, space, constrained=False):
-    """One sentence's lattice, obs (T, S): the block build_lattice makes of
-    a one-sentence batch, viewed with B = 1. feats are the sentence's
-    feature strings per position, encoded by the reference encode_positions
-    and padded with -1 into build_lattice's feature id matrix."""
+    """One sentence's lattice, obs (T, S): the packed lattice build_lattice
+    makes of a one-sentence batch, whose layout has width 1 at every
+    position. feats are the sentence's feature strings per position,
+    encoded by the reference encode_positions and padded with -1 into
+    build_lattice's feature id matrix."""
     encoded = index.encode_positions(feats)
     ids = np.full((len(encoded), max(map(len, encoded), default=0)), -1)
     for t, starts in enumerate(encoded):
         ids[t, : starts.size] = starts // index.block_size
-    [(members, block)] = build_lattice(ids, [len(feats)], weights, index, space, constrained)
-    assert members == [0] and block.obs.shape[1] == 1
-    return Lattice(block.obs[:, 0], block.trans, block.start)
+    lattice, widths, order = build_lattice(ids, [len(feats)], weights, index, space, constrained)
+    assert widths.tolist() == [1] * len(feats) and order.tolist() == list(range(len(feats)))
+    return lattice
 
 
 class TestStateSpace:
@@ -728,9 +729,9 @@ def test_packed_objective_matches_single_lattices(order, seed, lengths):
 @pytest.mark.parametrize("set_id", [1, 2])
 def test_training_and_decode_score_every_token_the_same(order, set_id):
     """The observation scores the objective runs its kernel on are
-    build_lattice's, token for token, and sit in the packed layout: longest
-    sentence first (ties in corpus order), row block t holding position t
-    of the sentences longer than t."""
+    build_lattice's, row for row: both lay the batch out with
+    _packed_layout, longest sentence first (ties in corpus order), row
+    block t holding position t of the sentences longer than t."""
     lengths = [3, 1, 5, 3, 2, 5, 4, 1]
     corpus = _corpus_of_lengths(3, lengths)
     template = TemplateConfig(set_id=set_id)
@@ -748,15 +749,8 @@ def test_training_and_decode_score_every_token_the_same(order, set_id):
         log_likelihood_and_gradient(compiled, weights, index, space)
     [obs] = seen
 
-    ranked = sorted(range(len(lengths)), key=lambda i: -lengths[i])
-    widths = [sum(n > t for n in lengths) for t in range(max(lengths))]
     ids = feature_id_matrix(corpus, template, index.feature_ids.get)
-    blocks = build_lattice(ids, lengths, weights, index, space)
-    decoded = {i: block.obs[:, b] for members, block in blocks for b, i in enumerate(members)}
-    assert obs.shape == (space.n_states, sum(lengths))
-    for rank, i in enumerate(ranked):
-        rows = [sum(widths[:t]) + rank for t in range(lengths[i])]
-        assert np.array_equal(obs[:, rows].T, decoded[i])
+    assert np.array_equal(obs, build_lattice(ids, lengths, weights, index, space)[0].obs.T)
 
 
 def _batch_with_one_bad_sentence(order, bad_length, where):
@@ -836,10 +830,21 @@ def _tie_broken_viterbi(lattice):
     return min(best, key=lambda p: p[::-1]), float(scores.max())
 
 
+def _packed(singles):
+    """The packed lattice of one-sentence lattices sharing start and trans,
+    with its block widths and row order, and each sentence's rank (its
+    place in block 0, which orders viterbi's scores)."""
+    lengths = np.array([lattice.n_positions for lattice in singles])
+    widths, order = crf._packed_layout(lengths)
+    obs = np.concatenate([lattice.obs for lattice in singles])[order]
+    firsts = (np.cumsum(lengths) - lengths).tolist()
+    rank = [order[: widths[0]].tolist().index(first) for first in firsts]
+    return Lattice(obs, singles[0].trans, singles[0].start), widths, order, rank
+
+
 @settings(max_examples=80, deadline=None)
 @given(
-    n_pos=st.integers(1, 4),
-    n_batch=st.integers(1, 5),
+    lengths=st.lists(st.integers(1, 4), min_size=1, max_size=5),
     n_states=st.integers(1, 4),
     integer=st.booleans(),
     forbid=st.sampled_from([0.0, 0.3]),
@@ -848,13 +853,14 @@ def _tie_broken_viterbi(lattice):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_batched_viterbi_matches_single_lattices_and_brute_force(
-    n_pos, n_batch, n_states, integer, forbid, constrained, one_per_slice, seed
+    lengths, n_states, integer, forbid, constrained, one_per_slice, seed
 ):
-    """viterbi over a (T, B, S) block gives each sentence the path and score
-    of its own lattice and of the exhaustive search. Integer potentials
-    force ties, which break toward the lower state index; -inf entries come
-    from random forbidden moves and from the pre-induced decode masks.
-    one_per_slice runs the block one sentence at a time."""
+    """viterbi over a packed batch of mixed lengths gives each sentence the
+    path and score of its own lattice and of the exhaustive search.
+    Integer potentials force ties, which break toward the lower state
+    index; -inf entries come from random forbidden moves and from the
+    pre-induced decode masks. one_per_slice runs every step one row at a
+    time."""
     rng = np.random.default_rng(seed)
     if constrained:
         start_ok, trans_ok = preinduced_constraint_masks(build_expanded_alphabet(["A"]))
@@ -866,25 +872,27 @@ def test_batched_viterbi_matches_single_lattices_and_brute_force(
         values = rng.integers(-2, 3, size=shape) if integer else rng.normal(size=shape)
         return np.where(rng.random(shape) < forbid, NEG_INF, values.astype(float))
 
-    block = Lattice(
-        obs=draw((n_pos, n_batch, n_states)),
-        trans=np.where(trans_ok, draw((n_states, n_states)), NEG_INF),
-        start=np.where(start_ok, draw(n_states), NEG_INF),
-    )
-    singles = [Lattice(block.obs[:, b], block.trans, block.start) for b in range(n_batch)]
+    trans = np.where(trans_ok, draw((n_states, n_states)), NEG_INF)
+    start = np.where(start_ok, draw(n_states), NEG_INF)
+    singles = [Lattice(draw((n_pos, n_states)), trans, start) for n_pos in lengths]
+    packed, widths, order, rank = _packed(singles)
     brute = [brute_viterbi(lattice) for lattice in singles]
     with pytest.MonkeyPatch.context() as patch:
         if one_per_slice:
             patch.setattr(crf, "_VITERBI_BUDGET", 1)
         if any(score == NEG_INF for _, score, _ in brute):
             with pytest.raises(InfeasibleLatticeError):
-                viterbi(block)
+                viterbi(packed, widths)
             return
-        paths, scores = viterbi(block)
-    assert paths.shape == (n_batch, n_pos) and scores.shape == (n_batch,)
+        rows, scores = viterbi(packed, widths)
+    assert rows.shape == (sum(lengths),) and scores.shape == (len(lengths),)
+    states = np.empty_like(rows)
+    states[order] = rows
+    ends = np.cumsum(lengths).tolist()
     for b, lattice in enumerate(singles):
         path, score = viterbi(lattice)
-        assert paths[b].tolist() == path and scores[b] == score
+        assert states[ends[b] - lengths[b] : ends[b]].tolist() == path
+        assert scores[rank[b]] == score
         b_path, b_score, unique = brute[b]
         assert score == pytest.approx(b_score, abs=1e-9)
         if integer:
@@ -895,18 +903,17 @@ def test_batched_viterbi_matches_single_lattices_and_brute_force(
 
 @settings(max_examples=40, deadline=None)
 @given(
-    n_pos=st.integers(1, 4),
-    n_batch=st.integers(1, 5),
+    lengths=st.lists(st.integers(1, 4), min_size=1, max_size=5),
     n_states=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-def test_batched_viterbi_raises_on_nan(n_pos, n_batch, n_states, seed, data):
+def test_batched_viterbi_raises_on_nan(lengths, n_states, seed, data):
     rng = np.random.default_rng(seed)
-    obs = rng.normal(size=(n_pos, n_batch, n_states))
-    where = tuple(data.draw(st.integers(0, n - 1)) for n in obs.shape)
-    obs[where] = np.nan
-    block = Lattice(obs, rng.normal(size=(n_states, n_states)), rng.normal(size=n_states))
+    trans, start = rng.normal(size=(n_states, n_states)), rng.normal(size=n_states)
+    singles = [Lattice(rng.normal(size=(n_pos, n_states)), trans, start) for n_pos in lengths]
+    packed, widths, _, _ = _packed(singles)
+    where = tuple(data.draw(st.integers(0, n - 1)) for n in packed.obs.shape)
+    packed.obs[where] = np.nan
     with pytest.raises(CrfError):
-        viterbi(block)
-
+        viterbi(packed, widths)

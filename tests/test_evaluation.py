@@ -189,6 +189,14 @@ class TestSecondEntityAccuracy:
         with pytest.raises(EvaluationError):
             second_entity_accuracy([], [])
 
+    def test_mismatched_predictions_rejected(self):
+        corpus = [sent(["av1", "w01", "s03"], ["B-A", "O", "B-B"])] * 4
+        labels = ["B-A", "O", "B-B"]
+        with pytest.raises(EvaluationError, match="1 predicted sequences for 4 sentences"):
+            second_entity_accuracy(corpus, [labels])
+        with pytest.raises(EvaluationError, match="sentence 2: 3 tokens but 1 predicted"):
+            second_entity_accuracy(corpus, [labels, labels, labels[:1], labels])
+
 
 class TestLongDistance:
     def test_chance_level(self):

@@ -79,7 +79,7 @@ class TestRoundTrip:
 
 def _decode_corpus():
     """Unlabeled sentences of mixed lengths with empty ones interleaved;
-    length 3 alone has more sentences than the small chunk cap below."""
+    many share a length, so the packed layout's widths hold ties."""
     rng = random.Random(43)
     corpus = random_corpus(rng, ["DNA", "RNA"], 30, min_len=1, max_len=9)
     corpus += random_corpus(rng, ["DNA", "RNA"], 9, min_len=3, max_len=3)
@@ -101,28 +101,24 @@ class TestCorpusDecode:
         ],
     )
     @pytest.mark.parametrize(
-        "slices",
-        [None, (3, 16, 2), (2, 7, 1), (5, 1, 3)],
-        ids=["default", "small-slices", "chunk2-gather7-viterbi1", "chunk5-gather1-viterbi3"],
+        "viterbi_rows",
+        [None, 2, 1, 3],
+        ids=["default", "viterbi2", "viterbi1", "viterbi3"],
     )
-    def test_corpus_decode_equals_per_sentence_decode(self, trained, order, constrained, slices):
-        """slices = (most sentences per chunk, token rows per gather slice,
-        sentences per Viterbi slice). Each setting splits some length group
-        into several chunks, some chunk into several Viterbi slices and the
-        corpus's token rows into several gather slices, whose boundaries
-        then fall inside chunks and sentences, so the decode crosses every
-        boundary of the batched path."""
+    def test_corpus_decode_equals_per_sentence_decode(
+        self, trained, order, constrained, viterbi_rows
+    ):
+        """viterbi_rows = rows per Viterbi slice. Each setting splits every
+        step wider than it into several slices, whose boundaries then fall
+        inside the block of sentences that end at a position, so the decode
+        crosses every boundary of the batched path."""
         model, _ = trained[order]
         corpus = _decode_corpus()
         with pytest.MonkeyPatch.context() as patch:
-            if slices:
-                max_chunk, gather_tokens, viterbi_sentences = slices
-                patch.setattr(crf, "_MAX_CHUNK", max_chunk)
-                patch.setattr(crf, "_GATHER_TOKENS", gather_tokens)
-                patch.setattr(crf, "_VITERBI_BUDGET", viterbi_sentences * model.space.n_states**2)
+            if viterbi_rows:
+                patch.setattr(crf, "_VITERBI_BUDGET", viterbi_rows * model.space.n_states**2)
                 lengths = Counter(len(s) for s in corpus if len(s))
-                assert max(lengths.values()) > max_chunk > viterbi_sentences
-                assert sum(len(s) for s in corpus) > gather_tokens
+                assert max(lengths.values()) > viterbi_rows
             batched = model.decode_corpus(corpus, constrained=constrained)
         single = [model.decode(s, constrained=constrained) for s in corpus]
         assert batched == single
