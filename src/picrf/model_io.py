@@ -3,19 +3,25 @@
 A model file carries everything needed to rebuild the tagger: format
 version, model order, entity types, template configuration, the label
 inventory, the feature list in slot order (JSON-escaped, since features
-embed sentinel control characters), and the weight vector printed with
-%.17g so every float64 survives the round trip bit-exactly. The version
+embed sentinel control characters), and the weight vector. The version
 line comes first and is checked before anything else is parsed.
+
+Format 2, the one save_model writes, stores the weights as one base64
+block of their little-endian float64 bytes, in the 76-character lines
+base64.encodebytes writes (57 bytes a line), so every float64 survives
+the round trip bit-exactly. Format 1 printed each weight with %.17g on a
+line of its own; it still loads, to the same weights.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import IO, Iterator, Sequence
+from typing import IO, Callable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -37,10 +43,13 @@ from .features import (
 from .features import extract_features  # noqa: F401
 from .induction import AlphabetError, LabelAlphabet, build_expanded_alphabet, revert
 
-FORMAT_LINE = "picrf model format 1"
-# Weight lines read and parsed, or formatted and written, in one step while
-# loading or saving; bounds the line strings held at once.
+FORMAT_LINE = "picrf model format 2"
+FORMAT_1_LINE = "picrf model format 1"
+# Format 1 weight lines read and parsed in one step; bounds the line
+# strings held at once.
 _WEIGHT_LINES_PER_READ = 1 << 12
+# Bytes in each full line of a format 2 weight block.
+_BLOCK_LINE_BYTES = 57
 
 
 class ModelFormatError(Exception):
@@ -137,10 +146,7 @@ def _dump(model: Model, out: IO[str]) -> None:
     out.write("features: %d\n" % len(model.index.features))
     out.write("".join(json.dumps(feature) + "\n" for feature in model.index.features))
     out.write("weights: %d\n" % model.weights.size)
-    for lo in range(0, model.weights.size, _WEIGHT_LINES_PER_READ):
-        # one % over the slice: the same formatting as "%.17g\n" % w per weight
-        part = tuple(model.weights[lo : lo + _WEIGHT_LINES_PER_READ].tolist())
-        out.write(("%.17g\n" * len(part)) % part)
+    out.write(base64.encodebytes(model.weights.astype("<f8").tobytes()).decode("ascii"))
     out.write("end\n")
 
 
@@ -174,26 +180,28 @@ class _LineReader:
         for lo in range(0, n, _WEIGHT_LINES_PER_READ):
             want = min(_WEIGHT_LINES_PER_READ, n - lo)
             lines = list(islice(self._lines, want))
-            if len(lines) == want:
-                try:
-                    values[lo : lo + want] = np.fromiter(map(float, lines), np.float64, want)
-                except ValueError:
-                    pass
-                else:
-                    self.count += want
-                    continue
-            # a short read or a line that is not a number: find the first fault
-            for raw in lines:
-                self.count += 1
-                try:
-                    float(raw)
-                except ValueError:
-                    raise ModelFormatError(
-                        "line %d: weight entry is not a number: %r"
-                        % (self.count, raw.rstrip("\n"))
-                    ) from None
-            raise ModelFormatError("model file truncated at line %d" % (self.count + 1))
+            try:
+                values[lo : lo + want] = np.fromiter(map(float, lines), np.float64, want)
+            except ValueError:  # a line that is not a number, or a short read
+                self._first_fault(lines, _number_fault)
+            self.count += want
         return values
+
+    def block_floats(self, n: int) -> np.ndarray:
+        """n little-endian float64 values from the next ceil(8n/57) lines:
+        the base64 block base64.encodebytes writes, decoded in one step. A
+        short read or a line that encodebytes would not have written raises
+        an error naming that line."""
+        size = 8 * n
+        lines = list(islice(self._lines, -(-size // _BLOCK_LINE_BYTES)))
+        try:
+            data = base64.b64decode("".join(line.rstrip("\n") for line in lines), validate=True)
+        except ValueError:  # binascii.Error, or a plain ValueError for non-ASCII text
+            data = b""
+        if len(data) != size:
+            self._first_fault(lines, lambda k, line: _block_fault(size - k * _BLOCK_LINE_BYTES, line))
+        self.count += len(lines)
+        return np.frombuffer(data, "<f8").astype(np.float64)
 
     def json_strings(self, n: int) -> list[str]:
         """The next n lines as JSON strings, decoded by one json.loads of the
@@ -203,26 +211,24 @@ class _LineReader:
         raises the error the line-by-line reads would have raised, naming
         the same line."""
         lines = [raw.rstrip("\n") for raw in islice(self._lines, n)]
-        if len(lines) == n:
-            try:
-                values = json.loads("[" + ",\n".join(lines) + "]")
-            except json.JSONDecodeError:
-                pass
-            else:
-                if len(values) == n and all(isinstance(v, str) for v in values):
-                    self.count += n
-                    return values
-        # a short read or a line that is not one JSON string: find the first fault
-        for line in lines:
+        try:
+            values = json.loads("[" + ",\n".join(lines) + "]")
+        except json.JSONDecodeError:
+            values = []
+        if len(lines) != n or len(values) != n or not all(isinstance(v, str) for v in values):
+            self._first_fault(lines, _feature_fault)
+        self.count += n
+        return values
+
+    def _first_fault(self, lines: list[str], fault: Callable[[int, str], str | None]) -> NoReturn:
+        """Raise the error for the first of lines, the k-th of a read, for
+        which fault(k, line) names a fault, naming that line; or, if there
+        is none, the error for a read cut short after them."""
+        for k, raw in enumerate(lines):
             self.count += 1
-            try:
-                value = json.loads(line)
-            except json.JSONDecodeError:
-                raise ModelFormatError(
-                    "line %d: feature entry is not a JSON string" % self.count
-                ) from None
-            if not isinstance(value, str):
-                raise ModelFormatError("line %d: feature entry is not a string" % self.count)
+            problem = fault(k, raw.rstrip("\n"))
+            if problem:
+                raise ModelFormatError("line %d: %s" % (self.count, problem))
         raise ModelFormatError("model file truncated at line %d" % (self.count + 1))
 
     def keyed(self, key: str) -> str:
@@ -253,10 +259,45 @@ class _LineReader:
             ) from None
 
     def end(self) -> None:
-        if self.next_line() != "end":
-            raise ModelFormatError("model file does not finish with the end marker")
+        line = self.next_line()
+        if line != "end":
+            raise ModelFormatError("line %d: expected the end marker, found %r" % (self.count, line))
         if next(self._lines, None) is not None:
             raise ModelFormatError("line %d: content after the end marker" % (self.count + 1))
+
+
+def _number_fault(k: int, line: str) -> str | None:
+    try:
+        float(line)
+    except ValueError:
+        return "weight entry is not a number: %r" % line
+    return None
+
+
+def _feature_fault(k: int, line: str) -> str | None:
+    try:
+        value = json.loads(line)
+    except json.JSONDecodeError:
+        return "feature entry is not a JSON string"
+    return None if isinstance(value, str) else "feature entry is not a string"
+
+
+def _block_fault(left: int, line: str) -> str | None:
+    """What is wrong with a line that should hold the base64 encodebytes
+    writes for the next min(57, left) bytes of a weight block, if anything."""
+    want = min(_BLOCK_LINE_BYTES, left)
+    try:
+        fits = len(base64.b64decode(line, validate=True)) == want
+    except ValueError:
+        fits = False
+    if fits and len(line) == 4 * -(-want // 3):
+        return None
+    return "weight line is not %d bytes in base64: %r" % (want, line)
+
+
+def _expect(declared: int, expected: int, what: str) -> None:
+    if declared != expected:
+        raise ModelFormatError("model declares %d %s, expected %d" % (declared, what, expected))
 
 
 def _parse(reader: _LineReader) -> Model:
@@ -270,13 +311,15 @@ def _parse(reader: _LineReader) -> Model:
 
 
 def _parse_lines(reader: _LineReader) -> Model:
-    first = reader.next_line()
-    if first != FORMAT_LINE:
+    version = reader.next_line()
+    if version not in (FORMAT_LINE, FORMAT_1_LINE):
         raise ModelFormatError(
-            "unsupported model format: expected %r, found %r" % (FORMAT_LINE, first)
+            "unsupported model format: expected %r or %r, found %r"
+            % (FORMAT_LINE, FORMAT_1_LINE, version)
         )
+    name = reader.keyed("order")  # read outside the try: a UnicodeDecodeError is a ValueError
     try:
-        order = ModelOrder(reader.keyed("order"))
+        order = ModelOrder(name)
     except ValueError as exc:
         raise ModelFormatError("line %d: %s" % (reader.count, exc)) from None
 
@@ -305,18 +348,9 @@ def _parse_lines(reader: _LineReader) -> Model:
         raise ModelFormatError("label inventory does not match the entity type list")
 
     space = state_space(order, alphabet)
-    effective = reader.keyed_int("effective_states")
-    if effective != space.effective_states:
-        raise ModelFormatError(
-            "model declares %d effective states, expected %d"
-            % (effective, space.effective_states)
-        )
-    n_trans = reader.keyed_int("transition_params")
-    if n_trans != space.n_transition_params:
-        raise ModelFormatError(
-            "model declares %d transition parameters, expected %d"
-            % (n_trans, space.n_transition_params)
-        )
+    _expect(reader.keyed_int("effective_states"), space.effective_states, "effective states")
+    n_trans = space.n_transition_params
+    _expect(reader.keyed_int("transition_params"), n_trans, "transition parameters")
 
     n_features = reader.keyed_int("features")
     features = reader.json_strings(n_features)
@@ -332,19 +366,19 @@ def _parse_lines(reader: _LineReader) -> Model:
         )
     index = make_feature_index(features, alphabet, order)
 
-    n_weights = reader.keyed_int("weights")
-    expected = index.n_parameters + n_trans
-    if n_weights != expected:
-        raise ModelFormatError(
-            "model declares %d weights, expected %d" % (n_weights, expected)
-        )
+    n_weights = index.n_parameters + n_trans
+    _expect(reader.keyed_int("weights"), n_weights, "weights")
     first_weight_line = reader.count + 1
-    weights = reader.floats(n_weights)
+    if version == FORMAT_LINE:
+        weights = reader.block_floats(n_weights)
+    else:
+        weights = reader.floats(n_weights)
     bad = np.flatnonzero(~np.isfinite(weights))
     if bad.size:
+        i = int(bad[0])
+        line = first_weight_line + (8 * i // _BLOCK_LINE_BYTES if version == FORMAT_LINE else i)
         raise ModelFormatError(
-            "line %d: weight entry is not finite: %r"
-            % (first_weight_line + int(bad[0]), float(weights[bad[0]]))
+            "line %d: weight entry is not finite: %r" % (line, float(weights[i]))
         )
     reader.end()
 
@@ -352,8 +386,26 @@ def _parse_lines(reader: _LineReader) -> Model:
 
 
 def load_model(source: str | os.PathLike | IO[str]) -> Model:
-    """Read a model from a path or text file object, validating as it goes."""
+    """Read a model from a path or text file object, validating as it goes.
+    Text that is not UTF-8 raises ModelFormatError too, naming for a path
+    the line of the first bad byte, and for a file object, whose decoder
+    reads ahead of the parser, the last line parsed."""
     if hasattr(source, "read"):
-        return _parse(_LineReader(iter(source)))
-    with open(source, "r", encoding="utf-8") as handle:
-        return _parse(_LineReader(iter(handle)))
+        reader = _LineReader(iter(source))
+        try:
+            return _parse(reader)
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError("not UTF-8 after line %d: %s" % (reader.count, exc)) from None
+    try:
+        with open(source, "r", encoding="utf-8") as handle:
+            return _parse(_LineReader(iter(handle)))
+    except UnicodeDecodeError:
+        # the bad byte's offset in the whole file names its line
+        with open(source, "rb") as handle:
+            data = handle.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = len(data[: exc.start + 1].splitlines())
+            raise ModelFormatError("line %d: not UTF-8: %s" % (line, exc.reason)) from None
+        raise

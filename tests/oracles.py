@@ -3,12 +3,14 @@
 Everything here enumerates explicitly: partition functions and best paths
 by scoring every state sequence, carrier expectations by scanning label
 sequences, index feature lists by counting every extracted feature string,
-CoNLL parses row by row. Deliberately slow and simple. The module also
-generates the random inputs several test files share.
+CoNLL parses row by row, model files of format 1 weight by weight.
+Deliberately slow and simple. The module also generates the random inputs
+several test files share.
 """
 
 from __future__ import annotations
 
+import base64
 import itertools
 import random
 import re
@@ -178,3 +180,21 @@ def random_corpus(
         labels = random_iob2(rng, types, n)
         sentences.append(Sentence.from_strings(texts, labels))
     return sentences
+
+
+def weight_block(lines: list[str]) -> tuple[int, np.ndarray]:
+    """The index of the first weight line of a saved format 2 model and
+    its weights, decoded from the base64 block line by line."""
+    i = next(k for k, line in enumerate(lines) if line.startswith("weights: "))
+    n_lines = -(-8 * int(lines[i].split()[1]) // 57)
+    data = b"".join(base64.b64decode(line) for line in lines[i + 1 : i + 1 + n_lines])
+    return i + 1, np.frombuffer(data, "<f8")
+
+
+def format_1_lines(lines: list[str]) -> list[str]:
+    """A saved format 2 model's lines as format 1 wrote them: the weight
+    block replaced by one "%.17g" line per weight."""
+    first, weights = weight_block(lines)
+    n_lines = -(-8 * weights.size // 57)
+    text = ["%.17g" % w for w in weights.tolist()]
+    return ["picrf model format 1"] + lines[1:first] + text + lines[first + n_lines :]

@@ -1,11 +1,13 @@
+import base64
 import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from oracles import conll_reference, conll_texts
+from oracles import conll_reference, conll_texts, format_1_lines, weight_block
 from picrf.cli import main
 from picrf.corpus import read_conll
 from picrf.model_io import load_model
@@ -148,13 +150,33 @@ class TestTag:
 
 
     def test_non_finite_weight_fails_cleanly(self, model_path, corpus_files, capsys):
+        """A nan weight line in format 1, and a nan bit pattern in the
+        first weight of the format 2 block."""
         _, test = corpus_files
-        lines = model_path.read_text().splitlines(True)
+        saved = model_path.read_text().splitlines()
+        lines = format_1_lines(saved)
         i = next(k for k, line in enumerate(lines) if line.startswith("weights:"))
-        lines[i + 1] = "nan\n"
-        model_path.write_text("".join(lines))
+        lines[i + 1] = "nan"
+        model_path.write_text("".join(line + "\n" for line in lines))
         assert run(["tag", "--model", model_path, "--input", test]) == 1
         assert "line %d: weight entry is not finite" % (i + 2) in capsys.readouterr().err
+
+        first, weights = weight_block(saved)
+        data = np.concatenate([[np.nan], weights[1:]]).astype("<f8").tobytes()
+        saved[first : first + 1] = base64.encodebytes(data[:57]).decode().splitlines()
+        model_path.write_text("".join(line + "\n" for line in saved))
+        assert run(["tag", "--model", model_path, "--input", test]) == 1
+        assert "line %d: weight entry is not finite: nan" % (first + 1) in capsys.readouterr().err
+
+    def test_model_that_is_not_utf8_fails_cleanly(self, model_path, corpus_files):
+        _, test = corpus_files
+        data = bytearray(model_path.read_bytes())
+        data[200:202] = b"\xff\xfe"
+        model_path.write_bytes(bytes(data))
+        line = data[:201].count(b"\n") + 1
+        code, _, err = run_captured(["tag", "--model", model_path, "--input", test])
+        assert code == 1
+        assert err.startswith("error: line %d: not UTF-8: " % line)
 
     @settings(max_examples=100, deadline=None)
     @given(conll_texts())

@@ -1,6 +1,9 @@
+import base64
 import contextlib
+import hashlib
 import io
 import json
+import os
 import random
 from collections import Counter
 
@@ -9,13 +12,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_corpus
+from oracles import format_1_lines, random_corpus, weight_block
 from picrf import crf, model_io
 from picrf.cli import main
 from picrf.corpus import Sentence, write_conll
 from picrf.crf_types import ModelOrder
 from picrf.features import TemplateConfig
-from picrf.model_io import FORMAT_LINE, Model, ModelFormatError, load_model, save_model
+from picrf.model_io import (
+    FORMAT_1_LINE,
+    FORMAT_LINE,
+    Model,
+    ModelFormatError,
+    load_model,
+    save_model,
+)
 from picrf.training import TrainConfig, train
 
 
@@ -75,6 +85,54 @@ class TestRoundTrip:
         for sentence in corpus[:6]:
             for label in model.decode(Sentence.from_strings(sentence.texts)):
                 assert label in model.alphabet.base_labels
+
+
+FORMAT_1_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "format1_pre_induced.txt")
+
+
+class TestFormat1File:
+    """A small pre-induced model saved in format 1 by the %.17g writer
+    that format 2 replaced (12 sentences, feature set 1, 184 weights)."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return load_model(FORMAT_1_FIXTURE)
+
+    def test_loads_the_weights_it_prints(self, model):
+        with open(FORMAT_1_FIXTURE, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        assert lines[0] == FORMAT_1_LINE
+        first = lines.index("weights: 184") + 1
+        assert lines[first + 184 :] == ["end"]
+        printed = np.array([float(line) for line in lines[first : first + 184]])
+        assert model.weights.tobytes() == printed.tobytes()
+        assert hashlib.sha256(model.weights.astype("<f8").tobytes()).hexdigest() == (
+            "5541949d44459180c7865eb6a4c9ea8510b78a30a9da4e168615a389f8e4a2dd"
+        )
+        assert model.order == ModelOrder.PRE_INDUCED
+        assert model.alphabet.entity_types == ("DNA", "RNA")
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_decodes_pinned_sentences(self, model, constrained):
+        pinned = [
+            ("zzz unseen tokens 2 g", "O B-RNA B-DNA B-DNA I-DNA"),
+            ("e d1a 1cg-X", "O B-RNA B-DNA"),
+            ("dc- 1-3e egY3X aXd2Y h", "O O B-RNA B-DNA I-DNA"),
+            ("2 g 2", "B-RNA I-RNA I-RNA"),
+        ]
+        sentences = [Sentence.from_strings(text.split()) for text, _ in pinned]
+        decoded = model.decode_corpus(sentences, constrained=constrained)
+        assert [" ".join(labels) for labels in decoded] == [labels for _, labels in pinned]
+
+    def test_saves_again_as_format_2(self, model, tmp_path):
+        loaded, path = roundtrip(model, tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == FORMAT_LINE
+        first, weights = weight_block(lines)
+        assert lines[first - 1] == "weights: 184" and lines[first + 26 :] == ["end"]
+        assert weights.tobytes() == model.weights.tobytes()
+        assert loaded.weights.tobytes() == model.weights.tobytes()
+        assert loaded.index.features == model.index.features
 
 
 def _decode_corpus():
@@ -146,10 +204,11 @@ class TestTampering:
         return trained[ModelOrder.PRE_INDUCED][0]
 
     def test_wrong_format_line(self, model):
-        lines = _lines(model)
-        lines[0] = "picrf model format 2"
-        with pytest.raises(ModelFormatError, match="format"):
-            _load_lines(lines)
+        for lines in (_lines(model), format_1_lines(_lines(model))):
+            assert _load_lines(lines).weights.tobytes() == model.weights.tobytes()
+            lines[0] = "picrf model format 3"
+            with pytest.raises(ModelFormatError, match="format"):
+                _load_lines(lines)
 
     def test_empty_file(self):
         with pytest.raises(ModelFormatError):
@@ -162,7 +221,7 @@ class TestTampering:
 
     @pytest.mark.parametrize("per_read", [None, 9])
     def test_truncation_inside_the_weights(self, model, per_read):
-        lines = _lines(model)
+        lines = format_1_lines(_lines(model))
         i = next(k for k, line in enumerate(lines) if line.startswith("weights:"))
         cut = i + 1 + int(lines[i].split()[1]) // 2
         with pytest.MonkeyPatch.context() as patch:
@@ -170,6 +229,14 @@ class TestTampering:
                 patch.setattr(model_io, "_WEIGHT_LINES_PER_READ", per_read)
             with pytest.raises(ModelFormatError, match="truncated at line %d$" % (cut + 1)):
                 _load_lines(lines[:cut])
+
+    def test_truncation_inside_the_weight_block(self, model):
+        lines = _lines(model)
+        first, _ = weight_block(lines)
+        cut = first + (len(lines) - 1 - first) // 2
+        assert first < cut < len(lines) - 2
+        with pytest.raises(ModelFormatError, match="truncated at line %d$" % (cut + 1)):
+            _load_lines(lines[:cut])
 
     def test_missing_end_marker(self, model):
         lines = _lines(model)
@@ -207,15 +274,15 @@ class TestTampering:
             _load_lines(lines)
 
     def test_non_numeric_weight(self, model):
-        lines = _lines(model)
-        i = next(k for k, line in enumerate(lines) if line.startswith("weights:"))
-        lines[i + 1] = "not-a-number"
-        with pytest.raises(ModelFormatError):
-            _load_lines(lines)
+        for lines in (_lines(model), format_1_lines(_lines(model))):
+            i = next(k for k, line in enumerate(lines) if line.startswith("weights:"))
+            lines[i + 1] = "not-a-number"
+            with pytest.raises(ModelFormatError):
+                _load_lines(lines)
 
     @pytest.mark.parametrize("per_read", [None, 9])
     def test_non_numeric_weight_names_its_line(self, model, per_read):
-        lines = _lines(model)
+        lines = format_1_lines(_lines(model))
         i = next(k for k, line in enumerate(lines) if line.startswith("weights:"))
         bad = i + 1 + int(lines[i].split()[1]) // 2
         lines[bad] = "0.5x"
@@ -228,10 +295,45 @@ class TestTampering:
             ):
                 _load_lines(lines)
 
-    def test_weights_written_in_slices_format_each_weight(self, model, monkeypatch):
-        """The slice-at-a-time save writes the text "%.17g\\n" % w gives
-        for each weight, across slice boundaries and at the edges of the
-        float64 range, and loads back bit-identically."""
+    @pytest.mark.parametrize(
+        "damage",
+        ["bad-character", "non-ascii", "dropped-line", "short-line", "wrong-byte-count", "padding"],
+    )
+    def test_damaged_weight_block_names_its_line(self, model, damage):
+        """Each damage to the base64 block is rejected, naming the first
+        line that is not what base64.encodebytes writes."""
+        lines = _lines(model)
+        first, weights = weight_block(lines)
+        last = len(lines) - 2
+        assert weights.size * 8 % 57 and len(lines[last]) < 76
+        bad = (first + last) // 2
+        if damage == "bad-character":
+            lines[bad] = lines[bad][:30] + "*" + lines[bad][31:]
+        elif damage == "non-ascii":
+            lines[bad] = lines[bad][:30] + "\u00e9" + lines[bad][31:]
+        elif damage == "dropped-line":
+            # the lines after it move up one: the former last line, short,
+            # now stands where a full line belongs
+            del lines[bad]
+            bad = last - 1
+        elif damage == "short-line":
+            lines[bad] = lines[bad][:-4]
+        elif damage == "wrong-byte-count":
+            # valid base64 of one byte fewer than the last line holds
+            tail = base64.b64decode(lines[last])
+            lines[last] = base64.b64encode(tail[:-1]).decode()
+            bad = last
+        else:
+            # b64decode alone accepts padding after a complete group
+            lines[bad] += "=="
+        with pytest.raises(ModelFormatError, match="^line %d: weight line is not " % (bad + 1)):
+            _load_lines(lines)
+
+    def test_edge_weights_round_trip_bit_exactly(self, model, monkeypatch):
+        """Format 2 writes the weights as base64.encodebytes of their
+        little-endian float64 bytes, and a format 1 file, one "%.17g" line
+        per weight, read in slices of 9 lines, loads to the same weights:
+        at the edges of the float64 range and across slice boundaries."""
         monkeypatch.setattr(model_io, "_WEIGHT_LINES_PER_READ", 9)
         special = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 3.0, 1e16, 1e-5]
         weights = model.weights.copy()
@@ -242,22 +344,45 @@ class TestTampering:
         buffer = io.StringIO()
         save_model(model, buffer)
         header = "weights: %d\n" % weights.size
-        assert buffer.getvalue().split(header)[1] == "".join("%.17g\n" % w for w in weights) + "end\n"
+        block = base64.encodebytes(weights.astype("<f8").tobytes()).decode("ascii")
+        assert buffer.getvalue().split(header)[1] == block + "end\n"
         loaded = load_model(io.StringIO(buffer.getvalue()))
         assert loaded.weights.tobytes() == weights.tobytes()
+        text = format_1_lines(buffer.getvalue().splitlines())
+        assert text[text.index(header.strip()) + 1 :][:2] == ["-0", "4.9406564584124654e-324"]
+        assert _load_lines(text).weights.tobytes() == weights.tobytes()
 
     def test_weights_read_in_slices_load_bit_identically(self, model, monkeypatch):
         monkeypatch.setattr(model_io, "_WEIGHT_LINES_PER_READ", 9)
         assert model.weights.size % 9
-        loaded = _load_lines(_lines(model))
+        loaded = _load_lines(format_1_lines(_lines(model)))
         assert loaded.weights.tobytes() == model.weights.tobytes()
 
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
     def test_non_finite_weight(self, model, text):
-        lines = _lines(model)
+        lines = format_1_lines(_lines(model))
         i = next(k for k, line in enumerate(lines) if line.startswith("weights:"))
         lines[i + 3] = text
         with pytest.raises(ModelFormatError, match="line %d: weight entry is not finite" % (i + 4)):
+            _load_lines(lines)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("slot", [0, 7, 50, -1])
+    def test_non_finite_weight_bit_pattern(self, model, value, slot):
+        """Weight i starts on line first + 8i // 57 of the block: weight 7
+        straddles the first two lines and is named by the first."""
+        lines = _lines(model)
+        first, weights = weight_block(lines)
+        weights = weights.copy()
+        weights[slot] = value
+        weights[slot - 1] = -value
+        block = base64.encodebytes(weights.astype("<f8").tobytes()).decode("ascii").splitlines()
+        lines[first : first + len(block)] = block
+        i = min(slot % weights.size, (slot - 1) % weights.size)
+        with pytest.raises(
+            ModelFormatError,
+            match="^line %d: weight entry is not finite: %s$" % (first + 1 + 8 * i // 57, weights[i]),
+        ):
             _load_lines(lines)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -314,6 +439,22 @@ class TestTampering:
         with pytest.raises(ModelFormatError):
             _load_lines(lines)
 
+    @pytest.mark.parametrize("version", [2, 1])
+    def test_bytes_that_are_not_utf8(self, model, tmp_path, version):
+        """Named by line for a path; for a file object, whose decoder
+        reads ahead, by the last line parsed."""
+        lines = _lines(model) if version == 2 else format_1_lines(_lines(model))
+        data = bytearray("".join(line + "\n" for line in lines).encode())
+        data[200:202] = b"\xff\xfe"
+        path = tmp_path / "model.txt"
+        path.write_bytes(bytes(data))
+        line = data[:201].count(b"\n") + 1
+        with pytest.raises(ModelFormatError, match="^line %d: not UTF-8: " % line):
+            load_model(path)
+        with open(path, encoding="utf-8") as handle:
+            with pytest.raises(ModelFormatError, match="^not UTF-8 after line 0: "):
+                load_model(handle)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_model(tmp_path / "absent.txt")
@@ -345,6 +486,14 @@ def _damaged(lines, kind, i, junk="#"):
     return lines
 
 
+def _is_utf8(data):
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
 @pytest.fixture(scope="module")
 def small_file(tmp_path_factory):
     """The lines of a small saved pre-induced model (feature set 2) and a
@@ -361,23 +510,31 @@ def small_file(tmp_path_factory):
     return _lines(train(corpus, config)[0]), directory
 
 
+@pytest.fixture(scope="module")
+def both_formats(small_file):
+    """The small model's lines in format 2, as saved, and in format 1."""
+    lines, _ = small_file
+    return {2: lines, 1: format_1_lines(lines)}
+
+
 class TestDamagedFiles:
     """A saved file with one line damaged fails to load with
-    ModelFormatError, never another exception type."""
+    ModelFormatError, never another exception type; in either format."""
 
     @pytest.mark.parametrize("kind", _DAMAGE)
-    def test_every_line(self, small_file, kind):
-        lines, _ = small_file
-        assert _load_lines(lines).weights.size
-        for i in range(len(lines)):
-            with pytest.raises(ModelFormatError):
-                _load_lines(_damaged(lines, kind, i))
+    def test_every_line(self, both_formats, kind):
+        for lines in both_formats.values():
+            assert _load_lines(lines).weights.size
+            for i in range(len(lines)):
+                with pytest.raises(ModelFormatError):
+                    _load_lines(_damaged(lines, kind, i))
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from(_DAMAGE), st.integers(min_value=0), _JUNK)
-    def test_random_damage(self, small_file, kind, at, junk):
-        """Also through picrf tag, which exits 1."""
-        lines, directory = small_file
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([2, 1]), st.sampled_from(_DAMAGE), st.integers(min_value=0), _JUNK)
+    def test_random_damage(self, small_file, both_formats, version, kind, at, junk):
+        """Also through picrf tag, which exits 1. About 150 examples a
+        format."""
+        lines, directory = both_formats[version], small_file[1]
         damaged = _damaged(lines, kind, at % len(lines), junk)
         with pytest.raises(ModelFormatError):
             _load_lines(damaged)
@@ -418,6 +575,38 @@ class TestDamagedFiles:
         damaged[i] = json.dumps(feature)
         with pytest.raises(ModelFormatError, match="^line %d: " % (i + 1)):
             _load_lines(damaged)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([2, 1]),
+        st.integers(min_value=0),
+        st.sampled_from([b"\xff", b"\xfe\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80"])
+        | st.text(st.characters(min_codepoint=0x80, blacklist_categories=("Cs",)), min_size=1).map(
+            str.encode
+        ),
+    )
+    def test_byte_damage_in_the_weights(self, small_file, both_formats, version, at, junk):
+        """Bytes that are not UTF-8, or in format 2 a non-ASCII character,
+        put in place of one byte of a weight line are rejected, naming that
+        line; also through picrf tag, which exits 1. (A format 1 weight
+        line may hold a non-ASCII digit or space that float() reads.)"""
+        lines, directory = both_formats[version], small_file[1]
+        if version == 1 and _is_utf8(junk):
+            junk = b"\xff" + junk
+        first, weights = weight_block(both_formats[2])
+        n_lines = weights.size if version == 1 else -(-8 * weights.size // 57)
+        line = first + at % n_lines
+        column = at % len(lines[line])
+        text = [s.encode() for s in lines]
+        text[line] = text[line][:column] + junk + text[line][column + 1 :]
+        path = directory / "damaged-bytes.txt"
+        path.write_bytes(b"".join(s + b"\n" for s in text))
+        with pytest.raises(ModelFormatError, match="^line %d: " % (line + 1)):
+            load_model(path)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["tag", "--model", str(path), "--input", str(directory / "input.conll")])
+        assert code == 1 and err.getvalue().startswith("error: line %d: " % (line + 1))
 
     def test_other_integers_in_header_values(self, small_file):
         """A header value replaced by another integer, negative ones
