@@ -12,6 +12,7 @@ from dataclasses import replace
 
 from .corpus import (
     CorpusError,
+    ParseError,
     SynthConfig,
     generate_synthetic,
     identity_rule,
@@ -41,21 +42,19 @@ from .training import TrainConfig, TrainingError, measure_iteration_cost, train
 _ORDERS = [str(o) for o in ModelOrder]
 
 
-def _read_corpus(path: str, labeled: bool = True):
+def _read_corpus(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return read_conll(handle, label_column=-1 if labeled else None)
+        return read_conll(handle)
 
 
 def _read_maybe_labeled(path: str):
     """Read a corpus, treating the last column as gold only if every line has one."""
     with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.readlines()
-    has_labels = False
-    for line in lines:
-        if line.strip():
-            has_labels = all(len(l.split()) >= 2 for l in lines if l.strip())
-            break
-    return read_conll(lines, label_column=-1 if has_labels else None)
+        lines = handle.read().split("\n")
+    try:
+        return read_conll(lines)
+    except ParseError:  # some line has a single column
+        return read_conll(lines, label_column=None)
 
 
 def _write_output(path: str, text: str) -> None:

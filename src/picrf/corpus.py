@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
@@ -136,14 +137,12 @@ def extract_chunks(labels: Sequence[str]) -> set[Chunk]:
     return chunks
 
 
-def _column(columns: list[str], idx: int, what: str, line_number: int) -> str:
-    try:
-        return columns[idx]
-    except IndexError:
+def _column(idx: int, what: str, n_columns: int, line_number: int) -> int:
+    if not -n_columns <= idx < n_columns:
         raise ParseError(
-            "%s column %d missing (line has %d columns)" % (what, idx, len(columns)),
-            line_number,
-        ) from None
+            "%s column %d missing (line has %d columns)" % (what, idx, n_columns), line_number
+        )
+    return idx % n_columns
 
 
 def read_conll(
@@ -157,39 +156,33 @@ def read_conll(
     negative indices count from the right, so the default takes the last
     column as the label. A line too short for the requested columns, or one
     where token and label columns coincide, raises ParseError with its line
-    number.
+    number. Tokens are immutable, so one Token serves every occurrence of a
+    text within the call.
     """
     sentences: list[Sentence] = []
-    texts: list[str] = []
+    tokens: list[Token] = []
     labels: list[str] = []
-
-    def flush():
-        if texts:
-            sentences.append(
-                Sentence.from_strings(texts, labels if label_column is not None else None)
-            )
-            texts.clear()
-            labels.clear()
-
-    for line_number, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip():
-            flush()
+    shared: dict[str, Token] = {}
+    width = 0  # the column count the token and label indices are for
+    for line_number, raw in enumerate(chain(stream, [""]), start=1):
+        columns = raw.split()
+        if not columns:
+            if tokens:
+                sentences.append(Sentence(tuple(tokens), tuple(labels) or None))
+                tokens, labels = [], []
             continue
-        columns = line.split()
-        token = _column(columns, token_column, "token", line_number)
-        if label_column is not None:
-            label = _column(columns, label_column, "label", line_number)
-            ti = token_column if token_column >= 0 else len(columns) + token_column
-            li = label_column if label_column >= 0 else len(columns) + label_column
+        if len(columns) != width:
+            width = len(columns)
+            ti = _column(token_column, "token", width, line_number)
+            li = None if label_column is None else _column(label_column, "label", width, line_number)
             if ti == li:
                 raise ParseError(
-                    "token and label columns coincide (line has %d columns)" % len(columns),
-                    line_number,
+                    "token and label columns coincide (line has %d columns)" % width, line_number
                 )
-            labels.append(label)
-        texts.append(token)
-    flush()
+        text = columns[ti]
+        tokens.append(shared.get(text) or shared.setdefault(text, Token(text)))
+        if li is not None:
+            labels.append(columns[li])
     return sentences
 
 

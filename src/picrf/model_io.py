@@ -16,12 +16,13 @@ line of its own; it still loads, to the same weights.
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 import os
+import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
-from typing import IO, Callable, Iterator, NoReturn, Sequence
+from typing import IO, Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -50,6 +51,8 @@ FORMAT_1_LINE = "picrf model format 1"
 _WEIGHT_LINES_PER_READ = 1 << 12
 # Bytes in each full line of a format 2 weight block.
 _BLOCK_LINE_BYTES = 57
+# The characters of base64 text, without its "=" padding.
+_BASE64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 
 
 class ModelFormatError(Exception):
@@ -144,10 +147,21 @@ def _dump(model: Model, out: IO[str]) -> None:
     out.write("effective_states: %d\n" % space.effective_states)
     out.write("transition_params: %d\n" % space.n_transition_params)
     out.write("features: %d\n" % len(model.index.features))
-    out.write("".join(json.dumps(feature) + "\n" for feature in model.index.features))
+    # one json.dumps per feature, each on a line of its own
+    out.write(json.dumps(model.index.features, separators=("\n", ":"))[1:-1] + "\n")
     out.write("weights: %d\n" % model.weights.size)
-    out.write(base64.encodebytes(model.weights.astype("<f8").tobytes()).decode("ascii"))
+    out.write(_base64_lines(model.weights.astype("<f8").tobytes()))
     out.write("end\n")
+
+
+def _base64_lines(data: bytes) -> str:
+    """base64.encodebytes(data), without its loop over 57-byte lines: one
+    b64encode, broken into 76-character lines, each ending in "\n"."""
+    encoded = base64.b64encode(data)
+    cut = len(encoded) // 76 * 76
+    full = np.frombuffer(encoded, np.uint8, cut).reshape(-1, 76)
+    lines = np.pad(full, ((0, 0), (0, 1)), constant_values=ord("\n")).tobytes()
+    return (lines + encoded[cut:] + b"\n" * (cut < len(encoded))).decode("ascii")
 
 
 def save_model(model: Model, destination: str | os.PathLike | IO[str]) -> None:
@@ -160,73 +174,97 @@ def save_model(model: Model, destination: str | os.PathLike | IO[str]) -> None:
 
 
 class _LineReader:
-    def __init__(self, lines: Iterator[str]):
-        self._lines = lines
+    """A cursor over the whole text of a model file: lines end at "\n"
+    and are read in order, by offset, without a list of them. count is
+    the number of lines read."""
+
+    def __init__(self, text: str):
+        self._text = text
+        self._pos = 0
         self.count = 0
 
     def next_line(self) -> str:
-        try:
-            raw = next(self._lines)
-        except StopIteration:
-            raise ModelFormatError("model file truncated at line %d" % (self.count + 1)) from None
+        text, pos = self._text, self._pos
+        if pos >= len(text):
+            raise ModelFormatError("model file truncated at line %d" % (self.count + 1))
+        end = text.find("\n", pos)
+        if end < 0:
+            end = len(text)
+        self._pos = end + 1
         self.count += 1
-        return raw.rstrip("\n")
+        return text[pos:end]
+
+    def _parsed_lines(
+        self, n: int, parse: Callable[[str], object], fault: Callable[[int, str], str | None]
+    ) -> object:
+        """parse of the next n lines, as one slice that keeps each line's
+        "\n". If the text holds fewer, or parse raises ValueError, raise
+        the error _first_fault(n, fault) raises."""
+        match = re.compile("(?:.*\n){%d}" % n).match(self._text, self._pos)
+        try:
+            if match is None:
+                raise ValueError("short read")
+            parsed = parse(match.group())
+        except ValueError:
+            self._first_fault(n, fault)
+        self._pos = match.end()
+        self.count += n
+        return parsed
 
     def floats(self, n: int) -> np.ndarray:
         """The next n lines as float64 values, parsed a slice of lines at a
-        time. A short read or a line that float() rejects raises the error
-        the line-by-line reads would have raised, naming the same line."""
+        time. A short read or a line that is not an ASCII number float()
+        reads raises the error the line-by-line reads would have raised,
+        naming the same line."""
         values = np.empty(n)
         for lo in range(0, n, _WEIGHT_LINES_PER_READ):
             want = min(_WEIGHT_LINES_PER_READ, n - lo)
-            lines = list(islice(self._lines, want))
-            try:
-                values[lo : lo + want] = np.fromiter(map(float, lines), np.float64, want)
-            except ValueError:  # a line that is not a number, or a short read
-                self._first_fault(lines, _number_fault)
-            self.count += want
+            values[lo : lo + want] = self._parsed_lines(want, _floats, _number_fault)
         return values
 
     def block_floats(self, n: int) -> np.ndarray:
         """n little-endian float64 values from the next ceil(8n/57) lines:
-        the base64 block base64.encodebytes writes, decoded in one step. A
-        short read or a line that encodebytes would not have written raises
-        an error naming that line."""
+        the base64 block base64.encodebytes writes. The block is checked as
+        one slice, its line breaks, alphabet and padding at C speed, and
+        decoded in one step; if it is not exactly such a block, the first
+        line that encodebytes would not have written, or the short read,
+        raises an error naming that line."""
         size = 8 * n
-        lines = list(islice(self._lines, -(-size // _BLOCK_LINE_BYTES)))
-        try:
-            data = base64.b64decode("".join(line.rstrip("\n") for line in lines), validate=True)
-        except ValueError:  # binascii.Error, or a plain ValueError for non-ASCII text
-            data = b""
-        if len(data) != size:
-            self._first_fault(lines, lambda k, line: _block_fault(size - k * _BLOCK_LINE_BYTES, line))
-        self.count += len(lines)
-        return np.frombuffer(data, "<f8").astype(np.float64)
+        full, rest = divmod(size, _BLOCK_LINE_BYTES)
+        # how a short last line ends: its "=" padding, then "\n"
+        tail = b"=" * (-rest % 3) + b"\n" if rest else b""
+        width = 77 * full + (4 * -(-rest // 3) + 1 if rest else 0)
+        block = self._text[self._pos : self._pos + width]
+        data = block.encode("ascii") if block.isascii() else b""
+        decoded = b""
+        if (
+            len(data) == width
+            and data[76 : 77 * full : 77] == b"\n" * full
+            and data.endswith(tail)
+            and data.translate(None, _BASE64_ALPHABET) == b"\n" * full + tail
+        ):
+            decoded = binascii.a2b_base64(data)
+        if len(decoded) != size:
+            self._first_fault(
+                full + bool(rest), lambda k, line: _block_fault(size - k * _BLOCK_LINE_BYTES, line)
+            )
+        self._pos += width
+        self.count += full + bool(rest)
+        return np.frombuffer(decoded, "<f8").astype(np.float64)
 
     def json_strings(self, n: int) -> list[str]:
-        """The next n lines as JSON strings, decoded by one json.loads of the
-        lines joined into one array. Each line must then hold exactly one
-        string, as strict JSON rejects a raw newline inside a string and an
-        empty item. A short read or a line that is not one JSON string
-        raises the error the line-by-line reads would have raised, naming
-        the same line."""
-        lines = [raw.rstrip("\n") for raw in islice(self._lines, n)]
-        try:
-            values = json.loads("[" + ",\n".join(lines) + "]")
-        except json.JSONDecodeError:
-            values = []
-        if len(lines) != n or len(values) != n or not all(isinstance(v, str) for v in values):
-            self._first_fault(lines, _feature_fault)
-        self.count += n
-        return values
+        """The next n lines as JSON strings, decoded by one json.loads of
+        their slice as one array. A short read or a line that is not one
+        JSON string raises the error the line-by-line reads would have
+        raised, naming the same line."""
+        return self._parsed_lines(n, _json_strings, _feature_fault)
 
-    def _first_fault(self, lines: list[str], fault: Callable[[int, str], str | None]) -> NoReturn:
-        """Raise the error for the first of lines, the k-th of a read, for
+    def _first_fault(self, n: int, fault: Callable[[int, str], str | None]) -> NoReturn:
+        """Raise the error for the first of the next n lines, the k-th, for
         which fault(k, line) names a fault, naming that line; or, if there
         is none, the error for a read cut short after them."""
-        for k, raw in enumerate(lines):
-            self.count += 1
-            problem = fault(k, raw.rstrip("\n"))
+        for k in range(n):
+            problem = fault(k, self.next_line())
             if problem:
                 raise ModelFormatError("line %d: %s" % (self.count, problem))
         raise ModelFormatError("model file truncated at line %d" % (self.count + 1))
@@ -241,9 +279,9 @@ class _LineReader:
         return line[len(prefix) :]
 
     def keyed_int(self, key: str) -> int:
-        """A count or flag: a non-negative integer."""
+        """A count or flag: a non-negative integer in ASCII digits."""
         value = self.keyed(key)
-        if not value.isdecimal():
+        if not (value.isascii() and value.isdecimal()):
             raise ModelFormatError(
                 "line %d: %s must be a non-negative integer, found %r" % (self.count, key, value)
             )
@@ -252,6 +290,8 @@ class _LineReader:
     def keyed_ints(self, key: str) -> tuple[int, ...]:
         value = self.keyed(key)
         try:
+            if not _ascii_digits(value):
+                raise ValueError
             return tuple(int(v) for v in value.split())
         except ValueError:
             raise ModelFormatError(
@@ -262,13 +302,37 @@ class _LineReader:
         line = self.next_line()
         if line != "end":
             raise ModelFormatError("line %d: expected the end marker, found %r" % (self.count, line))
-        if next(self._lines, None) is not None:
+        if self._pos < len(self._text):
             raise ModelFormatError("line %d: content after the end marker" % (self.count + 1))
+
+
+def _floats(span: str) -> np.ndarray:
+    """The numbers on the lines of span, one a line."""
+    if not _ascii_digits(span):
+        raise ValueError("not ASCII digits")
+    lines = span.split("\n")[:-1]
+    return np.fromiter(map(float, lines), np.float64, len(lines))
+
+
+def _json_strings(span: str) -> list[str]:
+    """The JSON strings on the lines of span, one a line: strict JSON
+    rejects a raw newline inside a string and an empty item, so with as
+    many items as lines, each line holds one."""
+    values = json.loads("[" + span[:-1].replace("\n", ",\n") + "]")
+    if len(values) != span.count("\n") or not set(map(type, values)) <= {str}:
+        raise ValueError("not one JSON string a line")
+    return values
+
+
+def _ascii_digits(text: str) -> bool:
+    """Whether text is ASCII without "_": int() and float() also read
+    non-ASCII digits and "_" between digits, which a model never holds."""
+    return text.isascii() and "_" not in text
 
 
 def _number_fault(k: int, line: str) -> str | None:
     try:
-        float(line)
+        _floats(line + "\n")
     except ValueError:
         return "weight entry is not a number: %r" % line
     return None
@@ -355,11 +419,11 @@ def _parse_lines(reader: _LineReader) -> Model:
     n_features = reader.keyed_int("features")
     features = reader.json_strings(n_features)
     # the template emits BIAS and strings that start with one of its
-    # prefixes; a feature's prefix runs to its first "="
-    emitted = template.feature_prefixes | {BIAS_FEATURE}
-    heads = [f[: f.find("=") + 1] or f for f in features]
-    if not emitted.issuperset(heads):
-        i = next(i for i, head in enumerate(heads) if head not in emitted)
+    # prefixes, each of which ends at its only "="
+    prefixes = tuple(template.feature_prefixes)
+    fits = [f == BIAS_FEATURE or f.startswith(prefixes) for f in features]
+    if not all(fits):
+        i = fits.index(False)
         raise ModelFormatError(
             "line %d: the template cannot emit feature %r"
             % (reader.count - n_features + 1 + i, features[i])
@@ -387,18 +451,19 @@ def _parse_lines(reader: _LineReader) -> Model:
 
 def load_model(source: str | os.PathLike | IO[str]) -> Model:
     """Read a model from a path or text file object, validating as it goes.
-    Text that is not UTF-8 raises ModelFormatError too, naming for a path
-    the line of the first bad byte, and for a file object, whose decoder
-    reads ahead of the parser, the last line parsed."""
+    The whole text is read first, then parsed. Text that is not UTF-8
+    raises ModelFormatError too, naming for a path the line of the first
+    bad byte; a file object decodes its own text, so its error names no
+    line and reads as after line 0."""
     if hasattr(source, "read"):
-        reader = _LineReader(iter(source))
         try:
-            return _parse(reader)
+            text = source.read()
         except UnicodeDecodeError as exc:
-            raise ModelFormatError("not UTF-8 after line %d: %s" % (reader.count, exc)) from None
+            raise ModelFormatError("not UTF-8 after line 0: %s" % exc) from None
+        return _parse(_LineReader(text))
     try:
         with open(source, "r", encoding="utf-8") as handle:
-            return _parse(_LineReader(iter(handle)))
+            text = handle.read()
     except UnicodeDecodeError:
         # the bad byte's offset in the whole file names its line
         with open(source, "rb") as handle:
@@ -409,3 +474,4 @@ def load_model(source: str | os.PathLike | IO[str]) -> Model:
             line = len(data[: exc.start + 1].splitlines())
             raise ModelFormatError("line %d: not UTF-8: %s" % (line, exc.reason)) from None
         raise
+    return _parse(_LineReader(text))

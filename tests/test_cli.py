@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from oracles import conll_reference, conll_texts, format_1_lines, weight_block
-from picrf.cli import main
+from picrf.cli import _read_maybe_labeled, main
 from picrf.corpus import read_conll
 from picrf.model_io import load_model
 
@@ -197,6 +197,21 @@ class TestTag:
             code, _, err = run_captured(["train", "--train", path, "--out", shared_model / "unused"])
             assert code == 1
             assert "line %d: " % bad_line in err
+
+    @settings(max_examples=200, deadline=None)
+    @given(conll_texts())
+    def test_reads_labels_exactly_when_every_row_has_two_columns(self, shared_model, text_rows):
+        """The input picrf tag reads holds gold labels, in its last column,
+        exactly when every non-blank row has at least two columns; either
+        way its sentences are the ones the row-by-row reference reads."""
+        text, rows = text_rows
+        path = shared_model / "maybe-labeled.conll"
+        path.write_bytes(text.encode("utf-8"))
+        labeled = all(len(cells) >= 2 for cells in rows if cells)
+        expected, bad_line = conll_reference(rows, 0, -1 if labeled else None)
+        assert bad_line is None
+        sentences = _read_maybe_labeled(path)
+        assert [(s.texts, s.labels) for s in sentences] == expected
 
 
 class TestEval:

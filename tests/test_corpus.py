@@ -179,6 +179,20 @@ class TestReadConll:
         assert "line 2" in str(err.value)
         assert err.value.line_number == 2
 
+    def test_repeated_texts_share_one_token(self):
+        """One Token per distinct text within a call, equal to the Tokens
+        a fresh build makes."""
+        text = "a\tO\nb\tO\na\tB-X\n\nb\tO\na\tO\n"
+        sentences = read_conll(io.StringIO(text))
+        assert sentences == [
+            Sentence.from_strings(["a", "b", "a"], ["O", "O", "B-X"]),
+            Sentence.from_strings(["b", "a"], ["O", "O"]),
+        ]
+        tokens = [token for sentence in sentences for token in sentence.tokens]
+        assert len({id(token) for token in tokens}) == 2
+        again = read_conll(io.StringIO(text))
+        assert again[0].tokens[0] == tokens[0] and again[0].tokens[0] is not tokens[0]
+
     def test_explicit_column_out_of_range(self):
         with pytest.raises(ParseError) as err:
             read_conll(io.StringIO("a\tO\n"), label_column=5)

@@ -17,7 +17,7 @@ from picrf import crf, model_io
 from picrf.cli import main
 from picrf.corpus import Sentence, write_conll
 from picrf.crf_types import ModelOrder
-from picrf.features import TemplateConfig
+from picrf.features import TemplateConfig, make_feature_index
 from picrf.model_io import (
     FORMAT_1_LINE,
     FORMAT_LINE,
@@ -297,11 +297,25 @@ class TestTampering:
 
     @pytest.mark.parametrize(
         "damage",
-        ["bad-character", "non-ascii", "dropped-line", "short-line", "wrong-byte-count", "padding"],
+        [
+            "bad-character",
+            "non-ascii",
+            "dropped-line",
+            "short-line",
+            "wrong-byte-count",
+            "padding",
+            "padding-mid-line",
+            "break-moved-right",
+            "break-moved-left",
+            "trailing-space",
+            "last-line-short",
+        ],
     )
     def test_damaged_weight_block_names_its_line(self, model, damage):
         """Each damage to the base64 block is rejected, naming the first
-        line that is not what base64.encodebytes writes."""
+        line that is not what base64.encodebytes writes; a line break
+        moved by one character leaves the joined text valid base64 of the
+        right length, and is rejected all the same."""
         lines = _lines(model)
         first, weights = weight_block(lines)
         last = len(lines) - 2
@@ -318,6 +332,18 @@ class TestTampering:
             bad = last - 1
         elif damage == "short-line":
             lines[bad] = lines[bad][:-4]
+        elif damage == "padding-mid-line":
+            lines[bad] = lines[bad][:30] + "=" + lines[bad][31:]
+        elif damage == "break-moved-right":
+            lines[bad], lines[bad + 1] = lines[bad] + lines[bad + 1][0], lines[bad + 1][1:]
+        elif damage == "break-moved-left":
+            lines[bad], lines[bad + 1] = lines[bad][:-1], lines[bad][-1] + lines[bad + 1]
+        elif damage == "trailing-space":
+            lines[bad] += " "
+        elif damage == "last-line-short":
+            # its padding kept; a slice of the block's width ends in "e" of "end"
+            lines[last] = lines[last][:1] + lines[last][2:]
+            bad = last
         elif damage == "wrong-byte-count":
             # valid base64 of one byte fewer than the last line holds
             tail = base64.b64decode(lines[last])
@@ -486,12 +512,17 @@ def _damaged(lines, kind, i, junk="#"):
     return lines
 
 
-def _is_utf8(data):
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError:
-        return False
-    return True
+def _load_both(lines, directory):
+    """The message of the ModelFormatError that loading the lines raises,
+    the same from a file object and from a file at a path."""
+    with pytest.raises(ModelFormatError) as from_object:
+        _load_lines(lines)
+    path = directory / "model.txt"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(ModelFormatError) as from_path:
+        load_model(path)
+    assert str(from_path.value) == str(from_object.value)
+    return str(from_object.value)
 
 
 @pytest.fixture(scope="module")
@@ -519,31 +550,29 @@ def both_formats(small_file):
 
 class TestDamagedFiles:
     """A saved file with one line damaged fails to load with
-    ModelFormatError, never another exception type; in either format."""
+    ModelFormatError, never another exception type; in either format,
+    with the same message from a file object and from a path."""
 
     @pytest.mark.parametrize("kind", _DAMAGE)
-    def test_every_line(self, both_formats, kind):
+    def test_every_line(self, small_file, both_formats, kind):
         for lines in both_formats.values():
             assert _load_lines(lines).weights.size
             for i in range(len(lines)):
-                with pytest.raises(ModelFormatError):
-                    _load_lines(_damaged(lines, kind, i))
+                _load_both(_damaged(lines, kind, i), small_file[1])
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from([2, 1]), st.sampled_from(_DAMAGE), st.integers(min_value=0), _JUNK)
     def test_random_damage(self, small_file, both_formats, version, kind, at, junk):
-        """Also through picrf tag, which exits 1. About 150 examples a
-        format."""
+        """Also through picrf tag, which exits 1 with the same message.
+        About 150 examples a format."""
         lines, directory = both_formats[version], small_file[1]
-        damaged = _damaged(lines, kind, at % len(lines), junk)
-        with pytest.raises(ModelFormatError):
-            _load_lines(damaged)
-        path = directory / "model.txt"
-        path.write_text("".join(line + "\n" for line in damaged), encoding="utf-8")
+        message = _load_both(_damaged(lines, kind, at % len(lines), junk), directory)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["tag", "--model", str(path), "--input", str(directory / "input.conll")])
-        assert code == 1 and err.getvalue().startswith("error: ")
+            code = main(
+                ["tag", "--model", str(directory / "model.txt"), "--input", str(directory / "input.conll")]
+            )
+        assert code == 1 and err.getvalue() == "error: %s\n" % message
 
     @pytest.mark.parametrize(
         "key,value,culprits",
@@ -586,13 +615,10 @@ class TestDamagedFiles:
         ),
     )
     def test_byte_damage_in_the_weights(self, small_file, both_formats, version, at, junk):
-        """Bytes that are not UTF-8, or in format 2 a non-ASCII character,
-        put in place of one byte of a weight line are rejected, naming that
-        line; also through picrf tag, which exits 1. (A format 1 weight
-        line may hold a non-ASCII digit or space that float() reads.)"""
+        """Bytes that are not UTF-8, or a non-ASCII character, put in place
+        of one byte of a weight line are rejected, naming that line; also
+        through picrf tag, which exits 1."""
         lines, directory = both_formats[version], small_file[1]
-        if version == 1 and _is_utf8(junk):
-            junk = b"\xff" + junk
         first, weights = weight_block(both_formats[2])
         n_lines = weights.size if version == 1 else -(-8 * weights.size // 57)
         line = first + at % n_lines
@@ -622,3 +648,79 @@ class TestDamagedFiles:
                     _load_lines(damaged)
                 except ModelFormatError:
                     pass
+
+
+class TestSavedText:
+    def test_features_and_weights_as_json_dumps_and_encodebytes(self, trained):
+        """The feature lines are json.dumps of each feature, escapes and
+        all, and the weight block is base64.encodebytes of the weights."""
+        model, _ = trained[ModelOrder.FIRST]
+        features = list(model.index.features)
+        features[1:4] = ['W[0]=a\nb"c\\d', "W[0]=é\x00 ", "W[0]=\ud800"]
+        index = make_feature_index(features, model.alphabet, model.order)
+        model = Model(model.order, model.alphabet, model.template, index, model.weights)
+        buffer = io.StringIO()
+        save_model(model, buffer)
+        _, _, rest = buffer.getvalue().partition("features: %d\n" % len(features))
+        block = base64.encodebytes(model.weights.astype("<f8").tobytes()).decode("ascii")
+        assert rest == (
+            "".join(json.dumps(f) + "\n" for f in features)
+            + "weights: %d\n" % model.weights.size
+            + block
+            + "end\n"
+        )
+        loaded = load_model(io.StringIO(buffer.getvalue()))
+        assert loaded.index.features == tuple(features)
+        assert loaded.weights.tobytes() == model.weights.tobytes()
+
+    @given(st.binary(max_size=400))
+    def test_weight_block_lines_are_encodebytes(self, data):
+        assert model_io._base64_lines(data) == base64.encodebytes(data).decode("ascii")
+
+
+def _respelled(text, how):
+    """text with its first ASCII digit written as the Arabic-Indic digit of
+    the same value, or with "0_" put before it: int() and float() read
+    either as the same number."""
+    i = next(i for i, c in enumerate(text) if c in "0123456789")
+    digit = chr(0x660 + int(text[i])) if how == "arabic-indic" else "0_" + text[i]
+    return text[:i] + digit + text[i + 1 :]
+
+
+class TestNumberSpelling:
+    """Model numbers are ASCII digits. A header integer or a format 1
+    weight with a non-ASCII digit or a "_" in it is rejected, naming its
+    line, though it spells the saved number."""
+
+    @pytest.mark.parametrize("how", ["arabic-indic", "underscore"])
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ("min_feature_count", "must be a non-negative integer"),
+            ("features", "must be a non-negative integer"),
+            ("window_offsets", "must be integers"),
+            ("affix_lengths", "must be integers"),
+        ],
+    )
+    def test_header_integers(self, small_file, how, key, message):
+        lines = list(small_file[0])
+        i = next(k for k, line in enumerate(lines) if line.startswith(key + ": "))
+        value = lines[i][len(key) + 2 :]
+        respelled = _respelled(value, how)
+        assert [int(v) for v in respelled.split()] == [int(v) for v in value.split()]
+        lines[i] = key + ": " + respelled
+        with pytest.raises(ModelFormatError, match="^line %d: %s %s, found " % (i + 1, key, message)):
+            _load_lines(lines)
+
+    @pytest.mark.parametrize("how", ["arabic-indic", "underscore"])
+    def test_format_1_weight(self, both_formats, how):
+        lines = list(both_formats[1])
+        first, _ = weight_block(both_formats[2])
+        bad = first + 5
+        respelled = _respelled(lines[bad], how)
+        assert float(respelled) == float(lines[bad])
+        lines[bad] = respelled
+        with pytest.raises(
+            ModelFormatError, match="^line %d: weight entry is not a number: " % (bad + 1)
+        ):
+            _load_lines(lines)
