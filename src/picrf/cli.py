@@ -296,6 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "bench" and args.mode == "compare" and None in (args.train, args.test):
+        parser.error("bench compare needs %s" % ("--train" if args.train is None else "--test"))
     try:
         return args.func(args)
     except (

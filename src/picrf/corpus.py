@@ -9,9 +9,9 @@ without a trailing blank line is still accepted.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 
 class CorpusError(Exception):
@@ -33,22 +33,11 @@ class LabelError(CorpusError):
 
 
 @dataclass(frozen=True, slots=True)
-class Token:
-    """A single surface token. Text must be non-empty and whitespace-free."""
-
-    text: str
-
-    def __post_init__(self):
-        # str.split() splits on exactly the characters str.isspace() accepts
-        if not self.text or self.text.split() != [self.text]:
-            raise CorpusError("token text must be non-empty and contain no whitespace: %r" % (self.text,))
-
-
-@dataclass(frozen=True, slots=True)
 class Sentence:
-    """A token sequence with an optional parallel label sequence."""
+    """Token texts, each non-empty and free of whitespace (from_strings and
+    read_conll hold to that), with an optional parallel label sequence."""
 
-    tokens: tuple[Token, ...]
+    tokens: tuple[str, ...]
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
@@ -62,11 +51,18 @@ class Sentence:
 
     @property
     def texts(self) -> tuple[str, ...]:
-        return tuple(t.text for t in self.tokens)
+        return self.tokens
 
     @classmethod
     def from_strings(cls, texts: Sequence[str], labels: Sequence[str] | None = None) -> "Sentence":
-        return cls(tuple(Token(t) for t in texts), tuple(labels) if labels is not None else None)
+        """CorpusError names the first text that is empty or has whitespace."""
+        texts = tuple(texts)
+        # str.split() splits on exactly the characters str.isspace() accepts,
+        # so the join splits back into the texts exactly when each is valid
+        if " ".join(texts).split() != list(texts):
+            bad = next(t for t in texts if t.split() != [t])
+            raise CorpusError("token text must be non-empty and contain no whitespace: %r" % (bad,))
+        return cls(texts, tuple(labels) if labels is not None else None)
 
 
 class Chunk(NamedTuple):
@@ -156,13 +152,13 @@ def read_conll(
     negative indices count from the right, so the default takes the last
     column as the label. A line too short for the requested columns, or one
     where token and label columns coincide, raises ParseError with its line
-    number. Tokens are immutable, so one Token serves every occurrence of a
-    text within the call.
+    number. Texts come out of str.split(), so they need no further check;
+    one str serves every occurrence of a text within the call.
     """
     sentences: list[Sentence] = []
-    tokens: list[Token] = []
+    tokens: list[str] = []
     labels: list[str] = []
-    shared: dict[str, Token] = {}
+    shared: dict[str, str] = {}
     width = 0  # the column count the token and label indices are for
     for line_number, raw in enumerate(chain(stream, [""]), start=1):
         columns = raw.split()
@@ -179,8 +175,7 @@ def read_conll(
                 raise ParseError(
                     "token and label columns coincide (line has %d columns)" % width, line_number
                 )
-        text = columns[ti]
-        tokens.append(shared.get(text) or shared.setdefault(text, Token(text)))
+        tokens.append(shared.setdefault(columns[ti], columns[ti]))
         if li is not None:
             labels.append(columns[li])
     return sentences
@@ -208,13 +203,12 @@ def write_conll(
                 "sentence %d: %d tokens but %d predicted labels"
                 % (si, len(sentence), len(pred))
             )
-        for i, token in enumerate(sentence.tokens):
-            columns = [token.text]
-            if sentence.labels is not None:
-                columns.append(sentence.labels[i])
-            if pred is not None:
-                columns.append(pred[i])
-            lines.append("\t".join(columns))
+        columns = [sentence.tokens]
+        if sentence.labels is not None:
+            columns.append(sentence.labels)
+        if pred is not None:
+            columns.append(pred)
+        lines.extend(map("\t".join, zip(*columns)))
         lines.append("")
     return "".join(line + "\n" for line in lines)
 

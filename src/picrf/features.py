@@ -125,7 +125,7 @@ def extract_features(sentence: Sentence, config: TemplateConfig) -> list[list[st
     """
     if len(sentence) == 0:
         raise FeatureError("cannot extract features from an empty sentence")
-    texts = sentence.texts
+    texts = sentence.tokens
     n = len(texts)
     norms = tuple(normalize_token(t) for t in texts) if config.use_normalized else None
 
@@ -206,7 +206,7 @@ def feature_id_matrix(
     """
     vocab: dict[str, int] = {}
     types = np.fromiter(
-        (vocab.setdefault(token.text, len(vocab)) for sentence in corpus for token in sentence.tokens),
+        (vocab.setdefault(text, len(vocab)) for sentence in corpus for text in sentence.tokens),
         np.int64,
     )
     offsets, columns = _slot_columns(list(vocab), config)

@@ -198,14 +198,14 @@ class _LineReader:
         self, n: int, parse: Callable[[str], object], fault: Callable[[int, str], str | None]
     ) -> object:
         """parse of the next n lines, as one slice that keeps each line's
-        "\n". If the text holds fewer, or parse raises ValueError, raise
-        the error _first_fault(n, fault) raises."""
+        "\n". If the text holds fewer, or parse raises ValueError or
+        RecursionError, raise the error _first_fault(n, fault) raises."""
         match = re.compile("(?:.*\n){%d}" % n).match(self._text, self._pos)
         try:
             if match is None:
                 raise ValueError("short read")
             parsed = parse(match.group())
-        except ValueError:
+        except (ValueError, RecursionError):
             self._first_fault(n, fault)
         self._pos = match.end()
         self.count += n
@@ -341,7 +341,7 @@ def _number_fault(k: int, line: str) -> str | None:
 def _feature_fault(k: int, line: str) -> str | None:
     try:
         value = json.loads(line)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         return "feature entry is not a JSON string"
     return None if isinstance(value, str) else "feature entry is not a string"
 

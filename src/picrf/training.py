@@ -19,7 +19,7 @@ from itertools import count
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult, minimize
 
 from .corpus import Sentence, validate_iob2
 from .crf import (
@@ -261,32 +261,32 @@ def _train(
     compiled = compile_corpus(corpus, config.template, index, space)
     n_params = total_parameters(index, space)
 
-    cache: list[tuple[np.ndarray, float, float]] = []
     # clock time and optimizer objective calls at the last iteration's end
     clock = {"last": 0.0, "calls": 0, "calls_before": 0}
+    # the value and gradient max the last objective call returned
+    latest = [0.0, 0.0]
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
         clock["calls"] += 1
         value, grad = log_likelihood_and_gradient(compiled, x, index, space, config.l2_variance)
         _check_finite(value, grad)
-        cache.append((x.copy(), -value, float(np.max(np.abs(grad)))))
-        del cache[:-4]
+        latest[:] = -value, float(np.max(np.abs(grad)))
         return -value, -grad
 
     records: list[IterationRecord] = []
 
-    def callback(xk: np.ndarray) -> None:
+    def callback(intermediate_result: OptimizeResult) -> None:
+        # L-BFGS-B reports an iterate right after evaluating it, so the
+        # last objective call is the iterate's
         now = time.perf_counter()
         elapsed = now - clock["last"]
         clock["last"] = now
-        for cached_x, f, gmax in reversed(cache):
-            if np.array_equal(cached_x, xk):
-                break
-        else:
-            value, grad = log_likelihood_and_gradient(
-                compiled, xk, index, space, config.l2_variance
+        f, gmax = latest
+        if intermediate_result.fun != f:
+            raise TrainingError(
+                "optimizer reported objective %r at an iterate, but the last evaluation gave %r"
+                % (intermediate_result.fun, f)
             )
-            f, gmax = -value, float(np.max(np.abs(grad)))
         calls = clock["calls"] - clock["calls_before"]
         clock["calls_before"] = clock["calls"]
         records.append(IterationRecord(len(records) + 1, -f, gmax, elapsed, calls))

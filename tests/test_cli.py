@@ -168,6 +168,16 @@ class TestTag:
         assert run(["tag", "--model", model_path, "--input", test]) == 1
         assert "line %d: weight entry is not finite: nan" % (first + 1) in capsys.readouterr().err
 
+    def test_feature_line_nested_too_deep_fails_cleanly(self, model_path, corpus_files, capsys):
+        _, test = corpus_files
+        lines = model_path.read_text().splitlines()
+        i = next(k for k, line in enumerate(lines) if line.startswith("features:"))
+        lines[i + 1] = "[" * 100_000
+        model_path.write_text("".join(line + "\n" for line in lines))
+        assert run(["tag", "--model", model_path, "--input", test]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: line %d: feature entry is not a JSON string\n" % (i + 2)
+
     def test_model_that_is_not_utf8_fails_cleanly(self, model_path, corpus_files):
         _, test = corpus_files
         data = bytearray(model_path.read_bytes())
@@ -319,6 +329,16 @@ class TestBench:
         out = capsys.readouterr().out
         assert "s/iteration" in out
         assert "ratio first/pre-induced" in out
+
+    @pytest.mark.parametrize("missing", ["--train", "--test"])
+    def test_compare_without_a_corpus_is_a_usage_error(self, corpus_files, capsys, missing):
+        train, test = corpus_files
+        args = {"--train": train, "--test": test}
+        del args[missing]
+        with pytest.raises(SystemExit) as exc:
+            run(["bench", "compare", *(a for pair in args.items() for a in pair)])
+        assert exc.value.code == 2
+        assert "bench compare needs %s" % missing in capsys.readouterr().err
 
     def test_compare(self, corpus_files, capsys):
         train, test = corpus_files

@@ -13,7 +13,6 @@ from picrf.corpus import (
     ParseError,
     Sentence,
     SynthConfig,
-    Token,
     extract_chunks,
     generate_synthetic,
     identity_rule,
@@ -26,18 +25,23 @@ from picrf.corpus import (
 
 
 class TestToken:
+    """What a token text may be, as Sentence.from_strings checks it."""
+
     def test_plain(self):
-        assert Token("IL-2").text == "IL-2"
+        assert Sentence.from_strings(["IL-2"]).tokens == ("IL-2",)
 
     @pytest.mark.parametrize("bad", ["", "a b", "a\tb", "a\n"])
     def test_rejects_whitespace_and_empty(self, bad):
-        with pytest.raises(CorpusError):
-            Token(bad)
+        with pytest.raises(CorpusError) as err:
+            Sentence.from_strings(["x", bad, "y"])
+        assert str(err.value) == (
+            "token text must be non-empty and contain no whitespace: %r" % (bad,)
+        )
 
     @staticmethod
-    def _accepts(text):
+    def _accepts(texts):
         try:
-            Token(text)
+            Sentence.from_strings(texts)
         except CorpusError:
             return False
         return True
@@ -46,12 +50,26 @@ class TestToken:
         "text", ["a\xa0b", "a\u2003b", "a\x1cb", "a\x85b", "\x85", "a\tb", "IL-2", "x"]
     )
     def test_whitespace_is_what_isspace_accepts(self, text):
-        assert self._accepts(text) == (not any(c.isspace() for c in text))
+        assert self._accepts([text]) == (not any(c.isspace() for c in text))
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(max_size=6))
     def test_whitespace_is_what_isspace_accepts_on_any_text(self, text):
-        assert self._accepts(text) == (bool(text) and not any(c.isspace() for c in text))
+        assert self._accepts([text]) == (bool(text) and not any(c.isspace() for c in text))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(max_size=4), max_size=5))
+    def test_accepts_a_sentence_exactly_when_it_accepts_each_text(self, texts):
+        assert self._accepts(texts) == all(self._accepts([text]) for text in texts)
+
+    def test_names_the_first_bad_text(self):
+        with pytest.raises(CorpusError, match=r": 'a b'$"):
+            Sentence.from_strings(["x", "a b", ""])
+
+    @pytest.mark.parametrize("bad", [None, 5, b"a"])
+    def test_rejects_a_text_that_is_not_a_str(self, bad):
+        with pytest.raises(TypeError):
+            Sentence.from_strings(["x", bad])
 
 
 class TestSentence:
@@ -62,6 +80,10 @@ class TestSentence:
     def test_unlabeled(self):
         s = Sentence.from_strings(["a", "b"])
         assert s.labels is None and len(s) == 2
+
+    def test_tokens_are_the_texts(self):
+        s = Sentence.from_strings(["IL-2", "gene"])
+        assert s.tokens == ("IL-2", "gene") and s.texts is s.tokens
 
 
 class TestSplitLabel:
@@ -180,13 +202,13 @@ class TestReadConll:
         assert err.value.line_number == 2
 
     def test_repeated_texts_share_one_token(self):
-        """One Token per distinct text within a call, equal to the Tokens
-        a fresh build makes."""
-        text = "a\tO\nb\tO\na\tB-X\n\nb\tO\na\tO\n"
+        """One str object per distinct text within a call, equal to the
+        texts a fresh build holds."""
+        text = "a1\tO\nb2\tO\na1\tB-X\n\nb2\tO\na1\tO\n"
         sentences = read_conll(io.StringIO(text))
         assert sentences == [
-            Sentence.from_strings(["a", "b", "a"], ["O", "O", "B-X"]),
-            Sentence.from_strings(["b", "a"], ["O", "O"]),
+            Sentence.from_strings(["a1", "b2", "a1"], ["O", "O", "B-X"]),
+            Sentence.from_strings(["b2", "a1"], ["O", "O"]),
         ]
         tokens = [token for sentence in sentences for token in sentence.tokens]
         assert len({id(token) for token in tokens}) == 2
@@ -279,6 +301,34 @@ class TestRoundTrip:
         text = write_conll(corpus)
         back = read_conll(io.StringIO(text), label_column=-1 if labeled else None)
         assert back == corpus
+
+
+def _write_conll_by_token(sentences, predicted=None):
+    """write_conll's output built one token line at a time."""
+    lines = []
+    for si, sentence in enumerate(sentences):
+        for i, text in enumerate(sentence.tokens):
+            columns = [text]
+            if sentence.labels is not None:
+                columns.append(sentence.labels[i])
+            if predicted is not None:
+                columns.append(predicted[si][i])
+            lines.append("\t".join(columns) + "\n")
+        lines.append("\n")
+    return "".join(lines)
+
+
+class TestWriteConllByToken:
+    @settings(max_examples=100)
+    @given(_corpora(), st.data())
+    def test_matches_the_token_by_token_rendering(self, corpus, data):
+        predicted = None
+        if data.draw(st.booleans()):
+            label = st.sampled_from(["O", "B-A", "I-A"])
+            predicted = [
+                data.draw(st.lists(label, min_size=len(s), max_size=len(s))) for s in corpus
+            ]
+        assert write_conll(corpus, predicted) == _write_conll_by_token(corpus, predicted)
 
 
 class TestSynthetic:

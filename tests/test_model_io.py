@@ -444,6 +444,15 @@ class TestTampering:
         with pytest.raises(ModelFormatError, match="^line %d: %s$" % (bad + 1, message)):
             _load_lines(lines)
 
+    def test_feature_line_nested_too_deep(self, model, tmp_path):
+        """JSON nested too deep for json.loads, which raises RecursionError
+        on it, from a path and from a file object."""
+        lines = _lines(model)
+        i = next(k for k, line in enumerate(lines) if line.startswith("features:"))
+        lines[i + 1] = "[" * 100_000
+        message = _load_both(lines, tmp_path)
+        assert message == "line %d: feature entry is not a JSON string" % (i + 2)
+
     def test_truncation_inside_the_features(self, model):
         lines = _lines(model)
         i = next(k for k, line in enumerate(lines) if line.startswith("features:"))

@@ -3,6 +3,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 import picrf.training
 from picrf.corpus import LabelError, Sentence, SynthConfig, generate_synthetic
@@ -180,6 +181,40 @@ class TestTrain:
         calls = "%.2f" % report.calls_per_iteration
         assert "%d objective calls (%s per iteration)" % (result.nfev, calls) in report.to_text()
         assert "%s objective calls/iteration" % calls in report.summary()
+
+    @pytest.mark.parametrize("order", list(ModelOrder))
+    def test_evaluates_the_objective_only_for_the_optimizer(self, order, monkeypatch):
+        """Each iteration record holds the value and gradient max of the
+        last evaluation before it, and no evaluation is made beyond the
+        ones the report counts."""
+        evaluations = []
+        objective = picrf.training.log_likelihood_and_gradient
+
+        def counted(*args):
+            value, grad = objective(*args)
+            evaluations.append((value, float(np.max(np.abs(grad)))))
+            return value, grad
+
+        monkeypatch.setattr(picrf.training, "log_likelihood_and_gradient", counted)
+        _, report = train(tiny_corpus(), TrainConfig(model_order=order, max_iterations=15))
+        assert len(evaluations) == report.objective_calls
+        ends = np.cumsum([r.objective_calls for r in report.iterations]) - 1
+        assert [(r.objective, r.gradient_max) for r in report.iterations] == [
+            evaluations[i] for i in ends
+        ]
+
+    def test_an_iterate_the_last_evaluation_did_not_give_is_an_error(self, monkeypatch):
+        minimize = picrf.training.minimize
+
+        def misreporting(fun, x0, callback, **kwargs):
+            def shifted(intermediate_result):
+                callback(OptimizeResult(x=intermediate_result.x, fun=intermediate_result.fun + 1))
+
+            return minimize(fun, x0, callback=shifted, **kwargs)
+
+        monkeypatch.setattr(picrf.training, "minimize", misreporting)
+        with pytest.raises(TrainingError, match="optimizer reported objective"):
+            train(tiny_corpus(), TrainConfig(max_iterations=5))
 
 
 class TestTimings:
