@@ -29,13 +29,7 @@ from .evaluation import (
     score,
 )
 from .features import FeatureError, TemplateConfig
-from .induction import (
-    AlphabetError,
-    build_expanded_alphabet,
-    corpus_entity_types,
-    induce,
-    revert,
-)
+from .induction import AlphabetError, corpus_alphabet, induce, revert
 from .model_io import ModelFormatError, load_model, save_model
 from .training import TrainConfig, TrainingError, measure_iteration_cost, train
 
@@ -77,11 +71,7 @@ def _train_config(args) -> TrainConfig:
 
 
 def cmd_train(args) -> int:
-    corpus = _read_corpus(args.train)
-    types = corpus_entity_types(corpus)
-    if not types:
-        raise CorpusError("no entity types found in the corpus")
-    model, report = train(corpus, _train_config(args), build_expanded_alphabet(types))
+    model, report = train(_read_corpus(args.train), _train_config(args))
     save_model(model, args.out)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
@@ -124,11 +114,7 @@ def cmd_eval(args) -> int:
 
 def cmd_transform(args) -> int:
     corpus = _read_corpus(args.input)
-    types = corpus_entity_types(corpus)
-    if not types:
-        raise CorpusError("no entity types found in the corpus")
-    alphabet = build_expanded_alphabet(types)
-
+    alphabet = corpus_alphabet(corpus)
     transformed = []
     for sentence in corpus:
         if args.direction == "induce":
@@ -161,11 +147,16 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _parse_orders(text: str) -> list[ModelOrder]:
-    try:
-        return [ModelOrder(part.strip()) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise EvaluationError(str(exc)) from None
+def _parse_csv(text: str, flag: str, parse) -> list:
+    """The comma-separated values of a flag, each read by parse; a value
+    parse rejects raises EvaluationError naming the flag."""
+    values = []
+    for part in filter(None, map(str.strip, text.split(","))):
+        try:
+            values.append(parse(part))
+        except ValueError:
+            raise EvaluationError("%s: invalid value %r" % (flag, part)) from None
+    return values
 
 
 def _write_records(path: str, records: list[dict]) -> None:
@@ -183,7 +174,7 @@ def cmd_bench(args) -> int:
         max_iterations=args.max_iters,
         relative_tolerance=args.tol,
     )
-    orders = _parse_orders(args.orders)
+    orders = _parse_csv(args.orders, "--orders", ModelOrder)
 
     if args.mode == "longdistance":
         report = run_longdistance(_synth_config(args), args.train_size, args.test_size, orders, base)
@@ -201,7 +192,7 @@ def cmd_bench(args) -> int:
     else:
         train_corpus = _read_corpus(args.train)
         test_corpus = _read_corpus(args.test)
-        feature_sets = [int(p) for p in args.feature_sets.split(",") if p.strip()]
+        feature_sets = _parse_csv(args.feature_sets, "--feature-sets", int)
         report = run_comparison(train_corpus, test_corpus, orders, feature_sets, base)
         sys.stdout.write(report.to_text())
         records = report.to_records()

@@ -21,9 +21,8 @@ from .corpus import (
     validate_iob2,
 )
 from .crf_types import ModelOrder
-from .induction import build_expanded_alphabet, corpus_entity_types
-from .model_io import Model
-from .training import TrainConfig, TrainReport, train
+from .induction import AlphabetError, build_expanded_alphabet, corpus_alphabet
+from .training import TrainConfig, train
 
 
 class EvaluationError(Exception):
@@ -199,6 +198,16 @@ class ExperimentReport:
         ]
 
 
+def _check_grid(name: str, values: Sequence) -> None:
+    """Raise EvaluationError unless an experiment axis is non-empty and
+    names each value once."""
+    if not values:
+        raise EvaluationError("need at least one %s" % name)
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise EvaluationError("%s %s is repeated" % (name, value))
+
+
 def run_comparison(
     train_corpus: Sequence[Sentence],
     test_corpus: Sequence[Sentence],
@@ -215,12 +224,12 @@ def run_comparison(
     """
     if base_config is None:
         base_config = TrainConfig()
-    if not orders or not feature_sets:
-        raise EvaluationError("need at least one order and one feature set")
-    types = corpus_entity_types(train_corpus, test_corpus)
-    if not types:
-        raise EvaluationError("no entity types found in the corpora")
-    alphabet = build_expanded_alphabet(types)
+    _check_grid("order", orders)
+    _check_grid("feature set", feature_sets)
+    try:
+        alphabet = corpus_alphabet(train_corpus, test_corpus)
+    except AlphabetError as exc:
+        raise EvaluationError(str(exc)) from exc
 
     cells: list[ExperimentCell] = []
     for order in orders:
@@ -360,6 +369,7 @@ def run_longdistance(
     """
     if base_config is None:
         base_config = TrainConfig()
+    _check_grid("order", orders)
     if train_size < 1 or test_size < 1:
         raise EvaluationError("train_size and test_size must be positive")
     radius = base_config.template.window_radius

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import LabelError, Sentence, split_label, validate_iob2
+from .corpus import Sentence, split_label, validate_iob2
 
 CARRIER_SUFFIX = "[O]"
 _RESERVED = "[]"
@@ -102,12 +102,12 @@ def build_expanded_alphabet(entity_types: Sequence[str]) -> LabelAlphabet:
     )
 
 
-def corpus_entity_types(*corpora: Iterable[Sentence]) -> list[str]:
-    """Sorted entity types named by the labels of one or more corpora.
+def corpus_alphabet(*corpora: Iterable[Sentence]) -> LabelAlphabet:
+    """The expanded alphabet of the entity types that one or more corpora name.
 
-    Reads B-t/I-t labels and carrier labels t[O]; any other label except
-    O raises LabelError. Returns an empty list when no label names a type,
-    so each caller can raise its own error for that case.
+    Reads B-t/I-t labels and carrier labels t[O]; the first other label
+    except O raises LabelError. The types are sorted. A corpus whose labels
+    name no type raises AlphabetError.
     """
     # distinct labels in first-occurrence order, so the first bad label fails
     labels = dict.fromkeys(label for corpus in corpora for s in corpus for label in s.labels or ())
@@ -118,7 +118,9 @@ def corpus_entity_types(*corpora: Iterable[Sentence]) -> list[str]:
             _, typ = split_label(label)
         if typ is not None:
             types.add(typ)
-    return sorted(types)
+    if not types:
+        raise AlphabetError("no entity types found in the corpus")
+    return build_expanded_alphabet(sorted(types))
 
 
 def induce(labels: Sequence[str], alphabet: LabelAlphabet) -> list[str]:

@@ -16,6 +16,7 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import count
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,7 +25,6 @@ from scipy.optimize import OptimizeResult, minimize
 from .corpus import Sentence, validate_iob2
 from .crf import (
     CompiledBatch,
-    CrfError,
     compile_sentence,
     log_likelihood_and_gradient,
     pack_batch,
@@ -33,7 +33,7 @@ from .crf import (
 )
 from .crf_types import ModelOrder
 from .features import TemplateConfig, build_feature_index, extract_features
-from .induction import LabelAlphabet, build_expanded_alphabet, corpus_entity_types
+from .induction import LabelAlphabet, corpus_alphabet
 from .model_io import Model
 
 
@@ -56,12 +56,12 @@ class TrainConfig:
         object.__setattr__(self, "model_order", ModelOrder(self.model_order))
         if not (self.l2_variance > 0):
             raise TrainingError("l2_variance must be strictly positive (inf disables it)")
-        if self.max_iterations < 1:
-            raise TrainingError("max_iterations must be at least 1")
         if not (self.relative_tolerance > 0):
             raise TrainingError("relative_tolerance must be strictly positive")
-        if self.history_size < 1:
-            raise TrainingError("history_size must be at least 1")
+        for name in ("max_iterations", "history_size"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value < 1:
+                raise TrainingError("%s must be an integer of at least 1" % name)
 
 
 @dataclass(frozen=True)
@@ -231,10 +231,11 @@ def train(
 
     Gold label sequences are repaired to strict IOB2 first; the pre-induced
     order then runs them through the carrier transform internally, so
-    callers always supply plain IOB2. When no alphabet is given, one is
-    built from the entity types present in the corpus. Feature extraction
-    and indexing happen once, before the optimizer loop, and per-iteration
-    wall times exclude them.
+    callers always supply plain IOB2. When no alphabet is given,
+    corpus_alphabet builds one from the corpus labels, raising AlphabetError
+    if they name no entity type. Feature extraction and indexing happen
+    once, before the optimizer loop, and per-iteration wall times exclude
+    them.
     """
     return _train(corpus, config, alphabet)
 
@@ -250,13 +251,8 @@ def _train(
     if not corpus:
         raise TrainingError("training corpus is empty")
     if alphabet is None:
-        types = corpus_entity_types(corpus)
-        if not types:
-            raise TrainingError("training corpus has no entity types; pass an alphabet")
-        alphabet = build_expanded_alphabet(types)
+        alphabet = corpus_alphabet(corpus)
     space = state_space(config.model_order, alphabet)
-    if space.n_states == 0:
-        raise TrainingError("state set is empty")
     index = build_feature_index(corpus, config.template, alphabet, config.model_order)
     compiled = compile_corpus(corpus, config.template, index, space)
     n_params = total_parameters(index, space)
@@ -479,7 +475,7 @@ def measure_iteration_cost(
         raise TrainingError("warmup must be non-negative")
 
     if alphabet is None:
-        alphabet = build_expanded_alphabet(corpus_entity_types(corpus))
+        alphabet = corpus_alphabet(corpus)
 
     timing = [
         replace(config, max_iterations=warmup + measured, relative_tolerance=1e-300)

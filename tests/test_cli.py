@@ -119,6 +119,13 @@ class TestTrain:
             run(["train", "--train", train, "--out", tmp_path / "m.txt", "--order", "zeroth"])
         assert exc.value.code == 2
 
+    def test_corpus_without_entity_types_fails_cleanly(self, tmp_path):
+        plain = tmp_path / "plain.conll"
+        plain.write_text("nothing\tO\nhere\tO\n")
+        code, out, err = run_captured(["train", "--train", plain, "--out", tmp_path / "m.txt"])
+        assert (code, out, err) == (1, "", "error: no entity types found in the corpus\n")
+        assert not (tmp_path / "m.txt").exists()
+
 
 class TestTag:
     def test_stdout_output(self, model_path, corpus_files, capsys):
@@ -277,6 +284,13 @@ class TestTransform:
         assert lines[0] == "john\tB-PER"
         assert lines[1] == "runs\tPER[O]"
 
+    @pytest.mark.parametrize("direction", ["induce", "revert"])
+    def test_corpus_without_entity_types_fails_cleanly(self, tmp_path, direction):
+        plain = tmp_path / "plain.conll"
+        plain.write_text("nothing\tO\nhere\tO\n")
+        code, out, err = run_captured(["transform", "--input", plain, "--direction", direction])
+        assert (code, out, err) == (1, "", "error: no entity types found in the corpus\n")
+
 
 class TestSynth:
     def test_writes_parseable_corpus(self, tmp_path):
@@ -353,6 +367,36 @@ class TestBench:
         out = capsys.readouterr().out
         assert "second" in out
         assert out.count("\n") >= 5
+
+    @pytest.mark.parametrize(
+        "orders, message",
+        [
+            ("", "need at least one order"),
+            (" , ", "need at least one order"),
+            ("first,pre-induced,first", "order first is repeated"),
+            ("first,third", "--orders: invalid value 'third'"),
+        ],
+    )
+    def test_bad_orders_fail_cleanly(self, orders, message):
+        code, out, err = run_captured(
+            ["bench", "longdistance", "--orders", orders, "--train-size", 10, "--test-size", 5]
+        )
+        assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+    @pytest.mark.parametrize(
+        "feature_sets, message",
+        [
+            ("1,a", "--feature-sets: invalid value 'a'"),
+            ("", "need at least one feature set"),
+            ("2,1,2", "feature set 2 is repeated"),
+        ],
+    )
+    def test_bad_feature_sets_fail_cleanly(self, corpus_files, feature_sets, message):
+        train, test = corpus_files
+        code, out, err = run_captured(
+            ["bench", "compare", "--train", train, "--test", test, "--feature-sets", feature_sets]
+        )
+        assert (code, out, err) == (1, "", "error: %s\n" % message)
 
     def test_empty_gap_range_fails_cleanly(self):
         code, out, err = run_captured(

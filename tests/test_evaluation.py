@@ -156,6 +156,17 @@ class TestRunComparison:
         with pytest.raises(EvaluationError):
             run_comparison(SMALL_TRAIN, SMALL_TEST, [ModelOrder.FIRST], [])
 
+    @pytest.mark.parametrize(
+        "orders, feature_sets, repeated",
+        [
+            ([ModelOrder.FIRST, "pre-induced", "first"], [1], "order first"),
+            ([ModelOrder.FIRST], [1, 1], "feature set 1"),
+        ],
+    )
+    def test_repeated_cell_rejected(self, orders, feature_sets, repeated):
+        with pytest.raises(EvaluationError, match="^%s is repeated$" % repeated):
+            run_comparison(SMALL_TRAIN, SMALL_TEST, orders, feature_sets)
+
     def test_no_entity_types_rejected(self):
         plain = [sent(["a"], ["O"])]
         with pytest.raises(EvaluationError):
@@ -206,6 +217,18 @@ class TestLongDistance:
         synth = SynthConfig(entity_type_count=2, sentences=1, gap_lengths=(1, 2))
         with pytest.raises(EvaluationError, match="window"):
             run_longdistance(synth, 10, 5)
+
+    @pytest.mark.parametrize(
+        "orders, message",
+        [
+            ((), "need at least one order"),
+            (("pre-induced", "pre-induced"), "order pre-induced is repeated"),
+        ],
+    )
+    def test_orders_must_be_distinct_and_present(self, orders, message):
+        synth = SynthConfig(entity_type_count=2, sentences=1, gap_lengths=(2, 3))
+        with pytest.raises(EvaluationError, match="^%s$" % message):
+            run_longdistance(synth, 10, 5, orders)
 
     def test_sizes_must_be_positive(self):
         synth = SynthConfig(entity_type_count=2, sentences=1, gap_lengths=(2, 3))

@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import expected_induced, random_iob2
-from picrf.corpus import LabelError
+from picrf.corpus import LabelError, Sentence
 from picrf.induction import (
     AlphabetError,
     build_expanded_alphabet,
+    corpus_alphabet,
     count_new_states,
     induce,
     revert,
@@ -73,6 +74,32 @@ class TestAlphabet:
             assert alpha.expanded_index[label] == i
         for i, label in enumerate(alpha.base_labels):
             assert alpha.base_index[label] == i
+
+
+def labeled(*label_rows):
+    return [Sentence.from_strings(["w"] * len(row), row) for row in label_rows]
+
+
+class TestCorpusAlphabet:
+    def test_types_from_entity_and_carrier_labels_sorted(self):
+        train = labeled(["B-ORG", "I-ORG", "O"], ["O", "LOC[O]"])
+        test = labeled(["B-DATE"], ["I-ORG", "ORG[O]"])
+        alpha = corpus_alphabet(train, test)
+        assert alpha == build_expanded_alphabet(["DATE", "LOC", "ORG"])
+
+    def test_unlabeled_sentences_name_no_types(self):
+        corpus = labeled(["B-PER"]) + [Sentence.from_strings(["w"])]
+        assert corpus_alphabet(corpus).entity_types == ("PER",)
+
+    @pytest.mark.parametrize("corpora", [(), ([],), (labeled(["O", "O"], ["O"]),)])
+    def test_no_entity_types_rejected(self, corpora):
+        with pytest.raises(AlphabetError, match="^no entity types found in the corpus$"):
+            corpus_alphabet(*corpora)
+
+    def test_first_bad_label_named(self):
+        corpus = labeled(["B-A", "S-X", "O"], ["E-Y"])
+        with pytest.raises(LabelError, match="not an IOB2 label: 'S-X'"):
+            corpus_alphabet(corpus)
 
 
 ALPHA2 = build_expanded_alphabet(["A", "B"])

@@ -1,4 +1,11 @@
+import ast
+from pathlib import Path
+
+import pytest
+
 import picrf
+
+MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "picrf").glob("*.py"))
 
 
 def test_every_export_resolves_once():
@@ -8,3 +15,47 @@ def test_every_export_resolves_once():
     namespace = {}
     exec("from picrf import *", namespace)
     assert set(picrf.__all__) <= namespace.keys()
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never uses, skipping __future__ imports
+    and import lines that carry `# noqa: F401`. A name counts as used when
+    the module loads it or lists it in __all__."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return ["line %d: %s" % (line, name) for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    """Each module uses every name it imports (a lint check that needs no
+    linter installed)."""
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_check_sees_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from json import dumps, loads\n"
+        "from re import compile  # noqa: F401\n"
+        "from sys import argv\n"
+        "__all__ = ['argv']\n"
+        "print(os.path.sep, dumps)\n"
+    )
+    assert _unused_imports(source) == ["line 3: loads"]

@@ -9,7 +9,7 @@ import picrf.training
 from picrf.corpus import LabelError, Sentence, SynthConfig, generate_synthetic
 from picrf.crf_types import ModelOrder
 from picrf.features import TemplateConfig
-from picrf.induction import build_expanded_alphabet
+from picrf.induction import AlphabetError, build_expanded_alphabet
 from picrf.training import (
     TimingReport,
     TrainConfig,
@@ -52,6 +52,8 @@ class TestTrainConfig:
             {"relative_tolerance": 0.0},
             {"relative_tolerance": -1e-9},
             {"history_size": 0},
+            {"max_iterations": 2.5},
+            {"history_size": 2.5},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -97,6 +99,11 @@ class TestCompileCorpus:
 
 
 class TestTrain:
+    def test_corpus_without_entity_types_rejected(self):
+        plain = [Sentence.from_strings(["a", "b"], ["O", "O"])]
+        with pytest.raises(AlphabetError, match="^no entity types found in the corpus$"):
+            train(plain, TrainConfig())
+
     @pytest.mark.parametrize("order", list(ModelOrder))
     def test_fits_training_set(self, order):
         corpus = tiny_corpus()
@@ -220,6 +227,12 @@ class TestTrain:
 class TestTimings:
     def make_corpus(self):
         return generate_synthetic(SynthConfig(entity_type_count=2, sentences=60, seed=4))
+
+    def test_corpus_without_entity_types_rejected(self):
+        plain = [Sentence.from_strings(["a", "b"], ["O", "O"])]
+        configs = [TrainConfig(model_order=order) for order in ModelOrder]
+        with pytest.raises(AlphabetError, match="^no entity types found in the corpus$"):
+            measure_iteration_cost(plain, configs)
 
     def test_measures_each_order(self):
         corpus = self.make_corpus()
