@@ -101,6 +101,13 @@ def cmd_eval(args) -> int:
     gold = _read_corpus(gold_path)
     if args.pred:
         pred_corpus = _read_corpus(args.pred)
+        for si, (sentence, pred) in enumerate(zip(gold, pred_corpus)):
+            for ti, (text, pred_text) in enumerate(zip(sentence.texts, pred.texts)):
+                if text != pred_text:
+                    raise EvaluationError(
+                        "sentence %d, token %d: gold has %r but the predictions have %r"
+                        % (si, ti, text, pred_text)
+                    )
         predicted = [s.labels for s in pred_corpus]
     elif args.model:
         model = load_model(args.model)

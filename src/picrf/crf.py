@@ -3,10 +3,13 @@ batch log-likelihood objective.
 
 All three model orders run the same first-order machinery over different
 state sets: base labels, the expanded carrier alphabet, or label pairs for
-the second-order chain. state_space alone lays the pairs out: over n base
-labels, state a * n + b is the pair (a, b), with a = n the sentence start,
-and the move (a, b) -> (b, c) owns transition slot n + ((a * n + b) * n +
-c). A lattice holds additive log-potentials
+the second-order chain. Each state space keeps one move table, move_slot
+(S + 1, S): entry [r, s] is the offset in the transition region of the
+weight vector of the move r -> s, row S is the sentence start, and -1
+marks a structurally forbidden move. state_space alone lays the pairs
+out: over n base labels, state a * n + b is the pair (a, b), with a = n
+the sentence start, and the move (a, b) -> (b, c) owns transition slot n
++ ((a * n + b) * n + c). A lattice holds additive log-potentials
 
     psi(t, s_prev, s) = transition(s_prev, s) + obs(t, s)
 
@@ -96,9 +99,10 @@ class StateSpace:
 
     obs_state_of maps each lattice state to the observation-conditioned
     state whose feature slots score it (for pairs, the current label).
-    start_slot and trans_slot give offsets into the transition region of
-    the weight vector, with -1 marking structurally forbidden moves.
-    output_labels is what each state emits into a decoded sequence.
+    move_slot (S + 1, S) gives each move r -> s its offset into the
+    transition region of the weight vector: row S is the sentence start,
+    and -1 marks a structurally forbidden move. output_labels is what each
+    state emits into a decoded sequence.
     """
 
     order: ModelOrder
@@ -106,13 +110,16 @@ class StateSpace:
     state_names: tuple[str, ...]
     output_labels: tuple[str, ...]
     obs_state_of: np.ndarray
-    start_slot: np.ndarray
-    trans_slot: np.ndarray
-    n_transition_params: int
+    move_slot: np.ndarray
 
     @property
     def n_states(self) -> int:
         return len(self.state_names)
+
+    @cached_property
+    def n_transition_params(self) -> int:
+        """Size of the transition region: one slot per allowed move."""
+        return int(np.count_nonzero(self.move_slot >= 0))
 
     @property
     def effective_states(self) -> int:
@@ -127,7 +134,7 @@ class StateSpace:
         return bool(np.array_equal(self.obs_state_of, np.arange(self.n_states)))
 
     @cached_property
-    def constraint_masks(self) -> tuple[np.ndarray, np.ndarray]:
+    def constraint_masks(self) -> np.ndarray:
         """preinduced_constraint_masks of the alphabet, built once per state space."""
         return preinduced_constraint_masks(self.alphabet)
 
@@ -140,27 +147,29 @@ def state_space(order: ModelOrder, alphabet: LabelAlphabet) -> StateSpace:
             alphabet.base_labels if order == ModelOrder.FIRST else alphabet.expanded_labels
         )
         n = len(labels)
+        # slots 0 .. n - 1 are the start's moves, rolled to the last row
+        slots = np.arange((n + 1) * n, dtype=np.int64).reshape(n + 1, n)
         return StateSpace(
             order=order,
             alphabet=alphabet,
             state_names=tuple(labels),
             output_labels=tuple(labels),
             obs_state_of=np.arange(n, dtype=np.int64),
-            start_slot=np.arange(n, dtype=np.int64),
-            trans_slot=n + np.arange(n * n, dtype=np.int64).reshape(n, n),
-            n_transition_params=n + n * n,
+            move_slot=np.roll(slots, -1, axis=0),
         )
 
     # pairs: state a * n + b is (a, b), previous label then current, with
-    # a = n standing for the sentence start; (a, b) -> (b, c) owns slot
-    # n + ((a * n + b) * n + c), and no move leads into a start pair
+    # a = n standing for the sentence start; the start moves into (n, c)
+    # through slot c, (a, b) -> (b, c) owns slot n + ((a * n + b) * n + c),
+    # and no move leads into a start pair
     labels = alphabet.base_labels
     n = len(labels)
     states = np.arange((n + 1) * n, dtype=np.int64)
     prev, cur = np.divmod(states, n)
     src, nxt = states[:, None], np.arange(n)
-    trans_slot = np.full((states.size, states.size), -1, dtype=np.int64)
-    trans_slot[src, cur[:, None] * n + nxt] = n + src * n + nxt
+    move_slot = np.full((states.size + 1, states.size), -1, dtype=np.int64)
+    move_slot[src, cur[:, None] * n + nxt] = n + src * n + nxt
+    move_slot[-1, n * n :] = nxt
     contexts = (*labels, START_SYMBOL)
     return StateSpace(
         order=order,
@@ -170,9 +179,7 @@ def state_space(order: ModelOrder, alphabet: LabelAlphabet) -> StateSpace:
         ),
         output_labels=tuple(labels[b] for b in cur.tolist()),
         obs_state_of=cur,
-        start_slot=np.where(prev == n, cur, -1),
-        trans_slot=trans_slot,
-        n_transition_params=n + (n + 1) * n * n,
+        move_slot=move_slot,
     )
 
 
@@ -187,20 +194,19 @@ def _label_kind(label: str, alphabet: LabelAlphabet) -> tuple[str, str | None]:
     return split_label(label)
 
 
-def preinduced_constraint_masks(alphabet: LabelAlphabet) -> tuple[np.ndarray, np.ndarray]:
-    """Decode-time validity masks for the expanded alphabet.
+def preinduced_constraint_masks(alphabet: LabelAlphabet) -> np.ndarray:
+    """Decode-time validity mask (S + 1, S) of the moves of the expanded
+    alphabet, laid out as StateSpace.move_slot (row S is the start).
 
     Forbids moves no induced training sequence can contain: a carrier
     before any entity or after one of a different type, plain O after the
     first entity, and any I-t that does not continue a same-type entity.
     Every path through the constrained lattice reverts to valid IOB2.
     """
-    labels = alphabet.expanded_labels
-    kinds = [_label_kind(label, alphabet) for label in labels]
-    n = len(labels)
-    start_allowed = np.array([tag in ("B", "O") for tag, _ in kinds], dtype=bool)
-    trans_allowed = np.zeros((n, n), dtype=bool)
-    for i, (src_tag, src_type) in enumerate(kinds):
+    kinds = [_label_kind(label, alphabet) for label in alphabet.expanded_labels]
+    allowed = np.zeros((len(kinds) + 1, len(kinds)), dtype=bool)
+    # the start allows exactly the moves plain O allows
+    for i, (src_tag, src_type) in enumerate(kinds + [("O", None)]):
         for j, (dst_tag, dst_type) in enumerate(kinds):
             if dst_tag == "B":
                 ok = True
@@ -210,8 +216,8 @@ def preinduced_constraint_masks(alphabet: LabelAlphabet) -> tuple[np.ndarray, np
                 ok = src_tag == "O"
             else:  # carrier: only after a same-type entity or itself
                 ok = src_tag in ("B", "I", "C") and src_type == dst_type
-            trans_allowed[i, j] = ok
-    return start_allowed, trans_allowed
+            allowed[i, j] = ok
+    return allowed
 
 
 @dataclass
@@ -239,30 +245,22 @@ class Lattice:
         return float(context + self.obs[t, s])
 
 
-def _transition_tables(
-    weights: np.ndarray, index: FeatureIndex, space: StateSpace
-) -> tuple[np.ndarray, np.ndarray]:
-    """Start (S,) and transition (S, S) log-potentials, -inf where forbidden."""
-    w_trans = weights[index.n_parameters :]
-    trans = np.full(space.trans_slot.shape, NEG_INF)
-    allowed = space.trans_slot >= 0
-    trans[allowed] = w_trans[space.trans_slot[allowed]]
-    start = np.full(space.n_states, NEG_INF)
-    s_ok = space.start_slot >= 0
-    start[s_ok] = w_trans[space.start_slot[s_ok]]
-    return start, trans
+def _move_potentials(weights: np.ndarray, index: FeatureIndex, space: StateSpace) -> np.ndarray:
+    """(S + 1, S) log-potentials of the moves of space.move_slot, -inf where
+    forbidden: the transition (S, S) rows, then the start row."""
+    allowed = space.move_slot >= 0
+    moves = np.full(space.move_slot.shape, NEG_INF)
+    moves[allowed] = weights[index.n_parameters :][space.move_slot[allowed]]
+    return moves
 
 
-def _transition_counts(
-    start_mass: np.ndarray, edge_mass: np.ndarray, space: StateSpace
-) -> np.ndarray:
-    """Scatter start (S,) and transition (S, S) masses onto the transition
-    region of the weight vector: the transpose of _transition_tables."""
+def _transition_counts(mass: np.ndarray, space: StateSpace) -> np.ndarray:
+    """Scatter an (S + 1, S) mass over the moves of space.move_slot onto the
+    transition region of the weight vector: the transpose of
+    _move_potentials."""
     counts = np.zeros(space.n_transition_params)
-    s_ok = space.start_slot >= 0
-    counts[space.start_slot[s_ok]] = start_mass[s_ok]
-    allowed = space.trans_slot >= 0
-    counts[space.trans_slot[allowed]] = edge_mass[allowed]
+    allowed = space.move_slot >= 0
+    counts[space.move_slot[allowed]] = mass[allowed]
     return counts
 
 
@@ -322,8 +320,7 @@ def build_lattice(
     obs (N, S) holds the tokens in the packed layout's row order, with the
     layout's block widths and row order (see _packed_layout), so that
     viterbi(lattice, widths) decodes every sentence. constrained=True
-    applies the pre-induced decode-time validity masks to the start and
-    transition tables.
+    applies the pre-induced decode-time validity mask to the moves.
     """
     weights = np.asarray(weights, dtype=np.float64)
     expected = total_parameters(index, space)
@@ -348,12 +345,10 @@ def build_lattice(
     # a slice where each state is its own observation state: no extra copy
     columns = slice(index.n_fine) if space.observes_itself else space.obs_state_of
     obs = _observation_sums(incidence, weights, index)[:, columns]
-    start, trans = _transition_tables(weights, index, space)
+    moves = _move_potentials(weights, index, space)
     if constrained:
-        start_ok, trans_ok = space.constraint_masks
-        start = np.where(start_ok, start, NEG_INF)
-        trans = np.where(trans_ok, trans, NEG_INF)
-    return Lattice(obs=obs, trans=trans, start=start), widths, order
+        moves = np.where(space.constraint_masks, moves, NEG_INF)
+    return Lattice(obs=obs, trans=moves[:-1], start=moves[-1]), widths, order
 
 
 @dataclass
@@ -702,16 +697,14 @@ def pack_batch(
     incidence = _incidence(
         np.concatenate(positions) // index.block_size, [len(p) for p in positions], index
     )[order]
-    # every gold move counted at once, a sentence's first position as a move
-    # from the extra previous state n_states: row n_states of the counts is
-    # the start mass, the rows above it the edge mass
+    # every gold move counted at once, laid out as space.move_slot: a
+    # sentence's first position is a move from the start row n_states
     gold = np.concatenate([cs.gold for cs in batch])
     prev = np.roll(gold, 1)
     prev[np.cumsum(lengths) - lengths] = n_states
     moves = np.bincount(prev * n_states + gold, minlength=(n_states + 1) * n_states)
     moves = moves.reshape(n_states + 1, n_states).astype(float)
-    start_mass, edge_mass = moves[n_states], moves[:n_states]
-    if np.any(start_mass[space.start_slot < 0]) or np.any(edge_mass[space.trans_slot < 0]):
+    if np.any(moves[space.move_slot < 0]):
         raise CrfError("gold path uses a structurally forbidden transition")
     packed = CompiledBatch(batch)
     packed.index, packed.space, packed.widths, packed.incidence = index, space, widths, incidence
@@ -719,7 +712,7 @@ def pack_batch(
     packed.observed = np.concatenate(
         [
             _scatter_observations(incidence, gold_mass, index),
-            _transition_counts(start_mass, edge_mass, space),
+            _transition_counts(moves, space),
         ]
     )
     return packed
@@ -764,15 +757,15 @@ def log_likelihood_and_gradient(
     if not (isinstance(batch, CompiledBatch) and batch.index is index and batch.space is space):
         batch = pack_batch(batch, index, space)
 
-    start, trans = _transition_tables(weights, index, space)
+    moves = _move_potentials(weights, index, space)
     sums = _observation_sums(batch.incidence, weights, index)
-    run = _forward_backward(sums.T[space.obs_state_of], batch.widths, start, trans)
+    run = _forward_backward(sums.T[space.obs_state_of], batch.widths, moves[-1], moves[:-1])
     node = np.multiply(run.alphas, run.betas, out=run.betas)
     start_mass = node[:, : batch.widths[0]].sum(axis=1)
     if not space.observes_itself:
         node = np.eye(index.n_fine)[space.obs_state_of].T @ node
     expected_obs = _scatter_observations(batch.incidence, node, index, out=sums)
-    expected_trans = _transition_counts(start_mass, run.trans_pot * run.edges, space)
+    expected_trans = _transition_counts(np.vstack([run.trans_pot * run.edges, start_mass]), space)
 
     objective = float(weights @ batch.observed) - float(run.log_scale.sum())
     grad = batch.observed - np.concatenate([expected_obs, expected_trans])

@@ -21,6 +21,7 @@ from .corpus import (
     validate_iob2,
 )
 from .crf_types import ModelOrder
+from .features import FeatureError
 from .induction import AlphabetError, build_expanded_alphabet, corpus_alphabet
 from .training import TrainConfig, train
 
@@ -208,6 +209,29 @@ def _check_grid(name: str, values: Sequence) -> None:
             raise EvaluationError("%s %s is repeated" % (name, value))
 
 
+def _cell_configs(
+    base_config: TrainConfig, orders: Sequence[ModelOrder], feature_sets: Sequence[int]
+) -> list[TrainConfig]:
+    """The TrainConfig of every (order, feature set) cell, order by order,
+    built before any cell trains: a bad order or feature set raises
+    EvaluationError naming it."""
+    _check_grid("order", orders)
+    _check_grid("feature set", feature_sets)
+    configs = []
+    for order in orders:
+        try:
+            order = ModelOrder(order)
+        except ValueError:
+            raise EvaluationError("unknown order %r" % (order,)) from None
+        for feature_set in feature_sets:
+            try:
+                template = replace(base_config.template, set_id=feature_set)
+            except FeatureError as exc:
+                raise EvaluationError("feature set %r: %s" % (feature_set, exc)) from None
+            configs.append(replace(base_config, model_order=order, template=template))
+    return configs
+
+
 def run_comparison(
     train_corpus: Sequence[Sentence],
     test_corpus: Sequence[Sentence],
@@ -222,41 +246,31 @@ def run_comparison(
     not polluted by concurrent work. Failures are re-raised naming the
     offending cell.
     """
-    if base_config is None:
-        base_config = TrainConfig()
-    _check_grid("order", orders)
-    _check_grid("feature set", feature_sets)
+    configs = _cell_configs(base_config or TrainConfig(), orders, feature_sets)
     try:
         alphabet = corpus_alphabet(train_corpus, test_corpus)
     except AlphabetError as exc:
         raise EvaluationError(str(exc)) from exc
 
     cells: list[ExperimentCell] = []
-    for order in orders:
-        for feature_set in feature_sets:
-            config = replace(
-                base_config,
-                model_order=ModelOrder(order),
-                template=replace(base_config.template, set_id=feature_set),
+    for config in configs:
+        order, feature_set = config.model_order, config.template.set_id
+        try:
+            model, report = train(train_corpus, config, alphabet)
+            predicted = model.decode_corpus(test_corpus)
+            cell_score = score(test_corpus, predicted)
+        except Exception as exc:
+            raise EvaluationError("cell %s/set%d failed: %s" % (order, feature_set, exc)) from exc
+        cells.append(
+            ExperimentCell(
+                order=order,
+                feature_set=feature_set,
+                score=cell_score,
+                seconds_per_iteration=report.mean_seconds_per_iteration,
+                iterations=report.n_iterations,
+                termination=report.termination,
             )
-            try:
-                model, report = train(train_corpus, config, alphabet)
-                predicted = model.decode_corpus(test_corpus)
-                cell_score = score(test_corpus, predicted)
-            except Exception as exc:
-                raise EvaluationError(
-                    "cell %s/set%d failed: %s" % (order, feature_set, exc)
-                ) from exc
-            cells.append(
-                ExperimentCell(
-                    order=ModelOrder(order),
-                    feature_set=feature_set,
-                    score=cell_score,
-                    seconds_per_iteration=report.mean_seconds_per_iteration,
-                    iterations=report.n_iterations,
-                    termination=report.termination,
-                )
-            )
+        )
     return ExperimentReport(cells=cells)
 
 
@@ -369,7 +383,7 @@ def run_longdistance(
     """
     if base_config is None:
         base_config = TrainConfig()
-    _check_grid("order", orders)
+    configs = _cell_configs(base_config, orders, [base_config.template.set_id])
     if train_size < 1 or test_size < 1:
         raise EvaluationError("train_size and test_size must be positive")
     radius = base_config.template.window_radius
@@ -385,13 +399,12 @@ def run_longdistance(
     alphabet = build_expanded_alphabet(synth.entity_types)
 
     cells: list[LongDistanceCell] = []
-    for order in orders:
-        config = replace(base_config, model_order=ModelOrder(order))
+    for config in configs:
         model, report = train(train_corpus, config, alphabet)
         predicted = model.decode_corpus(test_corpus)
         cells.append(
             LongDistanceCell(
-                order=ModelOrder(order),
+                order=config.model_order,
                 score=score(test_corpus, predicted),
                 second_entity_accuracy=second_entity_accuracy(test_corpus, predicted),
                 iterations=report.n_iterations,

@@ -240,6 +240,22 @@ class TestEval:
         out = capsys.readouterr().out
         assert "f1" in out and "1.0000" in out
 
+    @pytest.mark.parametrize(
+        "gold_text, pred_text, message",
+        [
+            ("a\tB-A\nb\tO\n", "x\tB-A\ny\tO\n", "sentence 0, token 0: gold has 'a'"
+             " but the predictions have 'x'"),
+            (TEST_TEXT, TEST_TEXT.replace("corp", "inc"), "sentence 1, token 1: gold has"
+             " 'corp' but the predictions have 'inc'"),
+        ],
+    )
+    def test_pred_with_other_tokens_rejected(self, tmp_path, gold_text, pred_text, message):
+        gold, pred = tmp_path / "gold.conll", tmp_path / "pred.conll"
+        gold.write_text(gold_text)
+        pred.write_text(pred_text)
+        code, out, err = run_captured(["eval", "--gold", gold, "--pred", pred])
+        assert (code, out, err) == (1, "", "error: %s\n" % message)
+
     def test_model_on_gold_input(self, model_path, corpus_files, capsys):
         _, test = corpus_files
         assert run(["eval", "--model", model_path, "--input", test, "--per-type"]) == 0

@@ -74,21 +74,30 @@ class TestStateSpace:
         assert second.n_states == base * base + base
 
     def test_transition_slots_disjoint(self):
-        alpha = build_expanded_alphabet(["A"])
-        for order in ModelOrder:
-            space = state_space(order, alpha)
-            slots = space.trans_slot[space.trans_slot >= 0]
-            assert len(set(slots.tolist())) == slots.size
-            assert slots.max() < space.n_transition_params
+        """The allowed moves of move_slot, start row included, own the slots
+        0 .. n_transition_params - 1, one each."""
+        for n_types in (1, 2, 3):
+            alpha = build_expanded_alphabet([chr(ord("A") + i) for i in range(n_types)])
+            n = len(alpha.base_labels)
+            for order in ModelOrder:
+                space = state_space(order, alpha)
+                assert space.move_slot.shape == (space.n_states + 1, space.n_states)
+                assert (space.move_slot >= -1).all()
+                slots = np.sort(space.move_slot[space.move_slot >= 0])
+                assert np.array_equal(slots, np.arange(space.n_transition_params))
+                if order == ModelOrder.SECOND:
+                    assert space.n_transition_params == n + (n + 1) * n * n
+                else:
+                    assert space.n_transition_params == (space.n_states + 1) * space.n_states
 
     def test_second_order_start_states_only_at_origin(self):
         alpha = build_expanded_alphabet(["A"])
         space = state_space(ModelOrder.SECOND, alpha)
         n = len(alpha.base_labels)
-        assert (space.start_slot[: n * n] == -1).all()
-        assert (space.start_slot[n * n :] >= 0).all()
+        assert (space.move_slot[-1, : n * n] == -1).all()
+        assert (space.move_slot[-1, n * n :] >= 0).all()
         # nothing transitions into a start pair
-        assert (space.trans_slot[:, n * n :] == -1).all()
+        assert (space.move_slot[:-1, n * n :] == -1).all()
 
     def test_output_labels(self):
         alpha = build_expanded_alphabet(["A"])
@@ -121,8 +130,8 @@ class TestPairLayout:
                 for c in range(n):
                     dst = pairs.index((labels[b], labels[c]))
                     expected_trans[src, dst] = n + ((a * n + b) * n + c)
-        assert np.array_equal(space.trans_slot, expected_trans)
-        assert np.array_equal(space.start_slot, expected_start)
+        assert np.array_equal(space.move_slot[:-1], expected_trans)
+        assert np.array_equal(space.move_slot[-1], expected_start)
         assert space.n_transition_params == n + (n + 1) * n * n
         for i, (a, b) in enumerate(pairs):
             assert space.state_names[i] == "%s|%s" % ("<start>" if a is None else a, b)
@@ -427,9 +436,9 @@ class TestObjective:
             lattice = _lattice(feats, weights, index, space)
             result = forward_backward(lattice)
             gold = cs.gold
-            gold_score = w_trans[space.start_slot[gold[0]]]
+            gold_score = w_trans[space.move_slot[-1, gold[0]]]
             for t in range(1, len(gold)):
-                gold_score += w_trans[space.trans_slot[gold[t - 1], gold[t]]]
+                gold_score += w_trans[space.move_slot[gold[t - 1], gold[t]]]
             gold_score += lattice.obs[np.arange(len(gold)), gold].sum()
             total += gold_score - result.log_z
         assert value == pytest.approx(total, rel=1e-10)
@@ -479,6 +488,20 @@ class TestObjective:
         space, index, [cs] = _training_setup(ModelOrder.FIRST, corpus)
         with pytest.raises(CrfError, match="gold path of its length"):
             pack_batch([cs._replace(gold=cs.gold[:1])], index, space)
+
+    @pytest.mark.parametrize("fault", ["unchained", "no-start-pair"])
+    def test_second_order_gold_must_chain_from_the_start(self, fault):
+        """A pair path must begin with a start pair, and each pair (a, b)
+        must be followed by some (b, c)."""
+        corpus = [Sentence.from_strings(["a", "b"], ["B-A", "I-A"])]
+        space, index, [cs] = _training_setup(ModelOrder.SECOND, corpus)
+        pack_batch([cs], index, space)
+        n = len(ALPHA2.base_labels)
+        b, i = ALPHA2.base_index["B-A"], ALPHA2.base_index["I-A"]
+        assert cs.gold.tolist() == [n * n + b, b * n + i]
+        gold = [n * n + b, i * n + i] if fault == "unchained" else [b * n + b, b * n + i]
+        with pytest.raises(CrfError, match="^gold path uses a structurally forbidden transition$"):
+            pack_batch([cs._replace(gold=np.array(gold))], index, space)
 
     def test_weight_length_mismatch(self):
         corpus = [Sentence.from_strings(["a"], ["O"])]
@@ -598,7 +621,8 @@ class TestSecondOrderEmbedding:
 
 class TestPreInducedConstraints:
     def test_forbidden_moves(self):
-        start_ok, trans_ok = preinduced_constraint_masks(ALPHA2)
+        mask = preinduced_constraint_masks(ALPHA2)
+        start_ok, trans_ok = mask[-1], mask[:-1]
         labels = ALPHA2.expanded_labels
         idx = {label: i for i, label in enumerate(labels)}
 
@@ -653,9 +677,9 @@ class TestPreInducedConstraints:
 
 def _gold_score(lattice, space, index, weights, gold):
     w_trans = weights[index.n_parameters :]
-    score = w_trans[space.start_slot[gold[0]]]
+    score = w_trans[space.move_slot[-1, gold[0]]]
     for t in range(1, len(gold)):
-        score += w_trans[space.trans_slot[gold[t - 1], gold[t]]]
+        score += w_trans[space.move_slot[gold[t - 1], gold[t]]]
     return score + lattice.obs[np.arange(len(gold)), gold].sum()
 
 
@@ -689,13 +713,14 @@ def _reference_objective(corpus, template, weights, index, space):
                 for j, label in enumerate(index.obs_labels):
                     for slot in index.observation_slots(feature, label):
                         grad[slot] += mass[t, j]
-        trans_grad[space.start_slot[gold[0]]] += 1.0
+        start_slot, trans_slot = space.move_slot[-1], space.move_slot[:-1]
+        trans_grad[start_slot[gold[0]]] += 1.0
         for prev, cur in zip(gold, gold[1:]):
-            trans_grad[space.trans_slot[prev, cur]] += 1.0
-        s_ok = space.start_slot >= 0
-        trans_grad[space.start_slot[s_ok]] -= result.node_marginals[0][s_ok]
-        allowed = space.trans_slot >= 0
-        trans_grad[space.trans_slot[allowed]] -= result.edge_marginals.sum(axis=0)[allowed]
+            trans_grad[trans_slot[prev, cur]] += 1.0
+        s_ok = start_slot >= 0
+        trans_grad[start_slot[s_ok]] -= result.node_marginals[0][s_ok]
+        allowed = trans_slot >= 0
+        trans_grad[trans_slot[allowed]] -= result.edge_marginals.sum(axis=0)[allowed]
     return value, grad
 
 
@@ -807,8 +832,8 @@ def test_one_infeasible_sentence_raises_wherever_it_sorts(order, bad_length, whe
         weights[block + keep] = 0.0
     into = space.obs_state_of[:, None] == only[second]
     from_ = space.obs_state_of[:, None] == only[first]
-    move = (from_ & into.T) & (space.trans_slot >= 0)
-    weights[index.n_parameters + space.trans_slot[move]] = NEG_INF
+    move = (from_ & into.T) & (space.move_slot[:-1] >= 0)
+    weights[index.n_parameters + space.move_slot[:-1][move]] = NEG_INF
     for i, sentence in enumerate(corpus):
         lattice = _lattice(extract_features(sentence, TemplateConfig(set_id=1)), weights, index, space)
         if i == where:
@@ -863,7 +888,8 @@ def test_batched_viterbi_matches_single_lattices_and_brute_force(
     time."""
     rng = np.random.default_rng(seed)
     if constrained:
-        start_ok, trans_ok = preinduced_constraint_masks(build_expanded_alphabet(["A"]))
+        mask = preinduced_constraint_masks(build_expanded_alphabet(["A"]))
+        start_ok, trans_ok = mask[-1], mask[:-1]
         n_states = start_ok.size
     else:
         start_ok, trans_ok = np.ones(n_states, bool), np.ones((n_states, n_states), bool)

@@ -1,5 +1,6 @@
 import pytest
 
+import picrf.evaluation
 from picrf.corpus import Sentence, SynthConfig
 from picrf.crf_types import ModelOrder
 from picrf.evaluation import (
@@ -172,6 +173,22 @@ class TestRunComparison:
         with pytest.raises(EvaluationError):
             run_comparison(plain, plain, [ModelOrder.FIRST], [1])
 
+    @pytest.mark.parametrize(
+        "orders, feature_sets, message",
+        [
+            (["first", "third"], [1], "unknown order 'third'"),
+            (["first"], [1, 3], "feature set 3: set_id must be 1 or 2, got 3"),
+        ],
+    )
+    def test_bad_cell_rejected_before_any_cell_trains(
+        self, monkeypatch, orders, feature_sets, message
+    ):
+        calls = []
+        monkeypatch.setattr(picrf.evaluation, "train", lambda *args: calls.append(args))
+        with pytest.raises(EvaluationError, match="^%s$" % message):
+            run_comparison(SMALL_TRAIN, SMALL_TEST, orders, feature_sets)
+        assert calls == []
+
 
 class TestSecondEntityAccuracy:
     def test_counts_type_hits_at_second_entity(self):
@@ -229,6 +246,14 @@ class TestLongDistance:
         synth = SynthConfig(entity_type_count=2, sentences=1, gap_lengths=(2, 3))
         with pytest.raises(EvaluationError, match="^%s$" % message):
             run_longdistance(synth, 10, 5, orders)
+
+    def test_bad_order_rejected_before_any_cell_trains(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(picrf.evaluation, "train", lambda *args: calls.append(args))
+        synth = SynthConfig(entity_type_count=2, sentences=1, gap_lengths=(2, 3))
+        with pytest.raises(EvaluationError, match="^unknown order 'third'$"):
+            run_longdistance(synth, 10, 5, ["first", "third"])
+        assert calls == []
 
     def test_sizes_must_be_positive(self):
         synth = SynthConfig(entity_type_count=2, sentences=1, gap_lengths=(2, 3))

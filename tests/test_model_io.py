@@ -135,6 +135,45 @@ class TestFormat1File:
         assert loaded.index.features == model.index.features
 
 
+SECOND_ORDER_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "format2_second.txt")
+
+
+class TestSecondOrderFile:
+    """A small second-order model saved in format 2 (16 sentences, 2
+    types, feature set 1, 275 weights) before the start and transition
+    slot tables became one move table: its pair-transition weights must
+    stay in the slots the file puts them in."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return load_model(SECOND_ORDER_FIXTURE)
+
+    def test_loads_its_weights(self, model):
+        assert hashlib.sha256(model.weights.astype("<f8").tobytes()).hexdigest() == (
+            "91d45ffa8523c54c75391a1c91eae92d80f27f8326590d8f6a9daf7870e92d95"
+        )
+        assert model.order == ModelOrder.SECOND
+        assert model.alphabet.entity_types == ("DNA", "RNA")
+        assert model.weights.size - model.index.n_parameters == 155
+
+    def test_decodes_pinned_sentences(self, model):
+        pinned = [
+            ("zzz unseen tokens 2 g", "O B-RNA B-RNA B-DNA I-DNA"),
+            ("e d1a 1cg-X", "O B-DNA B-DNA"),
+            ("311abX agYeY db3f3h 02", "O B-RNA B-RNA B-DNA"),
+            ("2 g 2", "B-RNA I-RNA I-RNA"),
+        ]
+        sentences = [Sentence.from_strings(text.split()) for text, _ in pinned]
+        decoded = model.decode_corpus(sentences)
+        assert [" ".join(labels) for labels in decoded] == [labels for _, labels in pinned]
+
+    def test_saves_the_same_bytes(self, model):
+        buffer = io.StringIO()
+        save_model(model, buffer)
+        with open(SECOND_ORDER_FIXTURE, encoding="utf-8") as handle:
+            assert buffer.getvalue() == handle.read()
+
+
 def _decode_corpus():
     """Unlabeled sentences of mixed lengths with empty ones interleaved;
     many share a length, so the packed layout's widths hold ties."""

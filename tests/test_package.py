@@ -59,3 +59,52 @@ def test_unused_import_check_sees_names():
         "print(os.path.sep, dumps)\n"
     )
     assert _unused_imports(source) == ["line 3: loads"]
+
+
+def _unused_private_names(source: str) -> list[str]:
+    """Top-level private names (_name: functions, classes and assigned
+    constants, dunders aside) that the module never loads."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.endswith("__"):
+                defined.setdefault(name, node.lineno)
+    loaded = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return ["line %d: %s" % (line, name) for name, line in defined.items() if name not in loaded]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_private_code(path):
+    """Each module uses every private function, class and constant it
+    defines at the top level: nothing else may use them."""
+    assert _unused_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_dead_private_code_check_sees_names():
+    source = (
+        "_LIMIT = 3\n"
+        "_UNUSED: int = 4\n"
+        "__version__ = '1'\n"
+        "def _helper():\n"
+        "    return _LIMIT\n"
+        "def _stale():\n"
+        "    _local = 1\n"
+        "    return _local\n"
+        "class _Gone:\n"
+        "    pass\n"
+        "def public():\n"
+        "    return _helper()\n"
+    )
+    assert _unused_private_names(source) == ["line 2: _UNUSED", "line 6: _stale", "line 9: _Gone"]
