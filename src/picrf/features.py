@@ -98,8 +98,13 @@ class TemplateConfig:
                 raise FeatureError("%s must be distinct integers, got %r" % (name, values))
         if any(length < 1 for length in self.affix_lengths):
             raise FeatureError("affix lengths must be positive")
-        if self.min_feature_count < 0:
-            raise FeatureError("min_feature_count must be non-negative")
+        if type(self.use_normalized) is not bool:
+            raise FeatureError("use_normalized must be a bool, got %r" % (self.use_normalized,))
+        if type(self.min_feature_count) is not int or self.min_feature_count < 0:
+            raise FeatureError(
+                "min_feature_count must be a non-negative integer, got %r"
+                % (self.min_feature_count,)
+            )
 
     @property
     def window_radius(self) -> int:

@@ -4,23 +4,27 @@ The optimizer maximizes the L2-penalized conditional log-likelihood from
 crf.log_likelihood_and_gradient, starting from the zero vector over the
 full corpus (no minibatching), so training is deterministic: same corpus,
 config and alphabet give bit-identical weights. The quasi-Newton loop is
-scipy's L-BFGS-B; its relative-reduction stop maps to relative_tolerance
-and its projected-gradient stop is pinned at max-norm 1e-8.
+_lbfgs, an unconstrained L-BFGS (Liu & Nocedal 1989) written as a
+generator that yields after every iteration, so train times each
+iteration by one next() and measure_iteration_cost interleaves the
+iterations of several orders in one thread. It stops as L-BFGS-B does:
+on a relative reduction of the objective below relative_tolerance
+("tolerance"), a gradient of max-norm 1e-8 or less ("gradient") or
+max_iterations; a line search that finds no sufficient decrease within
+20 objective calls stops it as "line_search".
 """
 
 from __future__ import annotations
 
 import json
-import threading
 import time
-from dataclasses import dataclass, field, replace
-from functools import partial
+from collections import deque
+from dataclasses import asdict, dataclass, field, replace
 from itertools import count
 from numbers import Integral
-from typing import Callable, Sequence
+from typing import Callable, Generator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import OptimizeResult, minimize
 
 from .corpus import Sentence, validate_iob2
 from .crf import (
@@ -32,7 +36,7 @@ from .crf import (
     total_parameters,
 )
 from .crf_types import ModelOrder
-from .features import TemplateConfig, build_feature_index, extract_features
+from .features import FeatureIndex, TemplateConfig, build_feature_index, extract_features
 from .induction import LabelAlphabet, corpus_alphabet
 from .model_io import Model
 
@@ -50,7 +54,6 @@ class TrainConfig:
     l2_variance: float = 10.0
     max_iterations: int = 500
     relative_tolerance: float = 1e-6
-    history_size: int = 7
 
     def __post_init__(self):
         object.__setattr__(self, "model_order", ModelOrder(self.model_order))
@@ -58,10 +61,8 @@ class TrainConfig:
             raise TrainingError("l2_variance must be strictly positive (inf disables it)")
         if not (self.relative_tolerance > 0):
             raise TrainingError("relative_tolerance must be strictly positive")
-        for name in ("max_iterations", "history_size"):
-            value = getattr(self, name)
-            if not isinstance(value, Integral) or value < 1:
-                raise TrainingError("%s must be an integer of at least 1" % name)
+        if not isinstance(self.max_iterations, Integral) or self.max_iterations < 1:
+            raise TrainingError("max_iterations must be an integer of at least 1")
 
 
 @dataclass(frozen=True)
@@ -103,16 +104,7 @@ class TrainReport:
         return sum(r.seconds for r in self.iterations) / len(self.iterations)
 
     def to_records(self) -> list[dict]:
-        return [
-            {
-                "iteration": r.iteration,
-                "objective": r.objective,
-                "gradient_max": r.gradient_max,
-                "seconds": r.seconds,
-                "objective_calls": r.objective_calls,
-            }
-            for r in self.iterations
-        ]
+        return [asdict(r) for r in self.iterations]
 
     def to_jsonl(self) -> str:
         lines = [json.dumps(record) for record in self.to_records()]
@@ -183,20 +175,116 @@ def _check_finite(objective: float, gradient: np.ndarray) -> None:
         )
 
 
-def _termination_reason(result) -> str:
-    message = result.message
-    if isinstance(message, bytes):
-        message = message.decode("latin-1")
-    if result.status == 1:
-        return "max_iterations"
-    if result.status == 0:
-        upper = message.upper()
-        if "REL_REDUCTION" in upper or "RELATIVE REDUCTION" in upper:
-            return "tolerance"
-        if "PGTOL" in upper or "PROJECTED GRADIENT" in upper:
-            return "gradient"
-        return "converged"
-    return "stopped: %s" % message
+# L-BFGS-B's defaults: the (s, y) pairs the direction uses, the
+# sufficient-decrease constant of the line search (dcsrch's ftol), the
+# gradient max-norm at which training stops, and the objective calls one
+# line search may make.
+_HISTORY = 7
+_ARMIJO = 1e-3
+_GRADIENT_STOP = 1e-8
+_LINE_SEARCH_CALLS = 20
+
+# value and gradient of a function of the weights
+_Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
+
+
+class _Iterate(NamedTuple):
+    """A point _lbfgs reached, with the objective calls made so far."""
+
+    x: np.ndarray
+    fun: float
+    gradient_max: float
+    calls: int
+
+
+def _direction(g: np.ndarray, pairs: deque) -> np.ndarray:
+    """-H g by the two-loop recursion, for H the L-BFGS inverse-Hessian
+    estimate from pairs, (s, y, 1 / s·y) oldest first; -g without pairs."""
+    d = -g
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * (s @ d))
+        d -= alphas[-1] * y
+    if pairs:
+        _, y, rho = pairs[-1]
+        d *= 1.0 / (rho * (y @ y))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        d += (alpha - rho * (y @ d)) * s
+    return d
+
+
+def _lbfgs(
+    fun: _Objective, x: np.ndarray, max_iterations: int, tolerance: float
+) -> Generator[_Iterate, None, tuple[str, _Iterate]]:
+    """Minimize fun from x by L-BFGS, yielding each iterate; return the
+    stop reason and the last point.
+
+    The line search starts at step 1, or at 1/|g| along -g when no pair is
+    stored, and backtracks to the minimizer of the quadratic through f(0),
+    f'(0) and f(t), kept within [t/10, t/2], until f falls by _ARMIJO of
+    the linear prediction. A direction that rounding has made not downhill
+    gets no line search. A step with s·y <= 0, which the L2 penalty rules
+    out, stores no pair.
+    """
+    f, g = fun(x)
+    calls = 1
+    pairs: deque = deque(maxlen=_HISTORY)
+    for iteration in count():
+        iterate = _Iterate(x, f, float(np.max(np.abs(g))), calls)
+        if iteration:
+            yield iterate
+        if iterate.gradient_max <= _GRADIENT_STOP:
+            return "gradient", iterate
+        if iteration and f_old - f <= tolerance * max(abs(f_old), abs(f), 1.0):
+            return "tolerance", iterate
+        if iteration >= max_iterations:
+            return "max_iterations", iterate
+        d = _direction(g, pairs)
+        step = 1.0 if pairs else 1.0 / np.linalg.norm(g)
+        slope = g @ d
+        for _ in range(_LINE_SEARCH_CALLS if slope < 0 else 0):
+            x_new = x + step * d
+            f_new, g_new = fun(x_new)
+            calls += 1
+            if f_new <= f + _ARMIJO * step * slope:
+                break
+            quadratic = -slope * step * step / (2.0 * (f_new - f - slope * step))
+            step = min(max(quadratic, 0.1 * step), 0.5 * step)
+        else:
+            return "line_search", iterate._replace(calls=calls)
+        s, y = x_new - x, g_new - g
+        sy = float(s @ y)
+        if sy > 0:
+            pairs.append((s, y, 1.0 / sy))
+        f_old, x, f, g = f, x_new, f_new, g_new
+
+
+class Minimum(NamedTuple):
+    """Where minimize stopped, with the value, gradient max-norm, objective
+    calls and seconds of each iteration."""
+
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+    termination: str
+    trace: tuple[tuple[float, float, int, float], ...]
+
+
+def minimize(fun: _Objective, x0: np.ndarray, max_iterations: int, tolerance: float) -> Minimum:
+    """Run _lbfgs from x0 to its stop, timing every iteration."""
+    iterations = _lbfgs(fun, x0, max_iterations, tolerance)
+    trace, calls = [], 0
+    while True:
+        start = time.perf_counter()
+        try:
+            iterate = next(iterations)
+        except StopIteration as stop:
+            termination, end = stop.value
+            return Minimum(end.x, end.fun, len(trace), end.calls, termination, tuple(trace))
+        seconds = time.perf_counter() - start
+        trace.append((iterate.fun, iterate.gradient_max, iterate.calls - calls, seconds))
+        calls = iterate.calls
 
 
 def compile_corpus(
@@ -222,6 +310,24 @@ def compile_corpus(
     return pack_batch(compiled, index, space)
 
 
+def _objective(
+    corpus: Sequence[Sentence], config: TrainConfig, alphabet: LabelAlphabet
+) -> tuple[FeatureIndex, int, _Objective]:
+    """Index the corpus's features and compile its batch, once; return the
+    index, the weight count and the negated penalized log-likelihood with
+    its gradient as a function of the weights."""
+    space = state_space(config.model_order, alphabet)
+    index = build_feature_index(corpus, config.template, alphabet, config.model_order)
+    compiled = compile_corpus(corpus, config.template, index, space)
+
+    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
+        value, grad = log_likelihood_and_gradient(compiled, x, index, space, config.l2_variance)
+        _check_finite(value, grad)
+        return -value, -grad
+
+    return index, total_parameters(index, space), objective
+
+
 def train(
     corpus: Sequence[Sentence],
     config: TrainConfig,
@@ -237,92 +343,34 @@ def train(
     once, before the optimizer loop, and per-iteration wall times exclude
     them.
     """
-    return _train(corpus, config, alphabet)
-
-
-def _train(
-    corpus: Sequence[Sentence],
-    config: TrainConfig,
-    alphabet: LabelAlphabet | None,
-    pause: Callable[[], None] | None = None,
-) -> tuple[Model, TrainReport]:
-    """train, calling pause (when given) at the end of every iteration; the
-    time pause takes counts toward no iteration."""
     if not corpus:
         raise TrainingError("training corpus is empty")
     if alphabet is None:
         alphabet = corpus_alphabet(corpus)
-    space = state_space(config.model_order, alphabet)
-    index = build_feature_index(corpus, config.template, alphabet, config.model_order)
-    compiled = compile_corpus(corpus, config.template, index, space)
-    n_params = total_parameters(index, space)
-
-    # clock time and optimizer objective calls at the last iteration's end
-    clock = {"last": 0.0, "calls": 0, "calls_before": 0}
-    # the value and gradient max the last objective call returned
-    latest = [0.0, 0.0]
-
-    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        clock["calls"] += 1
-        value, grad = log_likelihood_and_gradient(compiled, x, index, space, config.l2_variance)
-        _check_finite(value, grad)
-        latest[:] = -value, float(np.max(np.abs(grad)))
-        return -value, -grad
-
-    records: list[IterationRecord] = []
-
-    def callback(intermediate_result: OptimizeResult) -> None:
-        # L-BFGS-B reports an iterate right after evaluating it, so the
-        # last objective call is the iterate's
-        now = time.perf_counter()
-        elapsed = now - clock["last"]
-        clock["last"] = now
-        f, gmax = latest
-        if intermediate_result.fun != f:
-            raise TrainingError(
-                "optimizer reported objective %r at an iterate, but the last evaluation gave %r"
-                % (intermediate_result.fun, f)
-            )
-        calls = clock["calls"] - clock["calls_before"]
-        clock["calls_before"] = clock["calls"]
-        records.append(IterationRecord(len(records) + 1, -f, gmax, elapsed, calls))
-        if pause is not None:
-            waited = time.perf_counter()
-            pause()
-            clock["last"] += time.perf_counter() - waited
-
-    x0 = np.zeros(n_params)
-    clock["last"] = time.perf_counter()
+    index, n_params, objective = _objective(corpus, config, alphabet)
     result = minimize(
-        objective,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        callback=callback,
-        options={
-            "maxiter": config.max_iterations,
-            "maxcor": config.history_size,
-            "ftol": config.relative_tolerance,
-            "gtol": 1e-8,
-            "maxfun": max(50 * config.max_iterations, 15000),
-        },
+        objective, np.zeros(n_params), config.max_iterations, config.relative_tolerance
     )
 
+    records = [
+        IterationRecord(k, -fun, gradient_max, seconds, calls)
+        for k, (fun, gradient_max, calls, seconds) in enumerate(result.trace, 1)
+    ]
     model = Model(
         order=config.model_order,
         alphabet=alphabet,
         template=config.template,
         index=index,
-        weights=np.asarray(result.x, dtype=np.float64),
+        weights=result.x,
     )
     report = TrainReport(
         order=config.model_order,
         feature_set=config.template.set_id,
         n_parameters=n_params,
         iterations=records,
-        termination=_termination_reason(result),
+        termination=result.termination,
         final_objective=float(-result.fun),
-        objective_calls=clock["calls"],
+        objective_calls=result.nfev,
     )
     return model, report
 
@@ -333,54 +381,6 @@ def _train(
 # first-order iteration took 15-18 ms right after second-order turns and
 # 7-10 ms after a 0.15 s pause.
 _TURN_PAUSE = 0.15
-
-
-class _Stopped(Exception):
-    """Ends a training thread that measure_iteration_cost no longer needs."""
-
-
-class _Turn:
-    """A training run in a thread of its own that runs only while it has
-    the turn. target(pause) trains, calling pause at each iteration's end;
-    step() gives the thread the turn and returns once it calls pause or
-    its training returns (result) or raises, which step() raises again."""
-
-    def __init__(self, target: Callable[[Callable[[], None]], object]):
-        self._go, self._done = threading.Semaphore(0), threading.Semaphore(0)
-        self.finished, self.result, self._error, self._stopping = False, None, None, False
-        self._thread = threading.Thread(target=self._run, args=(target,), daemon=True)
-        self._thread.start()
-
-    def _run(self, target) -> None:
-        self._go.acquire()
-        try:
-            if not self._stopping:
-                self.result = target(self._pause)
-        except _Stopped:
-            pass
-        except BaseException as exc:  # handed to the thread that called step()
-            self._error = exc
-        finally:
-            self.finished = True
-            self._done.release()
-
-    def _pause(self) -> None:
-        self._done.release()
-        self._go.acquire()
-        if self._stopping:
-            raise _Stopped
-
-    def step(self) -> None:
-        self._go.release()
-        self._done.acquire()
-        if self._error is not None:
-            raise self._error
-
-    def stop(self) -> None:
-        """End the thread, at its next pause if it is still training."""
-        self._stopping = True
-        self._go.release()
-        self._thread.join()
 
 
 @dataclass(frozen=True)
@@ -425,13 +425,7 @@ class TimingReport:
 
     def to_records(self) -> list[dict]:
         return [
-            {
-                "order": str(row.order),
-                "measured_iterations": row.measured_iterations,
-                "mean_seconds": row.mean_seconds,
-                "seconds": list(row.seconds),
-            }
-            for row in self.rows
+            dict(asdict(row), order=str(row.order), seconds=list(row.seconds)) for row in self.rows
         ]
 
 
@@ -453,11 +447,10 @@ def measure_iteration_cost(
     The runs take turns an iteration at a time: round k runs iteration k of
     every run, in config order in even rounds and in reverse in odd ones,
     so that a slow phase of the machine falls on every order alike rather
-    than on one order's whole window. Each run trains in a thread of its
-    own, only the thread whose turn it is runs, and the wait for a turn
-    (with a pause of _TURN_PAUSE before it, so that one order's BLAS
-    threads have gone idle before the next order's turn) counts toward no
-    iteration; each run's weights are those train gives.
+    than on one order's whole window. Every run is set up before the first
+    round, each turn is one next() of its run's _lbfgs, and a pause of
+    _TURN_PAUSE before each turn, so that one order's BLAS threads have
+    gone idle before the next order's turn, counts toward no iteration.
     """
     if len(configs) < 2:
         raise TrainingError("need at least two configs to compare iteration cost")
@@ -469,6 +462,9 @@ def measure_iteration_cost(
         if config.model_order in seen_orders:
             raise TrainingError("duplicate model_order in timing configs")
         seen_orders.add(config.model_order)
+    for name, value in (("measured", measured), ("warmup", warmup)):
+        if not isinstance(value, Integral):
+            raise TrainingError("%s must be an integer, got %r" % (name, value))
     if measured < 3:
         raise TrainingError("need at least three measured iterations")
     if warmup < 0:
@@ -477,38 +473,36 @@ def measure_iteration_cost(
     if alphabet is None:
         alphabet = corpus_alphabet(corpus)
 
-    timing = [
-        replace(config, max_iterations=warmup + measured, relative_tolerance=1e-300)
-        for config in configs
-    ]
-    turns = [_Turn(partial(_train, corpus, config, alphabet)) for config in timing]
-    try:
-        for k in count():
-            running = [turn for turn in turns if not turn.finished]
-            if not running:
-                break
-            for turn in running if k % 2 == 0 else running[::-1]:
-                time.sleep(_TURN_PAUSE)
-                turn.step()
-    finally:
-        for turn in turns:
-            turn.stop()
+    total = warmup + measured
+    runs = []
+    for config in configs:
+        _, n_params, objective = _objective(corpus, config, alphabet)
+        runs.append(_lbfgs(objective, np.zeros(n_params), total, 1e-300))
+    seconds: list[list[float]] = [[] for _ in runs]
+    running = list(range(len(runs)))
+    for k in range(total):
+        for i in running[:: -1 if k % 2 else 1]:
+            time.sleep(_TURN_PAUSE)
+            start = time.perf_counter()
+            if next(runs[i], None) is None:
+                running.remove(i)
+            else:
+                seconds[i].append(time.perf_counter() - start)
 
     rows: list[TimingRow] = []
-    for config, turn in zip(configs, turns):
-        _, report = turn.result
-        seconds = [r.seconds for r in report.iterations[warmup:]]
-        if len(seconds) < 3:
+    for config, times in zip(configs, seconds):
+        times = times[warmup:]
+        if len(times) < 3:
             raise TrainingError(
                 "%s run stopped after %d measured iterations; need at least 3"
-                % (config.model_order, len(seconds))
+                % (config.model_order, len(times))
             )
         rows.append(
             TimingRow(
                 order=config.model_order,
-                measured_iterations=len(seconds),
-                mean_seconds=sum(seconds) / len(seconds),
-                seconds=tuple(seconds),
+                measured_iterations=len(times),
+                mean_seconds=sum(times) / len(times),
+                seconds=tuple(times),
             )
         )
     return TimingReport(rows=rows, warmup=warmup)

@@ -80,6 +80,20 @@ class TestTemplateConfig:
         with pytest.raises(FeatureError, match=field):
             TemplateConfig(**{field: values})
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("use_normalized", "no"),
+            ("use_normalized", 1),
+            ("min_feature_count", 1.5),
+            ("min_feature_count", True),
+            ("min_feature_count", -1),
+        ],
+    )
+    def test_non_bool_or_non_integer_settings_rejected(self, field, value):
+        with pytest.raises(FeatureError, match="^%s must be" % field):
+            TemplateConfig(**{field: value})
+
     def test_feature_prefixes(self):
         assert SET1.feature_prefixes == {
             "W[-1]=", "W[0]=", "W[1]=", "NW[-1]=", "NW[0]=", "NW[1]="

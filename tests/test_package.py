@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,18 @@ def test_every_export_resolves_once():
     namespace = {}
     exec("from picrf import *", namespace)
     assert set(picrf.__all__) <= namespace.keys()
+
+
+def test_importing_picrf_leaves_scipy_optimize_unloaded():
+    """Training runs its own L-BFGS, so no picrf module pulls in
+    scipy.optimize and the memory its import takes."""
+    modules = ", ".join("picrf." + path.stem for path in MODULES if path.stem != "__init__")
+    code = "import sys, picrf, %s; print('scipy.optimize' in sys.modules)" % modules
+    env = dict(os.environ, PYTHONPATH=str(Path(picrf.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "False\n"
 
 
 def _unused_imports(source: str) -> list[str]:

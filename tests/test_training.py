@@ -1,15 +1,14 @@
 import json
-import threading
+import time
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
 
 import picrf.training
 from picrf.corpus import LabelError, Sentence, SynthConfig, generate_synthetic
 from picrf.crf_types import ModelOrder
 from picrf.features import TemplateConfig
-from picrf.induction import AlphabetError, build_expanded_alphabet
+from picrf.induction import AlphabetError, build_expanded_alphabet, corpus_alphabet
 from picrf.training import (
     TimingReport,
     TrainConfig,
@@ -51,9 +50,9 @@ class TestTrainConfig:
             {"max_iterations": 0},
             {"relative_tolerance": 0.0},
             {"relative_tolerance": -1e-9},
-            {"history_size": 0},
+            {"l2_variance": float("nan")},
             {"max_iterations": 2.5},
-            {"history_size": 2.5},
+            {"relative_tolerance": float("nan")},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -134,10 +133,11 @@ class TestTrain:
         assert report.n_iterations <= 2
 
     def test_deterministic(self):
-        config = TrainConfig(max_iterations=30)
-        model_a, _ = train(tiny_corpus(), config)
-        model_b, _ = train(tiny_corpus(), config)
-        assert np.array_equal(model_a.weights, model_b.weights)
+        for order in ModelOrder:
+            config = TrainConfig(model_order=order, max_iterations=30)
+            model_a, _ = train(tiny_corpus(), config)
+            model_b, _ = train(tiny_corpus(), config)
+            assert np.array_equal(model_a.weights, model_b.weights), order
 
     def test_explicit_alphabet_adds_types(self):
         corpus = tiny_corpus()
@@ -210,18 +210,87 @@ class TestTrain:
             evaluations[i] for i in ends
         ]
 
-    def test_an_iterate_the_last_evaluation_did_not_give_is_an_error(self, monkeypatch):
-        minimize = picrf.training.minimize
 
-        def misreporting(fun, x0, callback, **kwargs):
-            def shifted(intermediate_result):
-                callback(OptimizeResult(x=intermediate_result.x, fun=intermediate_result.fun + 1))
+class TestLbfgs:
+    @staticmethod
+    def run(fun, x0, max_iterations=1000, tolerance=0.0):
+        """Drive _lbfgs to its stop: (iterates, termination, last point)."""
+        iterations = picrf.training._lbfgs(fun, x0, max_iterations, tolerance)
+        iterates = []
+        while True:
+            try:
+                iterates.append(next(iterations))
+            except StopIteration as stop:
+                return iterates, *stop.value
 
-            return minimize(fun, x0, callback=shifted, **kwargs)
+    @pytest.mark.parametrize("order", list(ModelOrder))
+    def test_train_reaches_the_l_bfgs_b_optimum(self, order):
+        """scipy's L-BFGS-B, run to convergence on the same objective, is the
+        oracle for the optimum train reaches."""
+        from scipy.optimize import minimize as l_bfgs_b
 
-        monkeypatch.setattr(picrf.training, "minimize", misreporting)
-        with pytest.raises(TrainingError, match="optimizer reported objective"):
-            train(tiny_corpus(), TrainConfig(max_iterations=5))
+        from picrf.crf import log_likelihood_and_gradient, state_space, total_parameters
+        from picrf.features import build_feature_index
+
+        corpus = generate_synthetic(SynthConfig(entity_type_count=2, sentences=40, seed=5))
+        config = TrainConfig(
+            model_order=order, template=TemplateConfig(set_id=1),
+            max_iterations=2000, relative_tolerance=1e-14,
+        )
+        _, report = train(corpus, config)
+
+        alphabet = corpus_alphabet(corpus)
+        space = state_space(order, alphabet)
+        index = build_feature_index(corpus, config.template, alphabet, order)
+        batch = compile_corpus(corpus, config.template, index, space)
+
+        def negated(x):
+            value, grad = log_likelihood_and_gradient(batch, x, index, space, config.l2_variance)
+            return -value, -grad
+
+        oracle = l_bfgs_b(
+            negated, np.zeros(total_parameters(index, space)), jac=True, method="L-BFGS-B",
+            options={"maxiter": 2000, "ftol": 1e-14, "gtol": 1e-10},
+        )
+        assert report.final_objective == pytest.approx(-oracle.fun, rel=1e-6)
+
+    def test_convex_quadratic_stops_on_the_gradient(self):
+        rng = np.random.default_rng(0)
+        m = rng.normal(size=(12, 12))
+        a, center = m @ m.T + np.eye(12), rng.normal(size=12)
+
+        def quadratic(x):
+            return 0.5 * (x - center) @ a @ (x - center), a @ (x - center)
+
+        iterates, termination, last = self.run(quadratic, np.zeros(12))
+        assert termination == "gradient"
+        assert last is iterates[-1] and last.gradient_max <= 1e-8
+        assert np.allclose(last.x, center)
+        assert [it.fun for it in iterates] == sorted((it.fun for it in iterates), reverse=True)
+        assert last.calls <= 1.5 * len(iterates)
+
+    def test_a_line_search_that_never_passes_stops_by_name(self):
+        calls = []
+
+        def no_descent(x):
+            calls.append(x)
+            return 0.0, np.ones_like(x)
+
+        iterates, termination, last = self.run(no_descent, np.zeros(5))
+        assert (iterates, termination) == ([], "line_search")
+        assert len(calls) == last.calls == 21
+        # the first trial steps to unit length along -g, then backtracks
+        assert np.linalg.norm(calls[1]) == pytest.approx(1.0)
+        assert np.linalg.norm(calls[2]) == pytest.approx(0.5)
+
+    def test_minimize_reports_the_stop(self):
+        result = picrf.training.minimize(
+            lambda x: (float(x @ x), 2 * x), np.ones(3), max_iterations=1, tolerance=1e-6
+        )
+        assert (result.nit, result.termination, result.nfev) == (1, "max_iterations", 2)
+        [(fun, gradient_max, calls, seconds)] = result.trace
+        assert (fun, gradient_max, calls) == (result.fun, np.max(np.abs(2 * result.x)), 2)
+        assert result.fun < 3.0 and seconds >= 0.0
 
 
 class TestTimings:
@@ -257,36 +326,32 @@ class TestTimings:
 
     def test_orders_take_turns_an_iteration_at_a_time(self, monkeypatch):
         """Round k runs iteration k of every order, in config order in even
-        rounds and reversed in odd ones; the waits are not timed, and no
-        training thread outlives the call."""
+        rounds and reversed in odd ones; each turn follows a pause and makes
+        the objective calls of one iteration of one order, and the pauses
+        are not timed."""
         corpus = self.make_corpus()
         orders = [ModelOrder.FIRST, ModelOrder.PRE_INDUCED, ModelOrder.SECOND]
         configs = [TrainConfig(model_order=o, template=TemplateConfig(set_id=1)) for o in orders]
-        log = []
-        objective, record = picrf.training.log_likelihood_and_gradient, picrf.training.IterationRecord
+        turns = []
+        objective, sleep = picrf.training.log_likelihood_and_gradient, time.sleep
 
         def logged_objective(batch, weights, index, space, l2_variance):
-            log.append(("call", space.order))
+            if turns:
+                turns[-1].append(space.order)
             return objective(batch, weights, index, space, l2_variance)
 
-        def logged_record(*args):
-            log.append(("end", None))
-            return record(*args)
+        def logged_sleep(seconds):
+            turns.append([])
+            sleep(seconds)
 
         monkeypatch.setattr(picrf.training, "log_likelihood_and_gradient", logged_objective)
-        monkeypatch.setattr(picrf.training, "IterationRecord", logged_record)
+        monkeypatch.setattr(picrf.training.time, "sleep", logged_sleep)
         monkeypatch.setattr(picrf.training, "_TURN_PAUSE", 0.3)
-        threads = threading.active_count()
-        reports = []
-        caller = threading.Thread(
-            target=lambda: reports.append(measure_iteration_cost(corpus, configs, 3, 1))
-        )
-        caller.start()
-        caller.join(timeout=120)
-        assert not caller.is_alive() and threading.active_count() == threads
-        [report] = reports
-        ends = [log[i - 1][1] for i, (kind, _) in enumerate(log) if kind == "end"]
-        assert ends == (orders + orders[::-1]) * 2
+        report = measure_iteration_cost(corpus, configs, 3, 1)
+        assert all(turn and len(set(turn)) == 1 for turn in turns)
+        assert [turn[0] for turn in turns] == (orders + orders[::-1]) * 2
+        # each order's first turn also evaluates the starting point
+        assert all(len(turn) >= 2 for turn in turns[:3])
         assert [row.measured_iterations for row in report.rows] == [3, 3, 3]
         # the pause and the other orders' turns count toward no iteration
         assert max(max(row.seconds) for row in report.rows) < 0.3
@@ -305,21 +370,16 @@ class TestTimings:
             return objective(batch, weights, index, space, l2_variance)
 
         monkeypatch.setattr(picrf.training, "log_likelihood_and_gradient", failing)
-        threads = threading.active_count()
-        errors = []
-
-        def measure():
-            try:
-                measure_iteration_cost(corpus, configs, measured=10, warmup=2)
-            except TrainingError as exc:
-                errors.append(exc)
-
-        caller = threading.Thread(target=measure)
-        caller.start()
-        caller.join(timeout=120)
-        assert not caller.is_alive() and threading.active_count() == threads
-        assert [str(exc) for exc in errors] == ["objective failed"]
+        with pytest.raises(TrainingError, match="^objective failed$"):
+            measure_iteration_cost(corpus, configs, measured=10, warmup=2)
         assert 0 < calls[ModelOrder.SECOND] < 5
+
+    @pytest.mark.parametrize("name", ["measured", "warmup"])
+    def test_rejects_non_integer_counts_by_name(self, name):
+        configs = [TrainConfig(model_order=o) for o in (ModelOrder.FIRST, ModelOrder.PRE_INDUCED)]
+        counts = {"measured": 3, "warmup": 1, name: 1.5}
+        with pytest.raises(TrainingError, match="^%s must be an integer, got 1.5$" % name):
+            measure_iteration_cost(self.make_corpus(), configs, **counts)
 
     def test_carrier_label_rejected_like_train(self):
         corpus = tiny_corpus() + [Sentence.from_strings(["x", "y"], ["B-PER", "PER[O]"])]
