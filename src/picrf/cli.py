@@ -60,9 +60,10 @@ def _write_output(path: str, text: str) -> None:
             handle.write(text)
 
 
-def _train_config(args) -> TrainConfig:
+def _train_config(args, order) -> TrainConfig:
+    """The TrainConfig of the training flags of train and bench, for order."""
     return TrainConfig(
-        model_order=ModelOrder(args.order),
+        model_order=order,
         template=TemplateConfig(set_id=args.features),
         l2_variance=args.l2_variance,
         max_iterations=args.max_iters,
@@ -71,7 +72,7 @@ def _train_config(args) -> TrainConfig:
 
 
 def cmd_train(args) -> int:
-    model, report = train(_read_corpus(args.train), _train_config(args))
+    model, report = train(_read_corpus(args.train), _train_config(args, args.order))
     save_model(model, args.out)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
@@ -175,12 +176,7 @@ def _write_records(path: str, records: list[dict]) -> None:
 
 
 def cmd_bench(args) -> int:
-    base = TrainConfig(
-        template=TemplateConfig(set_id=args.features),
-        l2_variance=args.l2_variance,
-        max_iterations=args.max_iters,
-        relative_tolerance=args.tol,
-    )
+    base = _train_config(args, TrainConfig.model_order)
     orders = _parse_csv(args.orders, "--orders", ModelOrder)
 
     if args.mode == "longdistance":
@@ -216,13 +212,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="train a tagger on a CoNLL corpus")
+    # the flags _train_config reads, shared by train and bench
+    training = argparse.ArgumentParser(add_help=False)
+    training.add_argument("--features", type=int, choices=(1, 2), default=TemplateConfig.set_id)
+    training.add_argument("--l2-variance", type=float, default=TrainConfig.l2_variance)
+    training.add_argument("--max-iters", type=int, default=TrainConfig.max_iterations)
+    training.add_argument("--tol", type=float, default=TrainConfig.relative_tolerance)
+
+    p = sub.add_parser("train", parents=[training], help="train a tagger on a CoNLL corpus")
     p.add_argument("--train", required=True, help="labeled CoNLL training file")
-    p.add_argument("--order", choices=_ORDERS, default="first")
-    p.add_argument("--features", type=int, choices=(1, 2), default=1)
-    p.add_argument("--l2-variance", type=float, default=10.0)
-    p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--order", choices=_ORDERS, default=str(TrainConfig.model_order))
     p.add_argument("--out", required=True, help="model output path")
     p.add_argument("--report", help="write per-iteration records (JSON lines)")
     p.add_argument("--report-text", help="write the per-iteration table as plain text")
@@ -263,16 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("bench", help="comparison, long-distance and timing experiments")
+    p = sub.add_parser(
+        "bench", parents=[training], help="comparison, long-distance and timing experiments"
+    )
     p.add_argument(
         "mode", choices=("longdistance", "timing", "compare"), help="which experiment to run"
     )
     p.add_argument("--orders", default="first,pre-induced")
-    p.add_argument("--features", type=int, choices=(1, 2), default=1)
     p.add_argument("--feature-sets", dest="feature_sets", default="1", help="CSV, compare mode")
-    p.add_argument("--l2-variance", type=float, default=10.0)
-    p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--types", type=int, default=2)
     p.add_argument("--train-size", type=int, default=2000)

@@ -235,15 +235,14 @@ class SynthConfig:
     token drawn from a vocabulary shared by all types, and up to
     max_trailing_fillers trailing fillers. The second entity's type is
     dependency_rule[first type], so only the first entity (plus the carried
-    label state) disambiguates it. gap_lengths with optional gap_weights
-    define the gap distribution (default uniform over 1..6).
+    label state) disambiguates it. Each gap length is drawn uniformly from
+    gap_lengths (default 1..6).
     """
 
     entity_type_count: int
     sentences: int
     seed: int = 0
     gap_lengths: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
-    gap_weights: tuple[float, ...] | None = None
     dependency_rule: Mapping[str, str] | None = None
     filler_vocab_size: int = 20
     first_entity_vocab_size: int = 5
@@ -267,11 +266,6 @@ def _check_synth_config(config: SynthConfig) -> dict[str, str]:
         raise CorpusError("synthetic corpus needs at least 1 sentence")
     if not config.gap_lengths or any(g < 1 for g in config.gap_lengths):
         raise CorpusError("gap lengths must be positive integers")
-    if config.gap_weights is not None:
-        if len(config.gap_weights) != len(config.gap_lengths):
-            raise CorpusError("gap_weights length does not match gap_lengths")
-        if any(w < 0 for w in config.gap_weights) or sum(config.gap_weights) <= 0:
-            raise CorpusError("gap_weights must be non-negative and sum to a positive value")
     if min(config.filler_vocab_size, config.first_entity_vocab_size, config.shared_vocab_size) < 1:
         raise CorpusError("vocabulary sizes must be positive")
     if config.max_trailing_fillers < 0:
@@ -301,13 +295,14 @@ def generate_synthetic(config: SynthConfig) -> list[Sentence]:
         for t in types
     }
     shared = ["s%02d" % j for j in range(config.shared_vocab_size)]
-    weights = list(config.gap_weights) if config.gap_weights is not None else None
 
     sentences: list[Sentence] = []
     for _ in range(config.sentences):
         first_type = types[rng.randrange(len(types))]
         second_type = rule[first_type]
-        gap = rng.choices(list(config.gap_lengths), weights=weights, k=1)[0]
+        # choices, not choice: the two consume rng differently, and the
+        # corpus digests pinned in tests/test_corpus.py come from choices
+        gap = rng.choices(list(config.gap_lengths), k=1)[0]
         trailing = rng.randrange(config.max_trailing_fillers + 1)
         texts = [rng.choice(first_vocab[first_type])]
         texts += [rng.choice(fillers) for _ in range(gap)]

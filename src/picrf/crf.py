@@ -353,7 +353,7 @@ def build_lattice(
 
 @dataclass
 class ForwardBackwardResult:
-    """Log-domain DP tables and the marginals derived from them.
+    """The log partition and the marginals of one lattice.
 
     node_marginals[t, s] is p(y_t = s | x); edge_marginals[t, sp, s] is
     p(y_t = sp, y_{t+1} = s | x), so its first axis has length T - 1.
@@ -361,8 +361,6 @@ class ForwardBackwardResult:
     agree with log_z to tight tolerance.
     """
 
-    log_alpha: np.ndarray
-    log_beta: np.ndarray
     log_z: float
     log_z_backward: float
     node_marginals: np.ndarray
@@ -539,16 +537,10 @@ def forward_backward(lattice: Lattice) -> ForwardBackwardResult:
     run = _forward_backward(lattice.obs.T.copy(), widths, lattice.start, lattice.trans)
     alphas, betas, log_scale = run.alphas.T, run.betas.T, run.log_scale
     log_z = float(log_scale.sum())
-    # alpha_t carries the normalizers up to t, beta_t (same normalizers)
-    # the ones after t
-    prefix = np.cumsum(log_scale)[:, None]
-    with np.errstate(divide="ignore"):
-        log_alpha = np.log(alphas) + prefix
-        log_beta = np.log(betas) + (log_z - prefix)
     node = alphas * betas
     edge = alphas[:-1, :, None] * run.trans_pot * run.tails.T[1:, None, :]
     log_z_backward = log_z + math.log(node[0].sum())
-    return ForwardBackwardResult(log_alpha, log_beta, log_z, log_z_backward, node, edge)
+    return ForwardBackwardResult(log_z, log_z_backward, node, edge)
 
 
 def _viterbi(

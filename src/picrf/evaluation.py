@@ -327,7 +327,8 @@ class LongDistanceCell:
 
 @dataclass
 class LongDistanceReport:
-    """Long-range dependency experiment: per-order scores and accuracies."""
+    """Long-range dependency experiment: per-order scores, accuracies and
+    iteration cost."""
 
     cells: list[LongDistanceCell]
     chance: float
@@ -344,13 +345,21 @@ class LongDistanceReport:
         lines = [
             "long-distance experiment: %d train / %d test, chance level %.3f"
             % (self.train_size, self.test_size, self.chance),
-            "%-12s %10s %10s %10s %18s"
-            % ("order", "precision", "recall", "f1", "second-entity acc"),
+            "%-12s %10s %10s %10s %18s %12s %8s"
+            % ("order", "precision", "recall", "f1", "second-entity acc", "s/iteration", "iters"),
         ]
         for c in self.cells:
             lines.append(
-                "%-12s %10.4f %10.4f %10.4f %18.4f"
-                % (c.order, c.score.precision, c.score.recall, c.score.f1, c.second_entity_accuracy)
+                "%-12s %10.4f %10.4f %10.4f %18.4f %12.4f %8d"
+                % (
+                    c.order,
+                    c.score.precision,
+                    c.score.recall,
+                    c.score.f1,
+                    c.second_entity_accuracy,
+                    c.seconds_per_iteration,
+                    c.iterations,
+                )
             )
         return "".join(line + "\n" for line in lines)
 
@@ -362,6 +371,8 @@ class LongDistanceReport:
                 "recall": c.score.recall,
                 "f1": c.score.f1,
                 "second_entity_accuracy": c.second_entity_accuracy,
+                "seconds_per_iteration": c.seconds_per_iteration,
+                "iterations": c.iterations,
                 "chance": self.chance,
             }
             for c in self.cells

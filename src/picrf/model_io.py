@@ -46,9 +46,6 @@ from .induction import AlphabetError, LabelAlphabet, build_expanded_alphabet, re
 
 FORMAT_LINE = "picrf model format 2"
 FORMAT_1_LINE = "picrf model format 1"
-# Format 1 weight lines read and parsed in one step; bounds the line
-# strings held at once.
-_WEIGHT_LINES_PER_READ = 1 << 12
 # Bytes in each full line of a format 2 weight block.
 _BLOCK_LINE_BYTES = 57
 # The characters of base64 text, without its "=" padding.
@@ -212,15 +209,11 @@ class _LineReader:
         return parsed
 
     def floats(self, n: int) -> np.ndarray:
-        """The next n lines as float64 values, parsed a slice of lines at a
-        time. A short read or a line that is not an ASCII number float()
-        reads raises the error the line-by-line reads would have raised,
-        naming the same line."""
-        values = np.empty(n)
-        for lo in range(0, n, _WEIGHT_LINES_PER_READ):
-            want = min(_WEIGHT_LINES_PER_READ, n - lo)
-            values[lo : lo + want] = self._parsed_lines(want, _floats, _number_fault)
-        return values
+        """The next n lines as float64 values, parsed as one slice. A short
+        read or a line that is not an ASCII number float() reads raises the
+        error the line-by-line reads would have raised, naming the same
+        line."""
+        return self._parsed_lines(n, _floats, _number_fault)
 
     def block_floats(self, n: int) -> np.ndarray:
         """n little-endian float64 values from the next ceil(8n/57) lines:

@@ -21,7 +21,7 @@ import time
 from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 from itertools import count
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Callable, Generator, NamedTuple, Sequence
 
 import numpy as np
@@ -45,6 +45,14 @@ class TrainingError(Exception):
     """Bad training inputs or a numerically broken objective."""
 
 
+def _check_type(name: str, value, kind: type) -> None:
+    """Raise TrainingError naming the setting unless value is a kind,
+    numbers.Integral or numbers.Real, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if kind is Integral else "a number"
+        raise TrainingError("%s must be %s, got %r" % (name, what, value))
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimizer and template settings for one training run."""
@@ -57,11 +65,14 @@ class TrainConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "model_order", ModelOrder(self.model_order))
+        _check_type("l2_variance", self.l2_variance, Real)
+        _check_type("max_iterations", self.max_iterations, Integral)
+        _check_type("relative_tolerance", self.relative_tolerance, Real)
         if not (self.l2_variance > 0):
             raise TrainingError("l2_variance must be strictly positive (inf disables it)")
         if not (self.relative_tolerance > 0):
             raise TrainingError("relative_tolerance must be strictly positive")
-        if not isinstance(self.max_iterations, Integral) or self.max_iterations < 1:
+        if self.max_iterations < 1:
             raise TrainingError("max_iterations must be an integer of at least 1")
 
 
@@ -299,8 +310,6 @@ def compile_corpus(
     for sentence in corpus:
         if sentence.labels is None:
             raise TrainingError("training corpus contains an unlabeled sentence")
-        if len(sentence) == 0:
-            raise TrainingError("training corpus contains an empty sentence")
         repaired = validate_iob2(
             sentence.labels, mode="repair", entity_types=space.alphabet.entity_types
         )
@@ -396,7 +405,6 @@ class TimingReport:
     """Mean per-iteration cost per model order, plus pairwise ratios."""
 
     rows: list[TimingRow]
-    warmup: int
 
     def mean(self, order: ModelOrder) -> float:
         for row in self.rows:
@@ -434,7 +442,6 @@ def measure_iteration_cost(
     configs: Sequence[TrainConfig],
     measured: int = 10,
     warmup: int = 2,
-    alphabet: LabelAlphabet | None = None,
 ) -> TimingReport:
     """Wall-clock cost per optimizer iteration on an identical corpus.
 
@@ -462,17 +469,14 @@ def measure_iteration_cost(
         if config.model_order in seen_orders:
             raise TrainingError("duplicate model_order in timing configs")
         seen_orders.add(config.model_order)
-    for name, value in (("measured", measured), ("warmup", warmup)):
-        if not isinstance(value, Integral):
-            raise TrainingError("%s must be an integer, got %r" % (name, value))
+    _check_type("measured", measured, Integral)
+    _check_type("warmup", warmup, Integral)
     if measured < 3:
         raise TrainingError("need at least three measured iterations")
     if warmup < 0:
         raise TrainingError("warmup must be non-negative")
 
-    if alphabet is None:
-        alphabet = corpus_alphabet(corpus)
-
+    alphabet = corpus_alphabet(corpus)
     total = warmup + measured
     runs = []
     for config in configs:
@@ -505,4 +509,4 @@ def measure_iteration_cost(
                 seconds=tuple(times),
             )
         )
-    return TimingReport(rows=rows, warmup=warmup)
+    return TimingReport(rows=rows)

@@ -2,13 +2,15 @@ import base64
 import contextlib
 import io
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from oracles import conll_reference, conll_texts, format_1_lines, weight_block
-from picrf.cli import _read_maybe_labeled, main
+from picrf.cli import _read_maybe_labeled, build_parser, main
 from picrf.corpus import read_conll
 from picrf.model_io import load_model
 
@@ -345,8 +347,12 @@ class TestBench:
         assert code == 0
         out = capsys.readouterr().out
         assert "chance level 0.500" in out
+        assert out.splitlines()[1].split()[-2:] == ["s/iteration", "iters"]
         rows = [json.loads(line) for line in report.read_text().splitlines()]
         assert [r["order"] for r in rows] == ["first", "pre-induced"]
+        for row, line in zip(rows, out.splitlines()[2:]):
+            assert 1 <= row["iterations"] <= 40 and row["seconds_per_iteration"] > 0.0
+            assert line.split()[-1] == str(row["iterations"])
 
     def test_timing(self, capsys):
         code = run(
@@ -427,3 +433,28 @@ class TestBench:
                     "--test-size", 5])
         assert code == 1
         assert "window" in capsys.readouterr().err
+
+
+def _readme_command_lines() -> list[str]:
+    """The picrf lines of README's "Command line" block, continuation
+    lines joined at their backslashes."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    joined = block.replace("\\\n", " ")
+    return [line for line in joined.splitlines() if line.startswith("picrf ")]
+
+
+def test_readme_command_lines_parse():
+    """Every command README shows parses, so the docs cannot keep a flag
+    the parser has lost."""
+    lines = _readme_command_lines()
+    assert len(lines) >= 10
+    parser = build_parser()
+    for line in lines:
+        words = shlex.split(line)
+        assert "\\" not in words, line
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                parser.parse_args(words[1:])
+            except SystemExit:
+                pytest.fail("%s\n%s" % (line, err.getvalue()))

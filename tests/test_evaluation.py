@@ -277,6 +277,14 @@ class TestLongDistance:
         )
         text = report.to_text()
         assert "chance level 0.500" in text
-        assert len(report.to_records()) == 2
+        header, *rows = text.splitlines()[1:]
+        assert header.split()[-2:] == ["s/iteration", "iters"]
+        records = report.to_records()
+        assert len(records) == len(rows) == 2
+        for cell, row, record in zip(report.cells, rows, records):
+            assert cell.iterations >= 1 and cell.seconds_per_iteration > 0.0
+            assert row.split()[-2:] == ["%.4f" % cell.seconds_per_iteration, str(cell.iterations)]
+            assert record["seconds_per_iteration"] == cell.seconds_per_iteration
+            assert record["iterations"] == cell.iterations
         with pytest.raises(KeyError):
             report.cell(ModelOrder.SECOND)

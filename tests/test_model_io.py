@@ -258,16 +258,12 @@ class TestTampering:
         with pytest.raises(ModelFormatError, match="truncated"):
             _load_lines(lines[: len(lines) // 2])
 
-    @pytest.mark.parametrize("per_read", [None, 9])
-    def test_truncation_inside_the_weights(self, model, per_read):
+    def test_truncation_inside_the_weights(self, model):
         lines = format_1_lines(_lines(model))
         i = next(k for k, line in enumerate(lines) if line.startswith("weights:"))
         cut = i + 1 + int(lines[i].split()[1]) // 2
-        with pytest.MonkeyPatch.context() as patch:
-            if per_read:
-                patch.setattr(model_io, "_WEIGHT_LINES_PER_READ", per_read)
-            with pytest.raises(ModelFormatError, match="truncated at line %d$" % (cut + 1)):
-                _load_lines(lines[:cut])
+        with pytest.raises(ModelFormatError, match="truncated at line %d$" % (cut + 1)):
+            _load_lines(lines[:cut])
 
     def test_truncation_inside_the_weight_block(self, model):
         lines = _lines(model)
@@ -319,20 +315,16 @@ class TestTampering:
             with pytest.raises(ModelFormatError):
                 _load_lines(lines)
 
-    @pytest.mark.parametrize("per_read", [None, 9])
-    def test_non_numeric_weight_names_its_line(self, model, per_read):
+    def test_non_numeric_weight_names_its_line(self, model):
         lines = format_1_lines(_lines(model))
         i = next(k for k, line in enumerate(lines) if line.startswith("weights:"))
         bad = i + 1 + int(lines[i].split()[1]) // 2
         lines[bad] = "0.5x"
         lines[bad + 3] = "also-not-a-number"
-        with pytest.MonkeyPatch.context() as patch:
-            if per_read:
-                patch.setattr(model_io, "_WEIGHT_LINES_PER_READ", per_read)
-            with pytest.raises(
-                ModelFormatError, match="line %d: weight entry is not a number: '0.5x'" % (bad + 1)
-            ):
-                _load_lines(lines)
+        with pytest.raises(
+            ModelFormatError, match="line %d: weight entry is not a number: '0.5x'" % (bad + 1)
+        ):
+            _load_lines(lines)
 
     @pytest.mark.parametrize(
         "damage",
@@ -394,17 +386,15 @@ class TestTampering:
         with pytest.raises(ModelFormatError, match="^line %d: weight line is not " % (bad + 1)):
             _load_lines(lines)
 
-    def test_edge_weights_round_trip_bit_exactly(self, model, monkeypatch):
+    def test_edge_weights_round_trip_bit_exactly(self, model):
         """Format 2 writes the weights as base64.encodebytes of their
         little-endian float64 bytes, and a format 1 file, one "%.17g" line
-        per weight, read in slices of 9 lines, loads to the same weights:
-        at the edges of the float64 range and across slice boundaries."""
-        monkeypatch.setattr(model_io, "_WEIGHT_LINES_PER_READ", 9)
+        per weight, loads to the same weights: at the edges of the float64
+        range."""
         special = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 3.0, 1e16, 1e-5]
         weights = model.weights.copy()
         weights[: len(special)] = special
         weights[-len(special) :] = [-w for w in special]
-        assert weights.size % 9
         model = Model(model.order, model.alphabet, model.template, model.index, weights)
         buffer = io.StringIO()
         save_model(model, buffer)
@@ -416,12 +406,6 @@ class TestTampering:
         text = format_1_lines(buffer.getvalue().splitlines())
         assert text[text.index(header.strip()) + 1 :][:2] == ["-0", "4.9406564584124654e-324"]
         assert _load_lines(text).weights.tobytes() == weights.tobytes()
-
-    def test_weights_read_in_slices_load_bit_identically(self, model, monkeypatch):
-        monkeypatch.setattr(model_io, "_WEIGHT_LINES_PER_READ", 9)
-        assert model.weights.size % 9
-        loaded = _load_lines(format_1_lines(_lines(model)))
-        assert loaded.weights.tobytes() == model.weights.tobytes()
 
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
     def test_non_finite_weight(self, model, text):

@@ -7,7 +7,7 @@ import pytest
 import picrf.training
 from picrf.corpus import LabelError, Sentence, SynthConfig, generate_synthetic
 from picrf.crf_types import ModelOrder
-from picrf.features import TemplateConfig
+from picrf.features import FeatureError, TemplateConfig
 from picrf.induction import AlphabetError, build_expanded_alphabet, corpus_alphabet
 from picrf.training import (
     TimingReport,
@@ -53,10 +53,16 @@ class TestTrainConfig:
             {"l2_variance": float("nan")},
             {"max_iterations": 2.5},
             {"relative_tolerance": float("nan")},
+            {"max_iterations": True},
+            {"l2_variance": "10"},
+            {"relative_tolerance": "1e-6"},
+            {"l2_variance": True},
+            {"max_iterations": "500"},
         ],
     )
     def test_invalid_rejected(self, kwargs):
-        with pytest.raises(TrainingError):
+        (name,) = kwargs
+        with pytest.raises(TrainingError, match="^%s must be " % name):
             TrainConfig(**kwargs)
 
     def test_unknown_order_rejected(self):
@@ -98,6 +104,20 @@ class TestCompileCorpus:
 
 
 class TestTrain:
+    def test_unlabeled_sentence_rejected(self):
+        corpus = tiny_corpus() + [Sentence.from_strings(["a", "b"])]
+        with pytest.raises(
+            TrainingError, match="^training corpus contains an unlabeled sentence$"
+        ):
+            train(corpus, TrainConfig())
+
+    def test_empty_sentence_rejected(self):
+        """build_feature_index meets the empty sentence before any batch is
+        compiled."""
+        corpus = tiny_corpus() + [Sentence.from_strings([], [])]
+        with pytest.raises(FeatureError, match="empty sentence"):
+            train(corpus, TrainConfig())
+
     def test_corpus_without_entity_types_rejected(self):
         plain = [Sentence.from_strings(["a", "b"], ["O", "O"])]
         with pytest.raises(AlphabetError, match="^no entity types found in the corpus$"):
@@ -377,9 +397,10 @@ class TestTimings:
     @pytest.mark.parametrize("name", ["measured", "warmup"])
     def test_rejects_non_integer_counts_by_name(self, name):
         configs = [TrainConfig(model_order=o) for o in (ModelOrder.FIRST, ModelOrder.PRE_INDUCED)]
-        counts = {"measured": 3, "warmup": 1, name: 1.5}
-        with pytest.raises(TrainingError, match="^%s must be an integer, got 1.5$" % name):
-            measure_iteration_cost(self.make_corpus(), configs, **counts)
+        for bad in (1.5, True):
+            counts = {"measured": 3, "warmup": 1, name: bad}
+            with pytest.raises(TrainingError, match="^%s must be an integer, got %r$" % (name, bad)):
+                measure_iteration_cost(self.make_corpus(), configs, **counts)
 
     def test_carrier_label_rejected_like_train(self):
         corpus = tiny_corpus() + [Sentence.from_strings(["x", "y"], ["B-PER", "PER[O]"])]
