@@ -9,7 +9,7 @@ without a trailing blank line is still accepted.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -133,10 +133,14 @@ def extract_chunks(labels: Sequence[str]) -> set[Chunk]:
     return chunks
 
 
+def _has_columns(n_columns: int) -> str:
+    return "(line has %d column%s)" % (n_columns, "" if n_columns == 1 else "s")
+
+
 def _column(idx: int, what: str, n_columns: int, line_number: int) -> int:
     if not -n_columns <= idx < n_columns:
         raise ParseError(
-            "%s column %d missing (line has %d columns)" % (what, idx, n_columns), line_number
+            "%s column %d missing %s" % (what, idx, _has_columns(n_columns)), line_number
         )
     return idx % n_columns
 
@@ -150,10 +154,11 @@ def read_conll(
 
     label_column=None reads unlabeled text. Columns are whitespace-separated;
     negative indices count from the right, so the default takes the last
-    column as the label. A line too short for the requested columns, or one
-    where token and label columns coincide, raises ParseError with its line
-    number. Texts come out of str.split(), so they need no further check;
-    one str serves every occurrence of a text within the call.
+    column as the label. A line too short for the requested columns, or too
+    short to hold the token and label in distinct columns, raises ParseError
+    with its line number, as does a label_column equal to token_column.
+    Texts come out of str.split(), so they need no further check; one str
+    serves every occurrence of a text within the call.
     """
     sentences: list[Sentence] = []
     tokens: list[str] = []
@@ -172,9 +177,13 @@ def read_conll(
             ti = _column(token_column, "token", width, line_number)
             li = None if label_column is None else _column(label_column, "label", width, line_number)
             if ti == li:
-                raise ParseError(
-                    "token and label columns coincide (line has %d columns)" % width, line_number
+                # distinct indices meet only on a line too short for both
+                problem = (
+                    "token and label columns coincide"
+                    if token_column == label_column
+                    else "label column missing"
                 )
+                raise ParseError("%s %s" % (problem, _has_columns(width)), line_number)
         tokens.append(shared.setdefault(columns[ti], columns[ti]))
         if li is not None:
             labels.append(columns[li])
@@ -259,7 +268,18 @@ class SynthConfig:
         return dict(self.dependency_rule)
 
 
+def _check_int(name: str, value) -> None:
+    # an int itself: random.Random takes no other integer type as a seed
+    if type(value) is not int:
+        raise CorpusError("%s must be an integer, got %r" % (name, value))
+
+
 def _check_synth_config(config: SynthConfig) -> dict[str, str]:
+    for setting in fields(config):
+        if setting.type == "int":  # the annotation, a string under __future__ annotations
+            _check_int(setting.name, getattr(config, setting.name))
+    for gap in config.gap_lengths:
+        _check_int("gap_lengths", gap)
     if config.entity_type_count < 2:
         raise CorpusError("synthetic corpus needs at least 2 entity types")
     if config.sentences < 1:

@@ -21,7 +21,7 @@ from .corpus import (
     validate_iob2,
 )
 from .crf_types import ModelOrder
-from .features import FeatureError
+from .features import WINDOW_RADIUS, FeatureError
 from .induction import AlphabetError, build_expanded_alphabet, corpus_alphabet
 from .training import TrainConfig, train
 
@@ -397,11 +397,10 @@ def run_longdistance(
     configs = _cell_configs(base_config, orders, [base_config.template.set_id])
     if train_size < 1 or test_size < 1:
         raise EvaluationError("train_size and test_size must be positive")
-    radius = base_config.template.window_radius
     min_gap = min(synth.gap_lengths)
-    if radius >= min_gap:
+    if WINDOW_RADIUS >= min_gap:
         raise EvaluationError(
-            "feature window radius %d reaches across the minimum gap %d" % (radius, min_gap)
+            "feature window radius %d reaches across the minimum gap %d" % (WINDOW_RADIUS, min_gap)
         )
 
     corpus = generate_synthetic(replace(synth, sentences=train_size + test_size))

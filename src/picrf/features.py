@@ -3,13 +3,19 @@
 Feature strings are the stable contract between extraction, training and
 persisted models:
 
-    W[d]=<token>     surface token at window offset d
+    W[d]=<token>     surface token at window offset d, d in -1, 0, 1
     NW[d]=<norm>     normalized token at offset d (lowercase, digits to 0)
-    PRE[L]=<prefix>  length-L prefix of the current token (set 2 only)
+    PRE[L]=<prefix>  length-L prefix of the current token, L in 2, 3, 4
+                     (set 2 only)
     SUF[L]=<suffix>  length-L suffix of the current token (set 2 only)
     BIAS             always active
 
-Feature set 1 enables the window family only; set 2 adds the affix family.
+The paper's two feature sets are the only templates: set 1 is the window
+family, and set 2 adds the affix family. The window, the normalized words
+and the affix lengths are constants, so a TemplateConfig picks only the set
+and min_feature_count, and model_io refuses a model file whose template
+lines say otherwise.
+
 Window positions outside the sentence yield BOS/EOS sentinel tokens that
 carry an unprintable prefix, so they cannot collide with real text.
 
@@ -50,6 +56,13 @@ from .induction import LabelAlphabet
 BOS = "\x00<BOS>"
 EOS = "\x00<EOS>"
 BIAS_FEATURE = "BIAS"
+# The window of W and NW features, relative token positions, and how far
+# it reaches either side.
+WINDOW_OFFSETS = (-1, 0, 1)
+WINDOW_RADIUS = max(map(abs, WINDOW_OFFSETS))
+# The lengths of the PRE and SUF features of set 2; an affix is emitted
+# only for a token at least that long.
+AFFIX_LENGTHS = (2, 3, 4)
 
 _DIGITS = re.compile(r"\d")
 # folds the ASCII digits, the only characters \d matches in ASCII text
@@ -73,33 +86,16 @@ def normalize_token(text: str) -> str:
 
 @dataclass(frozen=True)
 class TemplateConfig:
-    """Which observation features to extract.
-
-    set_id selects the template family (1 = window, 2 = window + affixes).
-    window_offsets are relative token positions; affix_lengths are the
-    prefix/suffix lengths tried on the current token, emitted only when the
-    token is at least that long.
-    """
+    """Which observation features to extract: set_id 1 (the window family)
+    or 2 (window and affixes), and the count below which an indexed
+    feature is dropped."""
 
     set_id: int = 1
-    window_offsets: tuple[int, ...] = (-1, 0, 1)
-    use_normalized: bool = True
-    affix_lengths: tuple[int, ...] = (2, 3, 4)
     min_feature_count: int = 0
 
     def __post_init__(self):
-        if self.set_id not in (1, 2):
+        if type(self.set_id) is not int or self.set_id not in (1, 2):
             raise FeatureError("set_id must be 1 or 2, got %r" % (self.set_id,))
-        if not self.window_offsets:
-            raise FeatureError("window_offsets must be non-empty")
-        for name in ("window_offsets", "affix_lengths"):
-            values = getattr(self, name)
-            if any(type(v) is not int for v in values) or len(set(values)) != len(values):
-                raise FeatureError("%s must be distinct integers, got %r" % (name, values))
-        if any(length < 1 for length in self.affix_lengths):
-            raise FeatureError("affix lengths must be positive")
-        if type(self.use_normalized) is not bool:
-            raise FeatureError("use_normalized must be a bool, got %r" % (self.use_normalized,))
         if type(self.min_feature_count) is not int or self.min_feature_count < 0:
             raise FeatureError(
                 "min_feature_count must be a non-negative integer, got %r"
@@ -107,17 +103,12 @@ class TemplateConfig:
             )
 
     @property
-    def window_radius(self) -> int:
-        return max(abs(d) for d in self.window_offsets)
-
-    @property
     def feature_prefixes(self) -> frozenset[str]:
         """The prefix, up to and including its first '=', of every feature
         string this template can emit except BIAS ("W[-1]=", "PRE[3]=", ...)."""
-        families = ("W", "NW") if self.use_normalized else ("W",)
-        prefixes = {"%s[%d]=" % (f, d) for f in families for d in self.window_offsets}
+        prefixes = {"%s[%d]=" % (f, d) for f in ("W", "NW") for d in WINDOW_OFFSETS}
         if self.set_id == 2:
-            prefixes.update("%s[%d]=" % (f, n) for f in ("PRE", "SUF") for n in self.affix_lengths)
+            prefixes.update("%s[%d]=" % (f, n) for f in ("PRE", "SUF") for n in AFFIX_LENGTHS)
         return frozenset(prefixes)
 
 
@@ -132,26 +123,25 @@ def extract_features(sentence: Sentence, config: TemplateConfig) -> list[list[st
         raise FeatureError("cannot extract features from an empty sentence")
     texts = sentence.tokens
     n = len(texts)
-    norms = tuple(normalize_token(t) for t in texts) if config.use_normalized else None
+    norms = tuple(normalize_token(t) for t in texts)
 
     features: list[list[str]] = []
     for t in range(n):
         active: list[str] = []
-        for d in config.window_offsets:
+        for d in WINDOW_OFFSETS:
             j = t + d
             tok = BOS if j < 0 else EOS if j >= n else texts[j]
             active.append("W[%d]=%s" % (d, tok))
-        if norms is not None:
-            for d in config.window_offsets:
-                j = t + d
-                tok = BOS if j < 0 else EOS if j >= n else norms[j]
-                active.append("NW[%d]=%s" % (d, tok))
+        for d in WINDOW_OFFSETS:
+            j = t + d
+            tok = BOS if j < 0 else EOS if j >= n else norms[j]
+            active.append("NW[%d]=%s" % (d, tok))
         if config.set_id == 2:
             word = texts[t]
-            for length in config.affix_lengths:
+            for length in AFFIX_LENGTHS:
                 if len(word) >= length:
                     active.append("PRE[%d]=%s" % (length, word[:length]))
-            for length in config.affix_lengths:
+            for length in AFFIX_LENGTHS:
                 if len(word) >= length:
                     active.append("SUF[%d]=%s" % (length, word[-length:]))
         active.append(BIAS_FEATURE)
@@ -167,24 +157,20 @@ def _slot_columns(
     and EOS, None where the slot emits nothing. Each string is the slot's
     prefix ("W[-1]=", "SUF[2]=", ...) concatenated with the word or affix."""
     words = [*types, BOS, EOS]
+    norms = [*map(normalize_token, types), BOS, EOS]
     offsets: list[int] = []
     columns: list[list[str | None]] = []
-    for d in config.window_offsets:
-        offsets.append(d)
-        prefix = "W[%d]=" % d
-        columns.append([prefix + word for word in words])
-    if config.use_normalized:
-        norms = [*map(normalize_token, types), BOS, EOS]
-        for d in config.window_offsets:
+    for family, column_words in (("W", words), ("NW", norms)):
+        for d in WINDOW_OFFSETS:
             offsets.append(d)
-            prefix = "NW[%d]=" % d
-            columns.append([prefix + norm for norm in norms])
+            prefix = "%s[%d]=" % (family, d)
+            columns.append([prefix + word for word in column_words])
     if config.set_id == 2:
-        for n in config.affix_lengths:
+        for n in AFFIX_LENGTHS:
             offsets.append(0)
             prefix = "PRE[%d]=" % n
             columns.append([prefix + w[:n] if len(w) >= n else None for w in types] + [None, None])
-        for n in config.affix_lengths:
+        for n in AFFIX_LENGTHS:
             offsets.append(0)
             prefix = "SUF[%d]=" % n
             columns.append([prefix + w[-n:] if len(w) >= n else None for w in types] + [None, None])
@@ -217,16 +203,15 @@ def feature_id_matrix(
     offsets, columns = _slot_columns(list(vocab), config)
     # int32: the index type of the incidence matrices built from these ids
     table = np.array([list(map(lookup, column, repeat(-1))) for column in columns], dtype=np.int32)
-    # each sentence's type ids padded with radius BOS rows before and
-    # radius EOS rows after, so that a window offset is a plain shift
-    radius = config.window_radius
+    # each sentence's type ids padded with WINDOW_RADIUS BOS rows before
+    # and as many EOS rows after, so that a window offset is a plain shift
     lengths = np.fromiter(map(len, corpus), np.int64, len(corpus))
-    width = lengths + 2 * radius
+    width = lengths + 2 * WINDOW_RADIUS
     padded = np.full(int(width.sum()), len(vocab) + 1)
     pad_starts = np.cumsum(width) - width
-    padded[(pad_starts[:, None] + np.arange(radius)).ravel()] = len(vocab)
+    padded[(pad_starts[:, None] + np.arange(WINDOW_RADIUS)).ravel()] = len(vocab)
     # the corpus's token i sits at padded[at[i]]
-    at = np.repeat(pad_starts + radius - (np.cumsum(lengths) - lengths), lengths)
+    at = np.repeat(pad_starts + WINDOW_RADIUS - (np.cumsum(lengths) - lengths), lengths)
     at += np.arange(types.size)
     padded[at] = types
     return table[np.arange(len(offsets)), padded[at[:, None] + np.array(offsets)]]

@@ -30,7 +30,9 @@ from .corpus import Sentence
 from .crf import StateSpace, build_lattice, state_space, total_parameters, viterbi
 from .crf_types import ModelOrder
 from .features import (
+    AFFIX_LENGTHS,
     BIAS_FEATURE,
+    WINDOW_OFFSETS,
     FeatureError,
     FeatureIndex,
     TemplateConfig,
@@ -50,6 +52,14 @@ FORMAT_1_LINE = "picrf model format 1"
 _BLOCK_LINE_BYTES = 57
 # The characters of base64 text, without its "=" padding.
 _BASE64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+# The template lines after template_set, which every model holds as they
+# stand here: the window, the normalized words and the affix lengths are
+# the same for both feature sets.
+_TEMPLATE_LINES = (
+    ("window_offsets", " ".join(map(str, WINDOW_OFFSETS))),
+    ("use_normalized", "1"),
+    ("affix_lengths", " ".join(map(str, AFFIX_LENGTHS))),
+)
 
 
 class ModelFormatError(Exception):
@@ -134,9 +144,8 @@ def _dump(model: Model, out: IO[str]) -> None:
     for name in model.alphabet.entity_types:
         out.write(name + "\n")
     out.write("template_set: %d\n" % t.set_id)
-    out.write("window_offsets: %s\n" % " ".join(str(d) for d in t.window_offsets))
-    out.write("use_normalized: %d\n" % int(t.use_normalized))
-    out.write("affix_lengths: %s\n" % " ".join(str(n) for n in t.affix_lengths))
+    for key, value in _TEMPLATE_LINES:
+        out.write("%s: %s\n" % (key, value))
     out.write("min_feature_count: %d\n" % t.min_feature_count)
     out.write("labels: %d\n" % model.alphabet.n_expanded)
     for label in model.alphabet.expanded_labels:
@@ -272,24 +281,13 @@ class _LineReader:
         return line[len(prefix) :]
 
     def keyed_int(self, key: str) -> int:
-        """A count or flag: a non-negative integer in ASCII digits."""
+        """A count: a non-negative integer in ASCII digits."""
         value = self.keyed(key)
         if not (value.isascii() and value.isdecimal()):
             raise ModelFormatError(
                 "line %d: %s must be a non-negative integer, found %r" % (self.count, key, value)
             )
         return int(value)
-
-    def keyed_ints(self, key: str) -> tuple[int, ...]:
-        value = self.keyed(key)
-        try:
-            if not _ascii_digits(value):
-                raise ValueError
-            return tuple(int(v) for v in value.split())
-        except ValueError:
-            raise ModelFormatError(
-                "line %d: %s must be integers, found %r" % (self.count, key, value)
-            ) from None
 
     def end(self) -> None:
         line = self.next_line()
@@ -318,8 +316,8 @@ def _json_strings(span: str) -> list[str]:
 
 
 def _ascii_digits(text: str) -> bool:
-    """Whether text is ASCII without "_": int() and float() also read
-    non-ASCII digits and "_" between digits, which a model never holds."""
+    """Whether text is ASCII without "_": float() also reads non-ASCII
+    digits and "_" between digits, which a model never holds."""
     return text.isascii() and "_" not in text
 
 
@@ -385,19 +383,14 @@ def _parse_lines(reader: _LineReader) -> Model:
     alphabet = build_expanded_alphabet(types)
 
     set_id = reader.keyed_int("template_set")
-    window_offsets = reader.keyed_ints("window_offsets")
-    use_normalized = reader.keyed_int("use_normalized")
-    if use_normalized > 1:
-        raise ModelFormatError(
-            "line %d: use_normalized must be 0 or 1, found %d" % (reader.count, use_normalized)
-        )
-    template = TemplateConfig(
-        set_id=set_id,
-        window_offsets=window_offsets,
-        use_normalized=bool(use_normalized),
-        affix_lengths=reader.keyed_ints("affix_lengths"),
-        min_feature_count=reader.keyed_int("min_feature_count"),
-    )
+    for key, expected in _TEMPLATE_LINES:
+        value = reader.keyed(key)
+        if value != expected:
+            raise ModelFormatError(
+                "line %d: %s must be %r, found %r" % (reader.count, key, expected, value)
+            )
+    min_count = reader.keyed_int("min_feature_count")
+    template = TemplateConfig(set_id=set_id, min_feature_count=min_count)
 
     n_labels = reader.keyed_int("labels")
     labels = tuple(reader.next_line() for _ in range(n_labels))

@@ -128,6 +128,13 @@ class TestTrain:
         assert (code, out, err) == (1, "", "error: no entity types found in the corpus\n")
         assert not (tmp_path / "m.txt").exists()
 
+    def test_row_without_label_fails_naming_it(self, tmp_path):
+        short = tmp_path / "short.conll"
+        short.write_text("a\tB-X\nb\n")
+        code, out, err = run_captured(["train", "--train", short, "--out", tmp_path / "m.txt"])
+        assert (code, out) == (1, "")
+        assert err == "error: line 2: label column missing (line has 1 column)\n"
+
 
 class TestTag:
     def test_stdout_output(self, model_path, corpus_files, capsys):

@@ -2,6 +2,7 @@ import hashlib
 import io
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -202,6 +203,21 @@ class TestReadConll:
         assert "line 2" in str(err.value)
         assert err.value.line_number == 2
 
+    @pytest.mark.parametrize(
+        "text, token_column, label_column, message",
+        [
+            ("a\tO\nb\n", 0, -1, "line 2: label column missing (line has 1 column)"),
+            ("a b c\n", 1, -2, "line 1: label column missing (line has 3 columns)"),
+            ("a O\n", 0, 0, "line 1: token and label columns coincide (line has 2 columns)"),
+            ("a O\n", 0, 5, "line 1: label column 5 missing (line has 2 columns)"),
+            ("a\n", 2, None, "line 1: token column 2 missing (line has 1 column)"),
+        ],
+    )
+    def test_messages_name_the_missing_column(self, text, token_column, label_column, message):
+        with pytest.raises(ParseError) as err:
+            read_conll(io.StringIO(text), token_column, label_column)
+        assert str(err.value) == message
+
     def test_repeated_texts_share_one_token(self):
         """One str object per distinct text within a call, equal to the
         texts a fresh build holds."""
@@ -382,6 +398,23 @@ class TestSynthetic:
     def test_too_few_types(self):
         with pytest.raises(CorpusError):
             generate_synthetic(SynthConfig(entity_type_count=1, sentences=10))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("gap_lengths", (2.5,)),
+            ("gap_lengths", (2, True)),
+            ("seed", 0.0),
+            ("seed", np.int64(3)),
+        ],
+    )
+    def test_non_integer_settings_rejected(self, field, value):
+        """Gap lengths, a float that equals an integer, and a numpy integer,
+        which random.Random does not take as a seed; every setting annotated
+        int is also checked in tests/test_package.py."""
+        config = SynthConfig(**{"entity_type_count": 2, "sentences": 10, field: value})
+        with pytest.raises(CorpusError, match="^%s must be an integer, got " % field):
+            generate_synthetic(config)
 
     def test_rule_not_bijection(self):
         config = SynthConfig(

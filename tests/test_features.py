@@ -7,9 +7,12 @@ from oracles import counted_features, normalized
 from picrf.corpus import Sentence
 from picrf.crf_types import ModelOrder
 from picrf.features import (
+    AFFIX_LENGTHS,
     BIAS_FEATURE,
     BOS,
     EOS,
+    WINDOW_OFFSETS,
+    WINDOW_RADIUS,
     FeatureError,
     TemplateConfig,
     build_feature_index,
@@ -50,41 +53,29 @@ class TestNormalize:
 
 class TestTemplateConfig:
     def test_defaults(self):
-        assert SET1.window_offsets == (-1, 0, 1)
-        assert SET1.affix_lengths == (2, 3, 4)
-        assert SET1.window_radius == 1
+        assert TemplateConfig() == TemplateConfig(set_id=1, min_feature_count=0)
+        assert WINDOW_OFFSETS == (-1, 0, 1)
+        assert AFFIX_LENGTHS == (2, 3, 4)
+        assert WINDOW_RADIUS == 1
 
     def test_bad_set(self):
         with pytest.raises(FeatureError):
             TemplateConfig(set_id=3)
 
-    def test_bad_affix(self):
-        with pytest.raises(FeatureError):
-            TemplateConfig(affix_lengths=(0,))
-
-    def test_empty_window(self):
-        with pytest.raises(FeatureError):
-            TemplateConfig(window_offsets=())
-
     @pytest.mark.parametrize(
-        "field,values",
-        [
-            ("window_offsets", (-1, 0, 0)),
-            ("affix_lengths", (2, 2)),
-            ("window_offsets", ("x",)),
-            ("window_offsets", (0, True)),
-            ("affix_lengths", (2.0,)),
-        ],
+        "field,value",
+        [("window_offsets", (-1, 0, 1)), ("use_normalized", True), ("affix_lengths", (2, 3, 4))],
     )
-    def test_duplicate_or_non_integer_entries_rejected(self, field, values):
-        with pytest.raises(FeatureError, match=field):
-            TemplateConfig(**{field: values})
+    def test_fixed_settings_cannot_be_passed(self, field, value):
+        """The window, the normalized words and the affix lengths are
+        constants, refused as settings even at their values."""
+        with pytest.raises(TypeError, match=field):
+            TemplateConfig(**{field: value})
 
     @pytest.mark.parametrize(
         "field,value",
         [
-            ("use_normalized", "no"),
-            ("use_normalized", 1),
+            ("set_id", 2.0),
             ("min_feature_count", 1.5),
             ("min_feature_count", True),
             ("min_feature_count", -1),
@@ -95,12 +86,10 @@ class TestTemplateConfig:
             TemplateConfig(**{field: value})
 
     def test_feature_prefixes(self):
-        assert SET1.feature_prefixes == {
-            "W[-1]=", "W[0]=", "W[1]=", "NW[-1]=", "NW[0]=", "NW[1]="
-        }
-        plain = TemplateConfig(set_id=2, window_offsets=(0,), use_normalized=False)
-        assert plain.feature_prefixes == {
-            "W[0]=", "PRE[2]=", "PRE[3]=", "PRE[4]=", "SUF[2]=", "SUF[3]=", "SUF[4]="
+        window = {"W[-1]=", "W[0]=", "W[1]=", "NW[-1]=", "NW[0]=", "NW[1]="}
+        assert SET1.feature_prefixes == window
+        assert SET2.feature_prefixes == window | {
+            "PRE[2]=", "PRE[3]=", "PRE[4]=", "SUF[2]=", "SUF[3]=", "SUF[4]="
         }
 
 
@@ -153,11 +142,6 @@ class TestExtractFeatures:
         feats = extract_features(Sentence.from_strings(["IL-2"]), SET1)
         assert "NW[0]=il-0" in feats[0]
 
-    def test_no_normalized_when_disabled(self):
-        config = TemplateConfig(set_id=1, use_normalized=False)
-        feats = extract_features(Sentence.from_strings(["IL-2"]), config)
-        assert not any(f.startswith("NW[") for f in feats[0])
-
     def test_empty_sentence_rejected(self):
         with pytest.raises(FeatureError):
             extract_features(Sentence.from_strings([]), SET1)
@@ -168,9 +152,8 @@ class TestExtractFeatures:
         edited[2] = "zz"
         f_base = extract_features(Sentence.from_strings(base), SET2)
         f_edit = extract_features(Sentence.from_strings(edited), SET2)
-        radius = SET2.window_radius
         for j in range(len(base)):
-            if abs(j - 2) > radius:
+            if abs(j - 2) > WINDOW_RADIUS:
                 assert f_base[j] == f_edit[j]
             else:
                 assert f_base[j] != f_edit[j]
@@ -219,7 +202,7 @@ class TestFeatureIndex:
 
     def test_min_count_cutoff(self):
         corpus = _corpus(["x", "x"], ["y"])
-        config = TemplateConfig(set_id=1, use_normalized=False, min_feature_count=2)
+        config = TemplateConfig(set_id=1, min_feature_count=2)
         index = build_feature_index(corpus, config, ALPHA1, ModelOrder.FIRST)
         assert "W[0]=x" in index.feature_ids
         assert "W[0]=y" not in index.feature_ids
@@ -304,9 +287,6 @@ _SENTENCES = st.lists(_WORDS, max_size=5).map(Sentence.from_strings)
 _CONFIGS = st.builds(
     TemplateConfig,
     set_id=st.sampled_from([1, 2]),
-    window_offsets=st.sampled_from([(-1, 0, 1), (-2, 0, 3), (0,), (1,)]),
-    use_normalized=st.booleans(),
-    affix_lengths=st.sampled_from([(2, 3, 4), (1,), (3, 5)]),
     min_feature_count=st.sampled_from([0, 1, 2]),
 )
 

@@ -609,22 +609,40 @@ class TestDamagedFiles:
     @pytest.mark.parametrize(
         "key,value,culprits",
         [
-            ("window_offsets", "3", ('"W[', '"NW[')),
-            ("window_offsets", "-1 0", ('"W[1]=', '"NW[1]=')),
+            ("window_offsets", "3", ("window_offsets:",)),
+            ("window_offsets", "-1 0", ("window_offsets:",)),
             ("use_normalized", "2", ("use_normalized:",)),
-            ("use_normalized", "0", ('"NW[',)),
+            ("use_normalized", "0", ("use_normalized:",)),
             ("template_set", "1", ('"PRE[', '"SUF[')),
-            ("affix_lengths", "3 4", ('"PRE[2]=', '"SUF[2]=')),
+            ("affix_lengths", "3 4", ("affix_lengths:",)),
         ],
     )
     def test_template_that_cannot_emit_the_features(self, small_file, key, value, culprits):
         """A template edited so that it no longer emits every saved feature
-        is rejected, naming the first line that does not fit."""
+        is rejected, naming the first line that does not fit: the edited
+        line itself where it is one of the fixed template lines."""
         lines, _ = small_file
         damaged = [key + ": " + value if line.startswith(key + ": ") else line for line in lines]
         named = next(i for i, line in enumerate(damaged) if line.startswith(culprits)) + 1
         with pytest.raises(ModelFormatError, match="^line %d: " % named):
             _load_lines(damaged)
+
+    @pytest.mark.parametrize(
+        "key, expected",
+        [("window_offsets", "-1 0 1"), ("use_normalized", "1"), ("affix_lengths", "2 3 4")],
+    )
+    @pytest.mark.parametrize("value", ["3", "", "-1 0 1 ", "1 0 -1", "-1  0 1", "-1 0 2"])
+    def test_fixed_template_lines(self, small_file, key, expected, value):
+        """The window, normalization and affix lines hold their one text,
+        which both feature sets share; any other text is rejected by line."""
+        lines = list(small_file[0])
+        i = next(k for k, line in enumerate(lines) if line.startswith(key + ": "))
+        assert lines[i] == "%s: %s" % (key, expected)
+        lines[i] = "%s: %s" % (key, value)
+        message = "line %d: %s must be '%s', found %r" % (i + 1, key, expected, value)
+        with pytest.raises(ModelFormatError) as err:
+            _load_lines(lines)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize(
         "feature", ["W[7]=a", "NW[-2]=a", "PRE[9]=abcdefghi", "SUF[1]=a", "SHAPE=Aa", "BIAS2", ""]
@@ -730,8 +748,8 @@ class TestNumberSpelling:
         [
             ("min_feature_count", "must be a non-negative integer"),
             ("features", "must be a non-negative integer"),
-            ("window_offsets", "must be integers"),
-            ("affix_lengths", "must be integers"),
+            ("window_offsets", "must be '-1 0 1'"),
+            ("affix_lengths", "must be '2 3 4'"),
         ],
     )
     def test_header_integers(self, small_file, how, key, message):

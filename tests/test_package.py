@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -7,6 +8,9 @@ from pathlib import Path
 import pytest
 
 import picrf
+from picrf.corpus import CorpusError, SynthConfig, generate_synthetic
+from picrf.features import FeatureError, TemplateConfig
+from picrf.training import TrainConfig, TrainingError
 
 MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "picrf").glob("*.py"))
 
@@ -123,3 +127,40 @@ def test_dead_private_code_check_sees_names():
         "    return _helper()\n"
     )
     assert _unused_private_names(source) == ["line 2: _UNUSED", "line 6: _stale", "line 9: _Gone"]
+
+
+def _synthetic(**settings):
+    """generate_synthetic, which checks a SynthConfig, of a small one."""
+    return generate_synthetic(SynthConfig(**{"entity_type_count": 2, "sentences": 1, **settings}))
+
+
+# Each settings class, the call that checks its settings, and the error
+# that call raises; then each setting annotated int, with its class's call
+# and error.
+_SETTINGS = [
+    (TrainConfig, TrainConfig, TrainingError),
+    (TemplateConfig, TemplateConfig, FeatureError),
+    (SynthConfig, _synthetic, CorpusError),
+]
+_INTEGER_FIELDS = [
+    (check, error, f.name)
+    for cls, check, error in _SETTINGS
+    for f in dataclasses.fields(cls)
+    if f.type in ("int", int)
+]
+
+
+@pytest.mark.parametrize("value", [True, 1.5])
+@pytest.mark.parametrize(
+    "check, error, name", _INTEGER_FIELDS, ids=[name for _, _, name in _INTEGER_FIELDS]
+)
+def test_integer_settings_reject_bools_and_fractions(check, error, name, value):
+    """Every setting annotated int, now or added later, refuses a bool and
+    a fraction with its module's error, named at the start of the message."""
+    with pytest.raises(error, match="^%s " % name):
+        check(**{name: value})
+
+
+def test_integer_settings_are_found():
+    names = {name for _, _, name in _INTEGER_FIELDS}
+    assert {"max_iterations", "set_id", "min_feature_count", "sentences", "seed"} <= names
