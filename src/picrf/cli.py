@@ -7,6 +7,7 @@ input, numerical breakdown), 2 on usage errors (argparse's convention).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -205,7 +206,10 @@ def cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The picrf argument parser, built once per process: parse_args leaves
+    it as it was, so every main call shares it."""
     parser = argparse.ArgumentParser(
         prog="picrf",
         description="Chain CRF sequence tagger with carrier-state label induction.",

@@ -14,6 +14,7 @@ import base64
 import itertools
 import random
 import re
+from collections import deque
 
 import numpy as np
 from hypothesis import strategies as st
@@ -198,3 +199,20 @@ def format_1_lines(lines: list[str]) -> list[str]:
     n_lines = -(-8 * weights.size // 57)
     text = ["%.17g" % w for w in weights.tolist()]
     return ["picrf model format 1"] + lines[1:first] + text + lines[first + n_lines :]
+
+
+def deque_direction(g: np.ndarray, pairs: deque) -> np.ndarray:
+    """-H g by the L-BFGS two-loop recursion over pairs, a deque of (s, y,
+    1 / s·y) oldest first, with a fresh vector for every product; -g
+    without pairs."""
+    d = -g
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * (s @ d))
+        d -= alphas[-1] * y
+    if pairs:
+        _, y, rho = pairs[-1]
+        d *= 1.0 / (rho * (y @ y))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        d += (alpha - rho * (y @ d)) * s
+    return d

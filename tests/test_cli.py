@@ -451,6 +451,10 @@ def _readme_command_lines() -> list[str]:
     return [line for line in joined.splitlines() if line.startswith("picrf ")]
 
 
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
 def test_readme_command_lines_parse():
     """Every command README shows parses, so the docs cannot keep a flag
     the parser has lost."""

@@ -1,10 +1,14 @@
 import json
+import re
 import time
+from collections import deque
 
 import numpy as np
 import pytest
 
 import picrf.training
+from oracles import deque_direction
+from picrf import crf
 from picrf.corpus import LabelError, Sentence, SynthConfig, generate_synthetic
 from picrf.crf_types import ModelOrder
 from picrf.features import FeatureError, TemplateConfig
@@ -303,6 +307,54 @@ class TestLbfgs:
         assert np.linalg.norm(calls[1]) == pytest.approx(1.0)
         assert np.linalg.norm(calls[2]) == pytest.approx(0.5)
 
+    def test_ring_direction_matches_the_deque_two_loop(self):
+        """_History keeps its pairs in preallocated rings; its direction is
+        the deque two-loop recursion's, bit for bit, before and after the
+        rings wrap and when a pair with s·y <= 0 is refused."""
+        rng = np.random.default_rng(0)
+        n = 40
+        history, pairs = picrf.training._History(n), deque(maxlen=picrf.training._HISTORY)
+        refused = 0
+        for k in range(30):
+            s = rng.normal(size=n)
+            y = rng.normal(size=n) + (-s if k % 4 == 3 else s)
+            history.add(s, y)
+            if s @ y > 0:
+                pairs.append((s, y, 1.0 / float(s @ y)))
+            else:
+                refused += 1
+            g = rng.normal(size=n)
+            assert np.array_equal(history.direction(g), deque_direction(g, pairs))
+        assert refused > 0 and 30 - refused > 2 * picrf.training._HISTORY
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_a_non_finite_gradient_names_its_first_slot(self, monkeypatch, bad):
+        objective = picrf.training.log_likelihood_and_gradient
+
+        def broken(*args):
+            value, grad = objective(*args)
+            grad[[3, 8]] = bad, float("nan")
+            return value, grad
+
+        monkeypatch.setattr(picrf.training, "log_likelihood_and_gradient", broken)
+        message = r"^gradient became non-finite at slot 3 \(value %s\)$" % re.escape(repr(bad))
+        with pytest.raises(TrainingError, match=message):
+            train(tiny_corpus(), TrainConfig(max_iterations=3))
+        assert crf._SCRATCH.buffers == ()
+
+    def test_train_frees_the_scratch_arena(self):
+        corpus = tiny_corpus()
+        space = crf.state_space(ModelOrder.FIRST, corpus_alphabet(corpus))
+        template = TemplateConfig()
+        index = picrf.training.build_feature_index(corpus, template, space.alphabet, space.order)
+        batch = compile_corpus(corpus, template, index, space)
+        weights = np.zeros(crf.total_parameters(index, space))
+        # a direct call keeps the arena for the next one
+        crf.log_likelihood_and_gradient(batch, weights, index, space)
+        assert crf._SCRATCH.buffers
+        train(corpus, TrainConfig(max_iterations=3))
+        assert crf._SCRATCH.buffers == ()
+
     def test_minimize_reports_the_stop(self):
         result = picrf.training.minimize(
             lambda x: (float(x @ x), 2 * x), np.ones(3), max_iterations=1, tolerance=1e-6
@@ -342,7 +394,23 @@ class TestTimings:
             1.0 / report.ratios["pre-induced/first"]
         )
         assert "s/iteration" in report.to_text()
+        assert all(row.faults_per_iteration >= 0.0 for row in report.rows)
+        assert "faults/iter" in report.to_text()
+        assert all("faults_per_iteration" in record for record in report.to_records())
+        assert crf._SCRATCH.buffers == ()
         del base
+
+    def test_faults_are_left_out_without_the_resource_module(self, monkeypatch):
+        monkeypatch.setattr(picrf.training, "resource", None)
+        monkeypatch.setattr(picrf.training, "_TURN_PAUSE", 0.0)
+        configs = [
+            TrainConfig(model_order=order, template=TemplateConfig(set_id=1))
+            for order in (ModelOrder.FIRST, ModelOrder.PRE_INDUCED)
+        ]
+        report = measure_iteration_cost(self.make_corpus(), configs, measured=3, warmup=0)
+        assert [row.faults_per_iteration for row in report.rows] == [None, None]
+        assert "faults/iter" not in report.to_text()
+        assert all("faults_per_iteration" not in record for record in report.to_records())
 
     def test_orders_take_turns_an_iteration_at_a_time(self, monkeypatch):
         """Round k runs iteration k of every order, in config order in even
