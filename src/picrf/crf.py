@@ -47,7 +47,15 @@ the brute-force oracles use.
 
 Decoding uses the same layout: build_lattice gathers a batch's (N, K)
 feature id matrix in _packed_layout's row order into one (N, S) lattice,
-and viterbi runs one max-product step per position over the prefix rows.
+and viterbi runs one max-product step per position over the prefix rows,
+state-major like training. Every order's moves form one block (A, B, C)
+(StateSpace.move_block), the transition region after its C start slots:
+state a * B + b moves to b * C + c, so a step is a max over the leading
+axis of delta (A, B, 1) + moves (A, B, C), (S, 1, S) for first and
+pre-induced and (n + 1, n, n) for the pairs, which evaluates only the n^3
+allowed moves of the (n^2 + n)^2. No backpointers are kept: each sentence
+backtracks from its best final state with an argmax over the A
+predecessors of its own state.
 """
 
 from __future__ import annotations
@@ -72,9 +80,9 @@ NEG_INF = float("-inf")
 # chain. Not a valid IOB2 label, so it cannot collide with real labels.
 START_SYMBOL = "<start>"
 
-# Most entries of the (rows, S, S) step scores one Viterbi slice holds:
-# 512 KB, so that they stay in a core's L2 cache while the argmax and the
-# gather read them (the second-order chain has S in the hundreds).
+# Most entries of the (A, B, C, cols) move scores of one chunk of a Viterbi
+# step: 512 KB, so that they stay in a core's L2 cache while the max over
+# A reads them (the pair block of 5 types has 1,452 entries per column).
 _VITERBI_BUDGET = 1 << 16
 
 # The scaled recursion trusts a forward or backward entry, before
@@ -161,6 +169,18 @@ class StateSpace:
         if self.order == ModelOrder.SECOND:
             return len(self.alphabet.base_labels) ** 2
         return self.n_states
+
+    @property
+    def move_block(self) -> tuple[int, int, int]:
+        """Shape (A, B, C) of the moves as one block: state a * B + b moves
+        to state b * C + c through transition slot C + (a * B + b) * C + c,
+        after the start's C slots, and no other move is allowed. (S, 1, S)
+        for first and pre-induced; (n + 1, n, n) for the pairs over n
+        labels, whose start pairs (n, b) no move leads into."""
+        if self.order == ModelOrder.SECOND:
+            n = len(self.alphabet.base_labels)
+            return (n + 1, n, n)
+        return (self.n_states, 1, self.n_states)
 
     @cached_property
     def observes_itself(self) -> bool:
@@ -259,11 +279,14 @@ class Lattice:
     """Log-potentials of one sentence, obs (T, S), or of a packed batch,
     obs (N, S) over its N token rows in the row order of _packed_layout;
     trans (S, S) and start (S,) are shared by the batch. psi and
-    n_positions read obs as one sentence."""
+    n_positions read obs as one sentence. move_block is the (A, B, C)
+    shape of StateSpace.move_block when only the moves it names can be
+    allowed, and None when any move can be (the block (S, 1, S))."""
 
     obs: np.ndarray
     trans: np.ndarray
     start: np.ndarray
+    move_block: tuple[int, int, int] | None = None
 
     @property
     def n_positions(self) -> int:
@@ -277,6 +300,17 @@ class Lattice:
         """Additive log-potential; s_prev is ignored at the start position."""
         context = self.start[s] if t == 0 else self.trans[s_prev, s]
         return float(context + self.obs[t, s])
+
+    def moves(self) -> np.ndarray:
+        """The (A, B, C) block of trans that Viterbi runs on: entry [a, b,
+        c] is trans[a * B + b, b * C + c]."""
+        n_from, n_ctx, n_to = self.move_block or (self.n_states, 1, self.n_states)
+        if n_from * n_ctx != self.n_states or n_ctx * n_to > self.n_states:
+            raise CrfError(
+                "move block %s does not fit %d states" % (self.move_block, self.n_states)
+            )
+        sources = np.arange(n_from * n_ctx).reshape(n_from, n_ctx, 1)
+        return self.trans[sources, np.arange(n_ctx * n_to).reshape(1, n_ctx, n_to)]
 
 
 def _move_potentials(weights: np.ndarray, index: FeatureIndex, space: StateSpace) -> np.ndarray:
@@ -387,7 +421,8 @@ def build_lattice(
     moves = _move_potentials(weights, index, space)
     if constrained:
         moves = np.where(space.constraint_masks, moves, NEG_INF)
-    return Lattice(obs=obs, trans=moves[:-1], start=moves[-1]), widths, order
+    lattice = Lattice(obs, moves[:-1], moves[-1], space.move_block)
+    return lattice, widths, order
 
 
 @dataclass
@@ -587,47 +622,73 @@ def forward_backward(lattice: Lattice) -> ForwardBackwardResult:
 
 
 def _viterbi(
-    obs: np.ndarray, widths: np.ndarray, start: np.ndarray, trans: np.ndarray
+    obs: np.ndarray, widths: np.ndarray, start: np.ndarray, moves: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best paths and their log scores of a packed batch of lattices sharing
-    start (S,) and transition (S, S) potentials. Ties break toward the lower
-    state index.
+    start (S,) potentials and the move block moves (A, B, C) of
+    Lattice.moves: state a * B + b moves to state b * C + c at potential
+    moves[a, b, c], and no other move is allowed. Ties break toward the
+    lower state index.
 
     obs (N, S) holds the observation log-potentials of the batch's N tokens
     in the row blocks of _packed_layout with the given widths. Returns the
     best state at every row (N,) and every sentence's best score (B,) in
-    rank order, the order of block 0. Each step runs in slices of rows
-    whose (rows, S, S) step scores stay within _VITERBI_BUDGET entries.
+    rank order, the order of block 0.
+
+    The forward pass keeps one (S, N) table delta, the best score of a
+    path into each state at each row, and stores no backpointers: a step
+    maxes the (A, B, C, cols) block delta[a * B + b] + moves[a, b, c] over
+    its leading axis, in chunks of cols columns within _VITERBI_BUDGET
+    entries. Each sentence then backtracks from its best final state,
+    taking at each step back the argmax over the A predecessors of its own
+    state only. A NaN or +inf anywhere reaches some sentence's best score
+    through the max, which raises before the backtrack.
     """
-    n_batch, n_states = widths[0], obs.shape[1]
-    firsts = (np.cumsum(widths) - widths).tolist()
-    # the sentences of rank ends[t] to widths[t] - 1 end at position t
-    ends = widths[1:].tolist() + [0]
+    n_from, n_ctx, n_to = moves.shape
+    n_into, n_batch = n_ctx * n_to, widths[0]
+    steps = _steps(widths)
+    delta = obs.T.copy()
+    cols = max(1, _VITERBI_BUDGET // moves.size)
+    block = np.empty(moves.shape + (min(cols, n_batch),))
+    top = np.empty(block.shape[1:])
+    # -inf + inf makes the NaN that _check_scores reports
+    with np.errstate(invalid="ignore"):
+        delta[:, :n_batch] += start[:, None]
+        for prev, rows in steps:
+            for lo in range(0, prev.stop - prev.start, cols):
+                p, r = prev.start + lo, rows.start + lo
+                w = min(cols, prev.stop - p)
+                part = np.add(
+                    delta[:, p : p + w].reshape(n_from, n_ctx, 1, w),
+                    moves[..., None],
+                    out=block[..., :w],
+                )
+                np.max(part, axis=0, out=top[..., :w])
+                into = delta[:n_into, r : r + w].reshape(n_ctx, n_to, w)
+                into += top[..., :w]
+            # no move leads into the states from n_into on: -inf, or NaN
+            # where their observation potential is NaN or +inf
+            delta[n_into:, rows] += NEG_INF
+
+    # sentence k (in rank order) ends in block lengths[k] - 1
+    lengths = np.searchsorted(-widths, -np.arange(n_batch), side="left")
+    last = (np.cumsum(widths) - widths)[lengths - 1] + np.arange(n_batch)
     states = np.empty(obs.shape[0], dtype=np.intp)
-    backpointers = np.empty(obs.shape, dtype=np.min_scalar_type(n_states - 1))
-    best = np.empty(n_batch)
-    step = max(1, _VITERBI_BUDGET // (n_states * n_states))
-    scores = np.empty((min(step, n_batch), n_states, n_states))
-    # scores[b, s, r] = delta[b, r] + trans[r, s]: previous states r last,
-    # so that argmax and the gather read contiguous rows
-    into = trans.T
-    delta = start + obs[:n_batch]
-    for t, (first, width, end) in enumerate(zip(firsts, widths.tolist(), ends)):
-        if t:
-            for lo in range(0, width, step):
-                part = np.add(delta[lo : lo + step, None, :], into, out=scores[: width - lo])
-                pointers = part.argmax(axis=2)
-                backpointers[first + lo : first + lo + len(part)] = pointers
-                delta[lo : lo + step] = np.take_along_axis(part, pointers[..., None], 2)[..., 0]
-            delta += obs[first : first + width]
-        # argmax picks NaN over any number, so a NaN anywhere reaches best
-        last = delta[end:].argmax(axis=1)
-        states[first + end : first + width] = last
-        best[end:width] = delta[np.arange(end, width), last]
-        delta = delta[:end]
-    for prev, rows in reversed(_steps(widths)):
-        states[prev] = backpointers[np.arange(rows.start, rows.stop), states[rows]]
+    states[last] = delta[:, last].argmax(axis=0)
+    # argmax picks NaN over any number, so a NaN anywhere reaches best
+    best = delta[states[last], last]
     _check_scores(float(best.sum()))
+    # state s < n_into steps back to a * n_ctx + s // n_to, scored
+    # delta[a * n_ctx + s // n_to, row] + arrivals[s, a], gathered as (rows, A)
+    arrivals = moves.reshape(n_from, n_into).T.copy()
+    flat, n_rows = delta.reshape(-1), delta.shape[1]
+    offsets = np.arange(n_from) * (n_ctx * n_rows)
+    for prev, rows in reversed(steps):
+        ctx = states[rows] // n_to
+        at = (ctx * n_rows + np.arange(prev.start, prev.stop))[:, None] + offsets
+        scores = flat.take(at)
+        scores += arrivals[states[rows]]
+        states[prev] = scores.argmax(axis=1) * n_ctx + ctx
     return states, best
 
 
@@ -646,9 +707,9 @@ def viterbi(
     potentials and InfeasibleLatticeError when a sentence has no path.
     """
     if widths is not None:
-        return _viterbi(lattice.obs, widths, lattice.start, lattice.trans)
+        return _viterbi(lattice.obs, widths, lattice.start, lattice.moves())
     widths = np.ones(lattice.n_positions, dtype=np.int64)
-    states, scores = _viterbi(lattice.obs, widths, lattice.start, lattice.trans)
+    states, scores = _viterbi(lattice.obs, widths, lattice.start, lattice.moves())
     return states.tolist(), float(scores[0])
 
 

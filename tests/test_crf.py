@@ -100,6 +100,24 @@ class TestStateSpace:
                 else:
                     assert space.n_transition_params == (space.n_states + 1) * space.n_states
 
+    @pytest.mark.parametrize("order", list(ModelOrder))
+    def test_move_block_is_the_transition_region_after_the_start(self, order):
+        """The layout viterbi decodes through: over the block (A, B, C),
+        state a * B + b moves to b * C + c through slot C + (a * B + b) *
+        C + c, the start row holds slots 0 .. C - 1, and every other move
+        is forbidden."""
+        space = state_space(order, ALPHA2)
+        n_from, n_ctx, n_to = space.move_block
+        assert n_from * n_ctx == space.n_states
+        a, b, c = np.indices(space.move_block)
+        source = a * n_ctx + b
+        trans = space.move_slot[:-1]
+        assert np.array_equal(trans[source, b * n_to + c], n_to + source * n_to + c)
+        assert np.count_nonzero(trans >= 0) == n_from * n_ctx * n_to
+        start = space.move_slot[-1]
+        assert sorted(start[start >= 0]) == list(range(n_to))
+        assert space.n_transition_params == n_to + n_from * n_ctx * n_to
+
     def test_second_order_start_states_only_at_origin(self):
         alpha = build_expanded_alphabet(["A"])
         space = state_space(ModelOrder.SECOND, alpha)
@@ -874,7 +892,25 @@ def _packed(singles):
     obs = np.concatenate([lattice.obs for lattice in singles])[order]
     firsts = (np.cumsum(lengths) - lengths).tolist()
     rank = [order[: widths[0]].tolist().index(first) for first in firsts]
-    return Lattice(obs, singles[0].trans, singles[0].start), widths, order, rank
+    shared = singles[0]
+    return Lattice(obs, shared.trans, shared.start, shared.move_block), widths, order, rank
+
+
+PAIRS = state_space(ModelOrder.SECOND, build_expanded_alphabet(["A"]))
+
+
+def _allowed_moves(moves, n_states):
+    """The start (S,) and transition (S, S) masks of the allowed moves and
+    the move block of a test lattice: any move over n_states states
+    ("dense"), the pre-induced decode masks of one type ("constrained"),
+    or the second-order pairs of one type ("pairs", with its block)."""
+    if moves == "pairs":
+        allowed, block = PAIRS.move_slot >= 0, PAIRS.move_block
+    elif moves == "constrained":
+        allowed, block = preinduced_constraint_masks(build_expanded_alphabet(["A"])), None
+    else:
+        allowed, block = np.ones((n_states + 1, n_states), bool), None
+    return allowed[-1], allowed[:-1], block
 
 
 @settings(max_examples=80, deadline=None)
@@ -883,26 +919,24 @@ def _packed(singles):
     n_states=st.integers(1, 4),
     integer=st.booleans(),
     forbid=st.sampled_from([0.0, 0.3]),
-    constrained=st.booleans(),
+    moves=st.sampled_from(["dense", "constrained", "pairs"]),
     one_per_slice=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_batched_viterbi_matches_single_lattices_and_brute_force(
-    lengths, n_states, integer, forbid, constrained, one_per_slice, seed
+    lengths, n_states, integer, forbid, moves, one_per_slice, seed
 ):
     """viterbi over a packed batch of mixed lengths gives each sentence the
     path and score of its own lattice and of the exhaustive search.
     Integer potentials force ties, which break toward the lower state
-    index; -inf entries come from random forbidden moves and from the
-    pre-induced decode masks. one_per_slice runs every step one row at a
-    time."""
+    index; -inf entries come from random forbidden moves, from the
+    pre-induced decode masks and from the moves the second-order pairs
+    never make. Pair lattices decode through their (n + 1, n, n) move
+    block, and exactly as through the dense (S, S) table. one_per_slice
+    runs every step one column at a time."""
     rng = np.random.default_rng(seed)
-    if constrained:
-        mask = preinduced_constraint_masks(build_expanded_alphabet(["A"]))
-        start_ok, trans_ok = mask[-1], mask[:-1]
-        n_states = start_ok.size
-    else:
-        start_ok, trans_ok = np.ones(n_states, bool), np.ones((n_states, n_states), bool)
+    start_ok, trans_ok, block = _allowed_moves(moves, n_states)
+    n_states = start_ok.size
 
     def draw(shape):
         values = rng.integers(-2, 3, size=shape) if integer else rng.normal(size=shape)
@@ -910,7 +944,7 @@ def test_batched_viterbi_matches_single_lattices_and_brute_force(
 
     trans = np.where(trans_ok, draw((n_states, n_states)), NEG_INF)
     start = np.where(start_ok, draw(n_states), NEG_INF)
-    singles = [Lattice(draw((n_pos, n_states)), trans, start) for n_pos in lengths]
+    singles = [Lattice(draw((n_pos, n_states)), trans, start, block) for n_pos in lengths]
     packed, widths, order, rank = _packed(singles)
     brute = [brute_viterbi(lattice) for lattice in singles]
     with pytest.MonkeyPatch.context() as patch:
@@ -929,6 +963,9 @@ def test_batched_viterbi_matches_single_lattices_and_brute_force(
         path, score = viterbi(lattice)
         assert states[ends[b] - lengths[b] : ends[b]].tolist() == path
         assert scores[rank[b]] == score
+        if block is not None:
+            dense = Lattice(lattice.obs, lattice.trans, lattice.start)
+            assert viterbi(dense) == (path, score)
         b_path, b_score, unique = brute[b]
         assert score == pytest.approx(b_score, abs=1e-9)
         if integer:
@@ -937,21 +974,32 @@ def test_batched_viterbi_matches_single_lattices_and_brute_force(
             assert path == b_path
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     lengths=st.lists(st.integers(1, 4), min_size=1, max_size=5),
     n_states=st.integers(1, 4),
+    moves=st.sampled_from(["dense", "pairs"]),
+    bad=st.sampled_from([np.nan, np.inf]),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-def test_batched_viterbi_raises_on_nan(lengths, n_states, seed, data):
+def test_batched_viterbi_raises_on_nan(lengths, n_states, moves, bad, seed, data):
+    """One NaN or +inf observation potential anywhere in a packed batch
+    raises, also where no move leads (a start pair after position 0) and
+    where no path can be (a pair the start cannot enter): the max-only
+    forward pass carries it to some sentence's best score."""
     rng = np.random.default_rng(seed)
-    trans, start = rng.normal(size=(n_states, n_states)), rng.normal(size=n_states)
-    singles = [Lattice(rng.normal(size=(n_pos, n_states)), trans, start) for n_pos in lengths]
+    start_ok, trans_ok, block = _allowed_moves(moves, n_states)
+    n_states = start_ok.size
+    trans = np.where(trans_ok, rng.normal(size=trans_ok.shape), NEG_INF)
+    start = np.where(start_ok, rng.normal(size=n_states), NEG_INF)
+    singles = [
+        Lattice(rng.normal(size=(n_pos, n_states)), trans, start, block) for n_pos in lengths
+    ]
     packed, widths, _, _ = _packed(singles)
     where = tuple(data.draw(st.integers(0, n - 1)) for n in packed.obs.shape)
-    packed.obs[where] = np.nan
-    with pytest.raises(CrfError):
+    packed.obs[where] = bad
+    with pytest.raises(CrfError, match="NaN or \\+inf"):
         viterbi(packed, widths)
 
 

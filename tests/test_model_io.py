@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import random
 from collections import Counter
@@ -205,15 +206,16 @@ class TestCorpusDecode:
     def test_corpus_decode_equals_per_sentence_decode(
         self, trained, order, constrained, viterbi_rows
     ):
-        """viterbi_rows = rows per Viterbi slice. Each setting splits every
-        step wider than it into several slices, whose boundaries then fall
+        """viterbi_rows = rows per Viterbi chunk. Each setting splits every
+        step wider than it into several chunks, whose boundaries then fall
         inside the block of sentences that end at a position, so the decode
         crosses every boundary of the batched path."""
         model, _ = trained[order]
         corpus = _decode_corpus()
         with pytest.MonkeyPatch.context() as patch:
             if viterbi_rows:
-                patch.setattr(crf, "_VITERBI_BUDGET", viterbi_rows * model.space.n_states**2)
+                budget = viterbi_rows * math.prod(model.space.move_block)
+                patch.setattr(crf, "_VITERBI_BUDGET", budget)
                 lengths = Counter(len(s) for s in corpus if len(s))
                 assert max(lengths.values()) > viterbi_rows
             batched = model.decode_corpus(corpus, constrained=constrained)
