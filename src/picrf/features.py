@@ -22,14 +22,17 @@ carry an unprintable prefix, so they cannot collide with real text.
 Every template reads one token at one window offset (W and NW at offset d,
 PRE and SUF at offset 0), or none (BIAS), so a token's features depend
 only on the word types around it. extract_features spells them out per
-position and stays the reference. feature_id_matrix, which decoding and
-build_feature_index use, makes the strings once per distinct word type
-and template slot instead, as in the attribute dictionary of CRFsuite
-(Okazaki 2007) and the compiled pattern tables of Wapiti (Lavergne, Cappe
-& Yvon 2010): it interns a corpus's tokens to type ids, builds one
-(n_types + 2, K) table of feature ids for its K template slots (the two
-extra rows are BOS and EOS), and gathers the (N, K) feature ids of all N
-tokens with numpy shifts over the type-id array.
+position and stays the reference. Decoding looks words up per template
+slot instead, as in the attribute dictionary of CRFsuite (Okazaki 2007)
+and the compiled pattern tables of Wapiti (Lavergne, Cappe & Yvon 2010):
+a FeatureIndex keeps, for each slot, a table from the word after a
+feature's first "=" to the feature's id. feature_id_matrix interns a
+corpus's tokens to type ids and looks each slot's word of every type up
+in that slot's table, so it makes no feature string per type and slot.
+It then gathers the (N, K) feature ids of all N tokens with numpy shifts
+over the type-id array. build_feature_index reads the same per-slot
+words, but it must name the features it finds, so it interns each slot's
+prefix concatenated with each word.
 
 Each indexed feature owns a contiguous block of weight slots, one per
 observation-conditioned state, laid out in feature-index order. Models
@@ -44,8 +47,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Callable, Mapping, Sequence
+from functools import cached_property
+from itertools import chain, count, repeat
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -63,6 +68,11 @@ WINDOW_RADIUS = max(map(abs, WINDOW_OFFSETS))
 # The lengths of the PRE and SUF features of set 2; an affix is emitted
 # only for a token at least that long.
 AFFIX_LENGTHS = (2, 3, 4)
+# The template slots other than BIAS, in extract_features order: a slot
+# (family, n) emits the features "family[n]=<word>", where n is the window
+# offset of W and NW and the length of PRE and SUF.
+WINDOW_SLOTS = tuple((family, d) for family in ("W", "NW") for d in WINDOW_OFFSETS)
+AFFIX_SLOTS = tuple((family, n) for family in ("PRE", "SUF") for n in AFFIX_LENGTHS)
 
 _DIGITS = re.compile(r"\d")
 # folds the ASCII digits, the only characters \d matches in ASCII text
@@ -70,7 +80,13 @@ _ASCII_DIGITS = str.maketrans("123456789", "000000000")
 
 
 class FeatureError(Exception):
-    """Invalid template configuration or unknown feature/state lookups."""
+    """Invalid template configuration or unknown feature/state lookups.
+    position is the index, in the feature list at fault, of the feature
+    the error names, or None."""
+
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message)
+        self.position = position
 
 
 def normalize_token(text: str) -> str:
@@ -103,13 +119,15 @@ class TemplateConfig:
             )
 
     @property
+    def slots(self) -> tuple[tuple[str, int], ...]:
+        """The template's slots other than BIAS, in extract_features order."""
+        return WINDOW_SLOTS + (AFFIX_SLOTS if self.set_id == 2 else ())
+
+    @property
     def feature_prefixes(self) -> frozenset[str]:
         """The prefix, up to and including its first '=', of every feature
         string this template can emit except BIAS ("W[-1]=", "PRE[3]=", ...)."""
-        prefixes = {"%s[%d]=" % (f, d) for f in ("W", "NW") for d in WINDOW_OFFSETS}
-        if self.set_id == 2:
-            prefixes.update("%s[%d]=" % (f, n) for f in ("PRE", "SUF") for n in AFFIX_LENGTHS)
-        return frozenset(prefixes)
+        return frozenset("%s[%d]=" % slot for slot in self.slots)
 
 
 def extract_features(sentence: Sentence, config: TemplateConfig) -> list[list[str]]:
@@ -149,67 +167,68 @@ def extract_features(sentence: Sentence, config: TemplateConfig) -> list[list[st
     return features
 
 
-def _slot_columns(
-    types: Sequence[str], config: TemplateConfig
-) -> tuple[list[int], list[list[str | None]]]:
-    """The template slots of extract_features, in its order: each slot's
-    window offset, and its feature string for every type followed by BOS
-    and EOS, None where the slot emits nothing. Each string is the slot's
-    prefix ("W[-1]=", "SUF[2]=", ...) concatenated with the word or affix."""
-    words = [*types, BOS, EOS]
-    norms = [*map(normalize_token, types), BOS, EOS]
-    offsets: list[int] = []
-    columns: list[list[str | None]] = []
-    for family, column_words in (("W", words), ("NW", norms)):
-        for d in WINDOW_OFFSETS:
-            offsets.append(d)
-            prefix = "%s[%d]=" % (family, d)
-            columns.append([prefix + word for word in column_words])
-    if config.set_id == 2:
-        for n in AFFIX_LENGTHS:
-            offsets.append(0)
-            prefix = "PRE[%d]=" % n
-            columns.append([prefix + w[:n] if len(w) >= n else None for w in types] + [None, None])
-        for n in AFFIX_LENGTHS:
-            offsets.append(0)
-            prefix = "SUF[%d]=" % n
-            columns.append([prefix + w[-n:] if len(w) >= n else None for w in types] + [None, None])
-    offsets.append(0)
-    columns.append([BIAS_FEATURE] * len(types) + [None, None])
-    return offsets, columns
+def _normalized(words: list[str]) -> list[str]:
+    """normalize_token of each word. ASCII words are folded all at once, by
+    one lower and translate of their text joined with newlines; the split
+    back checks that no word held one."""
+    joined = "\n".join(words)
+    if joined.isascii():
+        norms = joined.lower().translate(_ASCII_DIGITS).split("\n")
+        if len(norms) == len(words):
+            return norms
+    return list(map(normalize_token, words))
 
 
-def feature_id_matrix(
+def _slot_id_matrix(
     corpus: Sequence[Sentence],
-    config: TemplateConfig,
-    lookup: Callable[[str | None, int], int],
+    slots: Sequence[tuple[str, int]],
+    slot_ids: Callable[[tuple[str, int], Iterable[str]], Iterator[int]],
+    bias_id: int,
 ) -> np.ndarray:
     """Feature ids (N, K) of the N tokens of a corpus, sentence after
-    sentence, one column per template slot.
+    sentence: one column per slot, in the order of slots, then one of
+    bias_id.
 
-    Row i holds, in extract_features order, the id of each feature string
-    extract_features emits for token i, and -1 where the slot emits nothing
-    (an affix longer than the token). lookup(feature, -1) gives a feature's
-    id, or -1 for a feature to leave out, and must give -1 for None, which
-    stands for a slot that emits nothing; a dict's get does all that. It
-    runs once per distinct word type and slot. Empty sentences contribute
-    no rows.
+    slot_ids(slot, words) gives the id of the slot's feature of each word,
+    or -1 for none. It is called once per slot, with the word that slot
+    reads of each distinct word type of the corpus: the type itself (W),
+    its normalized form (NW), or its first or last n characters (PRE[n],
+    SUF[n]). The words of a window slot go on with BOS and EOS. A type
+    shorter than n gets -1 in the affix slots of length n, whatever
+    slot_ids gives it. Empty sentences contribute no rows.
     """
     vocab: dict[str, int] = {}
     types = np.fromiter(
         (vocab.setdefault(text, len(vocab)) for sentence in corpus for text in sentence.tokens),
         np.int64,
     )
-    offsets, columns = _slot_columns(list(vocab), config)
+    words = list(vocab)
+    n_types = len(words)
+    norms = _normalized(words)
+    # the sentinel rows count as length 0, so no affix slot emits there
+    word_lengths = np.fromiter(chain(map(len, words), (0, 0)), np.int64, n_types + 2)
     # int32: the index type of the incidence matrices built from these ids
-    table = np.array([list(map(lookup, column, repeat(-1))) for column in columns], dtype=np.int32)
+    table = np.full((len(slots) + 1, n_types + 2), -1, np.int32)
+    for k, slot in enumerate(slots):
+        family, n = slot
+        if slot in AFFIX_SLOTS:
+            cut = slice(n) if family == "PRE" else slice(-n, None)
+            table[k, :n_types] = np.fromiter(
+                slot_ids(slot, map(itemgetter(cut), words)), np.int32, n_types
+            )
+            table[k, word_lengths < n] = -1
+        else:
+            column = chain(words if family == "W" else norms, (BOS, EOS))
+            table[k] = np.fromiter(slot_ids(slot, column), np.int32, n_types + 2)
+    table[-1, :n_types] = bias_id
+    offsets = [0 if slot in AFFIX_SLOTS else slot[1] for slot in slots] + [0]
     # each sentence's type ids padded with WINDOW_RADIUS BOS rows before
     # and as many EOS rows after, so that a window offset is a plain shift
     lengths = np.fromiter(map(len, corpus), np.int64, len(corpus))
     width = lengths + 2 * WINDOW_RADIUS
-    padded = np.full(int(width.sum()), len(vocab) + 1)
+    padded = np.full(int(width.sum()), n_types + 1)
     pad_starts = np.cumsum(width) - width
-    padded[(pad_starts[:, None] + np.arange(WINDOW_RADIUS)).ravel()] = len(vocab)
+    padded[(pad_starts[:, None] + np.arange(WINDOW_RADIUS)).ravel()] = n_types
     # the corpus's token i sits at padded[at[i]]
     at = np.repeat(pad_starts + WINDOW_RADIUS - (np.cumsum(lengths) - lengths), lengths)
     at += np.arange(types.size)
@@ -217,23 +236,61 @@ def feature_id_matrix(
     return table[np.arange(len(offsets)), padded[at[:, None] + np.array(offsets)]]
 
 
+def feature_id_matrix(corpus: Sequence[Sentence], index: FeatureIndex) -> np.ndarray:
+    """Feature ids (N, K) of the N tokens of a corpus under an index,
+    sentence after sentence, one column per template slot of the index.
+
+    Row i holds, in extract_features order, the id of each feature
+    extract_features emits for token i, and -1 where the slot emits nothing
+    (an affix longer than the token) or the index lacks the feature. Each
+    slot's word of each distinct word type is looked up in that slot's
+    table (FeatureIndex.slot_tables), so no feature string is made. Empty
+    sentences contribute no rows.
+    """
+    tables = index.slot_tables
+
+    def slot_ids(slot: tuple[str, int], words: Iterable[str]) -> Iterator[int]:
+        return map(tables["%s[%d]" % slot].get, words, repeat(-1))
+
+    bias_id = tables[BIAS_FEATURE].get("", -1)
+    return _slot_id_matrix(corpus, index.template_slots, slot_ids, bias_id)
+
+
 @dataclass(frozen=True)
 class FeatureIndex:
     """Deterministic feature-to-slot layout for one model order.
 
-    obs_labels is the observation-conditioned state inventory (base labels
-    for first- and second-order models, the expanded alphabet for the
-    pre-induced model). Feature i owns slots [i * block_size, (i + 1) *
-    block_size): one fine slot per observation state plus, when has_coarse,
-    a trailing slot shared by the outside class.
+    template_slots are the template's slots other than BIAS, in
+    extract_features order. obs_labels is the observation-conditioned state
+    inventory (base labels for first- and second-order models, the
+    expanded alphabet for the pre-induced model). Feature i owns slots
+    [i * block_size, (i + 1) * block_size): one fine slot per observation
+    state plus, when has_coarse, a trailing slot shared by the outside
+    class.
     """
 
     features: tuple[str, ...]
+    template_slots: tuple[tuple[str, int], ...]
     obs_labels: tuple[str, ...]
     has_coarse: bool
     outside_obs_ids: tuple[int, ...]
-    feature_ids: Mapping[str, int] = field(repr=False)
     obs_label_ids: Mapping[str, int] = field(repr=False)
+
+    @cached_property
+    def feature_ids(self) -> dict[str, int]:
+        """Each feature's id by its string. Built on first use: training and
+        the lookups by string below use it, decoding does not."""
+        return dict(zip(self.features, count()))
+
+    @cached_property
+    def slot_tables(self) -> dict[str, dict[str, int]]:
+        """Each feature's id by its word, in one table per slot. A feature's
+        slot is its text before the first "=" ("W[-1]", "PRE[3]", ...) and
+        its word the text after; BIAS is the one feature of slot "BIAS",
+        with the empty word. There is a table for every slot and BIAS.
+        Built on first use; make_feature_index builds it to check the
+        features."""
+        return _slot_tables(self.features, self.template_slots)
 
     @property
     def n_fine(self) -> int:
@@ -288,25 +345,74 @@ class FeatureIndex:
         return encoded
 
 
-def make_feature_index(
-    features: Sequence[str], alphabet: LabelAlphabet, order: ModelOrder
+def _slot_tables(
+    features: Sequence[str], slots: Sequence[tuple[str, int]]
+) -> dict[str, dict[str, int]]:
+    """FeatureIndex.slot_tables of features over slots, made in one pass.
+
+    Raises FeatureError, with its position, for the first feature that a
+    template with these slots cannot emit: one whose text before the first
+    "=" names none of its slots, whose word is empty, or whose affix is not
+    n characters long. If there is none, a feature listed twice raises a
+    FeatureError without a position.
+    """
+    # the length of each slot's words: n for an affix slot, 0 for any
+    lengths = {"%s[%d]" % slot: slot[1] if slot in AFFIX_SLOTS else 0 for slot in slots}
+    tables: dict[str, dict[str, int]] = {name: {} for name in lengths}
+    tables[BIAS_FEATURE] = {}
+    try:
+        for i, (name, _, word) in enumerate(map(str.partition, features, repeat("="))):
+            tables[name][word] = i
+    except KeyError:
+        pass
+    else:
+        # a duplicate leaves the tables short of features, "BIAS=..." puts
+        # a feature other than BIAS in its table, and an empty word or a
+        # missing "=" shows as the word ""
+        if (
+            sum(map(len, tables.values())) == len(features)
+            and all(features[i] == BIAS_FEATURE for i in tables[BIAS_FEATURE].values())
+            and not any("" in tables[name] for name in lengths)
+            and all(set(map(len, tables[name])) <= {n} for name, n in lengths.items() if n)
+        ):
+            return tables
+    for i, feature in enumerate(features):
+        name, eq, word = feature.partition("=")
+        if feature != BIAS_FEATURE and not (eq and word and lengths.get(name) in (0, len(word))):
+            raise FeatureError("the template cannot emit feature %r" % (feature,), i)
+    raise FeatureError("duplicate feature strings in index")
+
+
+def _feature_index(
+    features: tuple[str, ...], config: TemplateConfig, alphabet: LabelAlphabet, order: ModelOrder
 ) -> FeatureIndex:
-    """Assemble an index from an already-decided feature list in slot order."""
-    kept = tuple(features)
-    if not kept:
-        raise FeatureError("feature list is empty")
-    if len(set(kept)) != len(kept):
-        raise FeatureError("duplicate feature strings in index")
+    """make_feature_index without its checks of the features."""
     pre_induced = ModelOrder(order) == ModelOrder.PRE_INDUCED
     obs_labels = alphabet.expanded_labels if pre_induced else alphabet.base_labels
     return FeatureIndex(
-        features=kept,
+        features=features,
+        template_slots=config.slots,
         obs_labels=tuple(obs_labels),
         has_coarse=pre_induced,
         outside_obs_ids=tuple(alphabet.outside_class_ids) if pre_induced else (),
-        feature_ids={f: i for i, f in enumerate(kept)},
         obs_label_ids={label: i for i, label in enumerate(obs_labels)},
     )
+
+
+def make_feature_index(
+    features: Sequence[str], config: TemplateConfig, alphabet: LabelAlphabet, order: ModelOrder
+) -> FeatureIndex:
+    """Assemble an index from an already-decided feature list in slot order.
+
+    Raises FeatureError for an empty list, a feature the template cannot
+    emit (naming its position) or a feature listed twice.
+    """
+    kept = tuple(features)
+    if not kept:
+        raise FeatureError("feature list is empty")
+    index = _feature_index(kept, config, alphabet, order)
+    index.slot_tables  # builds the tables, which checks the features
+    return index
 
 
 def build_feature_index(
@@ -320,23 +426,28 @@ def build_feature_index(
     Slot order is first-occurrence order over the corpus, which makes the
     layout a deterministic function of corpus order and template config.
     Features seen fewer than min_feature_count times are dropped. Feature
-    strings are made once per word type and template slot (see
-    feature_id_matrix); the index equals the one that counting the strings
-    of extract_features over the corpus gives.
+    strings are made once per word type and template slot, from the same
+    per-slot words feature_id_matrix looks up; the index equals the one
+    that counting the strings of extract_features over the corpus gives.
     """
     if any(len(sentence) == 0 for sentence in corpus):
         raise FeatureError("cannot extract features from an empty sentence")
+    # each string's id is the count drawn when it was first seen, so ids
+    # are distinct but not dense
     strings: dict[str, int] = {}
+    draws = count()
 
-    def intern(feature: str | None, missing: int) -> int:
-        return missing if feature is None else strings.setdefault(feature, len(strings))
+    def intern(slot: tuple[str, int], words: Iterable[str]) -> Iterator[int]:
+        return map(strings.setdefault, map(("%s[%d]=" % slot).__add__, words), draws)
 
-    ids = feature_id_matrix(corpus, config, intern)
+    bias = strings.setdefault(BIAS_FEATURE, next(draws))
+    ids = _slot_id_matrix(corpus, config.slots, intern, bias)
     # row-major, so the stream runs in the order extract_features emits it
     found, first, counts = np.unique(ids[ids >= 0], return_index=True, return_counts=True)
     keep = counts >= config.min_feature_count
-    names = list(strings)
-    kept = tuple(names[i] for i in found[keep][np.argsort(first[keep])])
+    names = dict(zip(strings.values(), strings))
+    kept = tuple(map(names.__getitem__, found[keep][np.argsort(first[keep])].tolist()))
     if not kept:
         raise FeatureError("no features survived the frequency cutoff")
-    return make_feature_index(kept, alphabet, order)
+    # the features come from the template, each once, so need no check
+    return _feature_index(kept, config, alphabet, order)

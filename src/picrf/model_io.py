@@ -16,7 +16,6 @@ line of its own; it still loads, to the same weights.
 from __future__ import annotations
 
 import base64
-import binascii
 import json
 import os
 import re
@@ -31,7 +30,6 @@ from .crf import StateSpace, build_lattice, state_space, total_parameters, viter
 from .crf_types import ModelOrder
 from .features import (
     AFFIX_LENGTHS,
-    BIAS_FEATURE,
     WINDOW_OFFSETS,
     FeatureError,
     FeatureIndex,
@@ -50,8 +48,6 @@ FORMAT_LINE = "picrf model format 2"
 FORMAT_1_LINE = "picrf model format 1"
 # Bytes in each full line of a format 2 weight block.
 _BLOCK_LINE_BYTES = 57
-# The characters of base64 text, without its "=" padding.
-_BASE64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 # The template lines after template_set, which every model holds as they
 # stand here: the window, the normalized words and the affix lengths are
 # the same for both feature sets.
@@ -104,7 +100,8 @@ class Model:
         """Viterbi-decode sentences to base IOB2 labels, in input order.
 
         The corpus is decoded as one batch: feature_id_matrix gives the
-        feature ids of all its tokens at once, build_lattice lays them out
+        feature ids of all its tokens at once, looking each word type up in
+        the index's per-slot tables, build_lattice lays them out
         in one packed lattice, as training does, and viterbi decodes every
         sentence in one pass; the row order puts the states back in
         sentence order. Empty sentences decode to []. Pre-induced decodes
@@ -118,7 +115,7 @@ class Model:
             return decoded
         sentences = [corpus[i] for i in kept]
         lengths = [len(s) for s in sentences]
-        ids = feature_id_matrix(sentences, self.template, self.index.feature_ids.get)
+        ids = feature_id_matrix(sentences, self.index)
         lattice, widths, order = build_lattice(
             ids, lengths, self.weights, self.index, self.space, constrained
         )
@@ -227,8 +224,9 @@ class _LineReader:
     def block_floats(self, n: int) -> np.ndarray:
         """n little-endian float64 values from the next ceil(8n/57) lines:
         the base64 block base64.encodebytes writes. The block is checked as
-        one slice, its line breaks, alphabet and padding at C speed, and
-        decoded in one step; if it is not exactly such a block, the first
+        one slice: its line breaks by their places, its alphabet and
+        padding by one b64decode(validate=True) of the block without them,
+        which also decodes it. If it is not exactly such a block, the first
         line that encodebytes would not have written, or the short read,
         raises an error naming that line."""
         size = 8 * n
@@ -239,13 +237,11 @@ class _LineReader:
         block = self._text[self._pos : self._pos + width]
         data = block.encode("ascii") if block.isascii() else b""
         decoded = b""
-        if (
-            len(data) == width
-            and data[76 : 77 * full : 77] == b"\n" * full
-            and data.endswith(tail)
-            and data.translate(None, _BASE64_ALPHABET) == b"\n" * full + tail
-        ):
-            decoded = binascii.a2b_base64(data)
+        if len(data) == width and data[76 : 77 * full : 77] == b"\n" * full and data.endswith(tail):
+            try:
+                decoded = base64.b64decode(data.replace(b"\n", b""), validate=True)
+            except ValueError:
+                pass
         if len(decoded) != size:
             self._first_fault(
                 full + bool(rest), lambda k, line: _block_fault(size - k * _BLOCK_LINE_BYTES, line)
@@ -404,17 +400,13 @@ def _parse_lines(reader: _LineReader) -> Model:
 
     n_features = reader.keyed_int("features")
     features = reader.json_strings(n_features)
-    # the template emits BIAS and strings that start with one of its
-    # prefixes, each of which ends at its only "="
-    prefixes = tuple(template.feature_prefixes)
-    fits = [f == BIAS_FEATURE or f.startswith(prefixes) for f in features]
-    if not all(fits):
-        i = fits.index(False)
-        raise ModelFormatError(
-            "line %d: the template cannot emit feature %r"
-            % (reader.count - n_features + 1 + i, features[i])
-        )
-    index = make_feature_index(features, alphabet, order)
+    try:
+        index = make_feature_index(features, template, alphabet, order)
+    except FeatureError as exc:
+        if exc.position is None:
+            raise
+        line = reader.count - n_features + 1 + exc.position
+        raise ModelFormatError("line %d: %s" % (line, exc)) from None
 
     n_weights = index.n_parameters + n_trans
     _expect(reader.keyed_int("weights"), n_weights, "weights")

@@ -802,7 +802,7 @@ def test_training_and_decode_score_every_token_the_same(order, set_id):
         log_likelihood_and_gradient(compiled, weights, index, space)
     [obs] = seen
 
-    ids = feature_id_matrix(corpus, template, index.feature_ids.get)
+    ids = feature_id_matrix(corpus, index)
     assert np.array_equal(obs, build_lattice(ids, lengths, weights, index, space)[0].obs.T)
 
 

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import counted_features, normalized
 from picrf.corpus import Sentence
+from picrf.crf import state_space, total_parameters
 from picrf.crf_types import ModelOrder
 from picrf.features import (
     AFFIX_LENGTHS,
@@ -22,6 +25,7 @@ from picrf.features import (
     normalize_token,
 )
 from picrf.induction import build_expanded_alphabet
+from picrf.model_io import Model, load_model, save_model
 
 SET1 = TemplateConfig(set_id=1)
 SET2 = TemplateConfig(set_id=2)
@@ -91,6 +95,14 @@ class TestTemplateConfig:
         assert SET2.feature_prefixes == window | {
             "PRE[2]=", "PRE[3]=", "PRE[4]=", "SUF[2]=", "SUF[3]=", "SUF[4]="
         }
+
+    @pytest.mark.parametrize("config", [SET1, SET2])
+    def test_slots_in_extract_features_order(self, config):
+        """The slots name the features of a token long enough for every
+        affix, in the order extract_features emits them, BIAS last."""
+        [features] = extract_features(Sentence.from_strings(["gene"]), config)
+        names = ["%s[%d]" % slot for slot in config.slots] + [BIAS_FEATURE]
+        assert [f.partition("=")[0] for f in features] == names
 
 
 class TestExtractFeatures:
@@ -213,8 +225,43 @@ class TestFeatureIndex:
             build_feature_index(_corpus(["a"]), config, ALPHA1, ModelOrder.FIRST)
 
     def test_make_index_rejects_duplicates(self):
-        with pytest.raises(FeatureError):
-            make_feature_index(["BIAS", "BIAS"], ALPHA1, ModelOrder.FIRST)
+        for features in (["BIAS", "BIAS"], ["W[0]=a", "BIAS", "W[0]=a"]):
+            with pytest.raises(FeatureError, match="^duplicate feature strings") as err:
+                make_feature_index(features, SET1, ALPHA1, ModelOrder.FIRST)
+            assert err.value.position is None
+
+    @pytest.mark.parametrize(
+        "features, config, position",
+        [
+            (["BIAS", "PRE[3]=ab"], SET2, 1),
+            (["SUF[2]=abc"], SET2, 0),
+            (["PRE[2]=ab"], SET1, 0),
+            (["W[0]=a", "W[0]="], SET1, 1),
+            (["W[0]"], SET1, 0),
+            (["BIAS=", "BIAS"], SET1, 0),
+            (["W[0]=a", "W[0]=a", "NW[0]=", "X=1"], SET1, 2),
+        ],
+    )
+    def test_make_index_refuses_features_the_template_cannot_emit(
+        self, features, config, position
+    ):
+        """The first feature outside the template's slots, with an empty
+        word or with an affix of the wrong length is named by its position,
+        ahead of any duplicate."""
+        with pytest.raises(FeatureError, match="^the template cannot emit feature") as err:
+            make_feature_index(features, config, ALPHA1, ModelOrder.FIRST)
+        assert err.value.position == position
+        assert str(err.value).endswith(repr(features[position]))
+
+    def test_slot_tables_split_each_feature_at_its_first_equals(self):
+        features = ["W[0]==", "W[0]=a=b", "NW[1]=W[0]=x", BIAS_FEATURE, "SUF[2]=b="]
+        tables = make_feature_index(features, SET2, ALPHA1, ModelOrder.FIRST).slot_tables
+        assert set(tables) == {"%s[%d]" % slot for slot in SET2.slots} | {BIAS_FEATURE}
+        assert tables["W[0]"] == {"=": 0, "a=b": 1}
+        assert tables["NW[1]"] == {"W[0]=x": 2}
+        assert tables[BIAS_FEATURE] == {"": 3}
+        assert tables["SUF[2]"] == {"b=": 4}
+        assert not tables["W[1]"] and not tables["PRE[2]"]
 
 
 class TestObservationSlots:
@@ -274,14 +321,16 @@ class TestEncode:
 
 
 # Words that collide under normalize_token (case, digits), words shorter
-# than the affix lengths, a word spelled like the BOS sentinel, and
-# non-ASCII words, with non-ASCII digits and a titlecase letter.
+# than the affix lengths, a word spelled like the BOS sentinel, words
+# holding "=" (where the slot tables split a feature), and non-ASCII
+# words, with non-ASCII digits and a titlecase letter.
 _WORDS = st.one_of(
     st.sampled_from(
         ["a", "A", "ab", "Ab", "a1", "A7", "x9y", "X0Y", "IL-2", "il-5", BOS]
+        + ["=", "a=b", "W[0]=x"]
         + ["\xc4\u0663", "\xe40", "\uff13x", "\u01c5", "\u01c6"]
     ),
-    st.text(alphabet="aAbB09-", min_size=1, max_size=6),
+    st.text(alphabet="aAbB09-=", min_size=1, max_size=6),
 )
 _SENTENCES = st.lists(_WORDS, max_size=5).map(Sentence.from_strings)
 _CONFIGS = st.builds(
@@ -295,23 +344,46 @@ def _non_empty(corpus):
     return [sentence for sentence in corpus if len(sentence)]
 
 
+def _through_file(index, config):
+    """The index of a model over index, saved with save_model and read
+    back with load_model."""
+    weights = np.zeros(total_parameters(index, state_space(ModelOrder.FIRST, ALPHA1)))
+    buffer = io.StringIO()
+    save_model(Model(ModelOrder.FIRST, ALPHA1, config, index, weights), buffer)
+    return load_model(io.StringIO(buffer.getvalue())).index
+
+
 class TestFeatureTables:
     """feature_id_matrix and the index built from it against the reference
     per-position strings of extract_features."""
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(_SENTENCES, min_size=1, max_size=5), st.lists(_SENTENCES, max_size=5), _CONFIGS)
-    @example([Sentence.from_strings(["gene"])], [Sentence.from_strings(["Gene"])], SET2)
-    def test_ids_equal_encoded_reference(self, seen, decoded, config):
+    @given(
+        st.lists(_SENTENCES, min_size=1, max_size=5),
+        st.lists(_SENTENCES, max_size=5),
+        _CONFIGS,
+        st.booleans(),
+    )
+    @example([Sentence.from_strings(["gene"])], [Sentence.from_strings(["Gene"])], SET2, False)
+    @example(
+        [Sentence.from_strings(["a=b", "=", "W[0]=x", "ab=="])],
+        [Sentence.from_strings(["W[0]=x", "==", "a=b", "=", "ab=="])],
+        SET2,
+        True,
+    )
+    def test_ids_equal_encoded_reference(self, seen, decoded, config, through_file):
         """Per position, the row's ids are the reference encoding of the
         same features, in the same order; features the index lacks (tokens
         unseen at decode time) are left out, and empty sentences give no
-        rows."""
+        rows. With through_file, the index decoded with is that of a model
+        saved and loaded back, so its slot tables come from a model file."""
         features = counted_features(_non_empty(seen), config)
         if not features:
             return
-        index = make_feature_index(features, ALPHA1, ModelOrder.FIRST)
-        ids = feature_id_matrix(decoded, config, index.feature_ids.get)
+        index = make_feature_index(features, config, ALPHA1, ModelOrder.FIRST)
+        if through_file:
+            index = _through_file(index, config)
+        ids = feature_id_matrix(decoded, index)
         expected = [
             starts // index.block_size
             for sentence in _non_empty(decoded)

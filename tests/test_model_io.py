@@ -647,15 +647,35 @@ class TestDamagedFiles:
         assert str(err.value) == message
 
     @pytest.mark.parametrize(
-        "feature", ["W[7]=a", "NW[-2]=a", "PRE[9]=abcdefghi", "SUF[1]=a", "SHAPE=Aa", "BIAS2", ""]
+        "feature",
+        ["W[7]=a", "NW[-2]=a", "PRE[9]=abcdefghi", "SUF[1]=a", "SHAPE=Aa", "BIAS2", ""]
+        # affixes of the wrong length, empty words, and BIAS with a word
+        + ["PRE[3]=ab", "SUF[2]=abc", "PRE[2]=", "W[0]=", "NW[1]=", "W[0]", "BIAS=", "BIAS=a"],
     )
     def test_feature_the_template_cannot_emit(self, small_file, feature):
+        """A feature of the feature set 2 model's template that the template
+        would never emit is refused, naming its line, even where an earlier
+        line holds a duplicate."""
         lines, _ = small_file
+        first = next(i for i, line in enumerate(lines) if line.startswith("features: ")) + 1
         i = next(i for i, line in enumerate(lines) if line.startswith("weights: ")) - 1
         damaged = list(lines)
         damaged[i] = json.dumps(feature)
-        with pytest.raises(ModelFormatError, match="^line %d: " % (i + 1)):
+        damaged[first + 1] = damaged[first]
+        with pytest.raises(ModelFormatError) as err:
             _load_lines(damaged)
+        assert str(err.value) == "line %d: the template cannot emit feature %r" % (i + 1, feature)
+
+    def test_duplicate_feature(self, small_file):
+        """A feature listed twice is refused, naming the last feature line."""
+        lines, _ = small_file
+        first = next(i for i, line in enumerate(lines) if line.startswith("features: ")) + 1
+        last = next(i for i, line in enumerate(lines) if line.startswith("weights: ")) - 1
+        damaged = list(lines)
+        damaged[last] = damaged[first + 2]
+        with pytest.raises(ModelFormatError) as err:
+            _load_lines(damaged)
+        assert str(err.value) == "line %d: duplicate feature strings in index" % (last + 1)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -709,7 +729,7 @@ class TestSavedText:
         model, _ = trained[ModelOrder.FIRST]
         features = list(model.index.features)
         features[1:4] = ['W[0]=a\nb"c\\d', "W[0]=é\x00 ", "W[0]=\ud800"]
-        index = make_feature_index(features, model.alphabet, model.order)
+        index = make_feature_index(features, model.template, model.alphabet, model.order)
         model = Model(model.order, model.alphabet, model.template, index, model.weights)
         buffer = io.StringIO()
         save_model(model, buffer)
