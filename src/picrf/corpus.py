@@ -93,24 +93,34 @@ def validate_iob2(
     LabelError. In "repair" mode such labels are rewritten to B-t, where the
     continuation check uses the already-repaired previous label. If
     entity_types is given, labels mentioning other types raise LabelError.
+
+    Each distinct label is split, and its type checked, once per call, at
+    its first occurrence, so every error names the same position as a
+    check of every label would.
     """
     if mode not in ("strict", "repair"):
         raise ValueError("mode must be 'strict' or 'repair', got %r" % (mode,))
     known = set(entity_types) if entity_types is not None else None
-    out: list[str] = []
+    # each label other than O seen so far: its type, and whether its tag is I
+    kinds: dict[str, tuple[str, bool]] = {}
+    out = list(labels)
     prev_type: str | None = None
-    for i, label in enumerate(labels):
-        tag, typ = split_label(label)
-        if typ is not None and known is not None and typ not in known:
-            raise LabelError("position %d: unknown entity type in label %r" % (i, label))
-        if tag == "I" and typ != prev_type:
+    for i, label in enumerate(out):
+        if label == "O":
+            prev_type = None
+            continue
+        kind = kinds.get(label)
+        if kind is None:
+            tag, typ = split_label(label)
+            if known is not None and typ not in known:
+                raise LabelError("position %d: unknown entity type in label %r" % (i, label))
+            kind = kinds[label] = (typ, tag == "I")
+        typ, inside = kind
+        if inside and typ != prev_type:
             if mode == "strict":
                 raise LabelError("position %d: %s does not continue a %s chunk" % (i, label, typ))
-            out.append("B-" + typ)
-            prev_type = typ
-        else:
-            out.append(label)
-            prev_type = typ
+            out[i] = "B-" + typ
+        prev_type = typ
     return out
 
 

@@ -21,8 +21,8 @@ carry an unprintable prefix, so they cannot collide with real text.
 
 Every template reads one token at one window offset (W and NW at offset d,
 PRE and SUF at offset 0), or none (BIAS), so a token's features depend
-only on the word types around it. extract_features spells them out per
-position and stays the reference. Decoding looks words up per template
+only on the word types around it. extract_features gives them per
+position, a slot column at a time, and stays the reference. Decoding looks words up per template
 slot instead, as in the attribute dictionary of CRFsuite (Okazaki 2007)
 and the compiled pattern tables of Wapiti (Lavergne, Cappe & Yvon 2010):
 a FeatureIndex keeps, for each slot, a table from the word after a
@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count, repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -73,6 +73,20 @@ AFFIX_LENGTHS = (2, 3, 4)
 # offset of W and NW and the length of PRE and SUF.
 WINDOW_SLOTS = tuple((family, d) for family in ("W", "NW") for d in WINDOW_OFFSETS)
 AFFIX_SLOTS = tuple((family, n) for family in ("PRE", "SUF") for n in AFFIX_LENGTHS)
+
+# What extract_features adds to a sentence's words: the sentinel padding
+# of the window, the concatenation of each window slot's prefix onto a
+# word, and each affix slot's prefix, cut and length, in slot order
+_BOS_PAD, _EOS_PAD = (BOS,) * WINDOW_RADIUS, (EOS,) * WINDOW_RADIUS
+_W_PREFIXES = tuple(("W[%d]=" % d).__add__ for d in WINDOW_OFFSETS)
+_NW_PREFIXES = tuple(("NW[%d]=" % d).__add__ for d in WINDOW_OFFSETS)
+_AFFIX_CUTS = tuple(
+    ("%s[%d]=" % (family, n), slice(n) if family == "PRE" else slice(-n, None), n)
+    for family, n in AFFIX_SLOTS
+)
+
+# the slots whose words are normalized tokens
+_NW_NAMES = frozenset("NW[%d]" % d for d in WINDOW_OFFSETS)
 
 _DIGITS = re.compile(r"\d")
 # folds the ASCII digits, the only characters \d matches in ASCII text
@@ -135,35 +149,30 @@ def extract_features(sentence: Sentence, config: TemplateConfig) -> list[list[st
 
     The returned lists are duplicate-free and deterministically ordered:
     window surface features, window normalized features, then prefixes,
-    suffixes and BIAS.
+    suffixes and BIAS. This is the reference that feature_id_matrix and
+    build_feature_index must agree with.
+
+    The strings are built a slot column at a time: the tokens and their
+    normalized forms are padded with BOS and EOS once, each window slot's
+    prefix is concatenated onto its shifted column, and the columns are
+    zipped into per-position lists; set 2 then adds each token's affixes.
     """
     if len(sentence) == 0:
         raise FeatureError("cannot extract features from an empty sentence")
     texts = sentence.tokens
     n = len(texts)
-    norms = tuple(normalize_token(t) for t in texts)
-
-    features: list[list[str]] = []
-    for t in range(n):
-        active: list[str] = []
-        for d in WINDOW_OFFSETS:
-            j = t + d
-            tok = BOS if j < 0 else EOS if j >= n else texts[j]
-            active.append("W[%d]=%s" % (d, tok))
-        for d in WINDOW_OFFSETS:
-            j = t + d
-            tok = BOS if j < 0 else EOS if j >= n else norms[j]
-            active.append("NW[%d]=%s" % (d, tok))
-        if config.set_id == 2:
-            word = texts[t]
-            for length in AFFIX_LENGTHS:
-                if len(word) >= length:
-                    active.append("PRE[%d]=%s" % (length, word[:length]))
-            for length in AFFIX_LENGTHS:
-                if len(word) >= length:
-                    active.append("SUF[%d]=%s" % (length, word[-length:]))
+    columns = []
+    for adds, words in ((_W_PREFIXES, texts), (_NW_PREFIXES, _normalized(list(texts)))):
+        padded = (*_BOS_PAD, *words, *_EOS_PAD)
+        for add, d in zip(adds, WINDOW_OFFSETS):
+            columns.append(map(add, padded[WINDOW_RADIUS + d : WINDOW_RADIUS + d + n]))
+    if config.set_id == 1:
+        return list(map(list, zip(*columns, repeat(BIAS_FEATURE, n))))
+    features = list(map(list, zip(*columns)))
+    for active, word in zip(features, texts):
+        size = len(word)
+        active += [prefix + word[cut] for prefix, cut, length in _AFFIX_CUTS if size >= length]
         active.append(BIAS_FEATURE)
-        features.append(active)
     return features
 
 
@@ -352,8 +361,9 @@ def _slot_tables(
 
     Raises FeatureError, with its position, for the first feature that a
     template with these slots cannot emit: one whose text before the first
-    "=" names none of its slots, whose word is empty, or whose affix is not
-    n characters long. If there is none, a feature listed twice raises a
+    "=" names none of its slots, whose word is empty, whose affix is not n
+    characters long, or whose NW word, BOS and EOS aside, is not
+    normalized. If there is none, a feature listed twice raises a
     FeatureError without a position.
     """
     # the length of each slot's words: n for an affix slot, 0 for any
@@ -374,13 +384,29 @@ def _slot_tables(
             and all(features[i] == BIAS_FEATURE for i in tables[BIAS_FEATURE].values())
             and not any("" in tables[name] for name in lengths)
             and all(set(map(len, tables[name])) <= {n} for name, n in lengths.items() if n)
+            and all(_normalized_words(tables[name]) for name in lengths if name in _NW_NAMES)
         ):
             return tables
     for i, feature in enumerate(features):
         name, eq, word = feature.partition("=")
-        if feature != BIAS_FEATURE and not (eq and word and lengths.get(name) in (0, len(word))):
+        emits = eq and word and lengths.get(name) in (0, len(word))
+        if name in _NW_NAMES and word not in (BOS, EOS):
+            emits = emits and normalize_token(word) == word
+        if feature != BIAS_FEATURE and not emits:
             raise FeatureError("the template cannot emit feature %r" % (feature,), i)
     raise FeatureError("duplicate feature strings in index")
+
+
+def _normalized_words(words: Collection[str]) -> bool:
+    """Whether normalize_token leaves every word other than BOS and EOS
+    unchanged. Words free of newlines are checked at once, joined with
+    newlines, which lowercasing and digit folding leave in place."""
+    text = "\n%s\n" % "\n".join(words)
+    if text.count("\n") != len(words) + 1:
+        return all(word in (BOS, EOS) or normalize_token(word) == word for word in words)
+    for sentinel in (BOS, EOS):
+        text = text.replace("\n%s\n" % sentinel, "\n")
+    return normalize_token(text) == text
 
 
 def _feature_index(
@@ -429,9 +455,16 @@ def build_feature_index(
     strings are made once per word type and template slot, from the same
     per-slot words feature_id_matrix looks up; the index equals the one
     that counting the strings of extract_features over the corpus gives.
+    An empty sentence, or an empty token, whose features no model file
+    could load, raises FeatureError.
     """
-    if any(len(sentence) == 0 for sentence in corpus):
-        raise FeatureError("cannot extract features from an empty sentence")
+    for number, tokens in enumerate(sentence.tokens for sentence in corpus):
+        if not tokens:
+            raise FeatureError("cannot extract features from an empty sentence")
+        if "" in tokens:
+            raise FeatureError(
+                "sentence %d: empty token at position %d" % (number, tokens.index(""))
+            )
     # each string's id is the count drawn when it was first seen, so ids
     # are distinct but not dense
     strings: dict[str, int] = {}

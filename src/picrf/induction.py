@@ -132,16 +132,14 @@ def induce(labels: Sequence[str], alphabet: LabelAlphabet) -> list[str]:
     empty. Input must be valid IOB2 over the alphabet's entity types.
     """
     checked = validate_iob2(labels, mode="strict", entity_types=alphabet.entity_types)
-    memory: str | None = None
-    out: list[str] = []
-    for label in checked:
-        tag, typ = split_label(label)
-        if tag == "O":
-            out.append(memory + CARRIER_SUFFIX if memory is not None else "O")
-        else:
-            memory = typ
-            out.append(label)
-    return out
+    # a checked label other than O is B-t or I-t, so its type is label[2:]
+    carrier: str | None = None
+    for i, label in enumerate(checked):
+        if label != "O":
+            carrier = label[2:] + CARRIER_SUFFIX
+        elif carrier is not None:
+            checked[i] = carrier
+    return checked
 
 
 def revert(labels: Sequence[str], alphabet: LabelAlphabet) -> list[str]:

@@ -219,12 +219,14 @@ class _Iterate(NamedTuple):
 
 class _History:
     """The (s, y) pairs of an L-BFGS run, at most _HISTORY of them, in a
-    ring of row vectors that the first pairs allocate and later pairs
-    reuse, with the two n-length scratch vectors of the run: d, the
+    ring of rows, with the two n-length scratch vectors of the run: d, the
     direction, and work. rows lists the ring rows that hold pairs, oldest
-    first, and rho[i] is 1 / s[i]·y[i]. The rows are separate vectors, not
-    one (_HISTORY, n) block: in the lexical benchmark workload such a block
-    raised the peak resident set by 11-13%, separate rows by 2-4%."""
+    first, and rho[i] is 1 / s[i]·y[i]. A row holds the very arrays add()
+    was given, which _lbfgs has finished with, so storing a pair copies
+    nothing, and an evicted pair's arrays are dropped. The rows are
+    separate vectors, not one (_HISTORY, n) block: in the lexical
+    benchmark workload such a block raised the peak resident set by 11-13%,
+    separate rows by 2-4%."""
 
     def __init__(self, n: int):
         self.s: list[np.ndarray] = []
@@ -234,19 +236,19 @@ class _History:
         self.d, self.work = np.empty(n), np.empty(n)
 
     def add(self, s: np.ndarray, y: np.ndarray) -> None:
-        """Copy in the pair (s, y), over the oldest when the ring is full;
-        a pair with s·y <= 0 is not stored."""
+        """Keep the pair (s, y), in place of the oldest when the ring is
+        full; a pair with s·y <= 0 is not stored. The caller must not write
+        to s or y afterwards."""
         sy = float(s @ y)
         if sy <= 0:
             return
         if len(self.rows) < _HISTORY:
             row = len(self.rows)
-            self.s.append(s.copy())
-            self.y.append(y.copy())
+            self.s.append(s)
+            self.y.append(y)
         else:
             row = self.rows.pop(0)
-            np.copyto(self.s[row], s)
-            np.copyto(self.y[row], y)
+            self.s[row], self.y[row] = s, y
         self.rho[row] = 1.0 / sy
         self.rows.append(row)
 
@@ -280,11 +282,16 @@ def _lbfgs(
     gets no line search. A step with s·y <= 0, which the L2 penalty rules
     out, stores no pair.
 
-    The pairs, the direction and the step live in the vectors of
-    _History, which are reused once _HISTORY pairs are stored, so that an
-    iteration then maps no fresh n-length pages beyond those of fun. Every
-    x passed to fun, and so every iterate, is a fresh array.
+    Once a step is taken, s = x_new - x is written into x and y = g_new -
+    g into g, and _History keeps those arrays as the pair, so an iteration
+    allocates no n-length vector beyond the x_new it passes to fun and the
+    gradient fun returns. So an iterate's x is valid until the next
+    iterate is yielded; the last one, which _lbfgs returns, stays valid.
+    Every x passed to fun is a fresh array, the caller's x is not written
+    to, and fun must return a gradient array that it does not write to
+    again.
     """
+    x = np.array(x, dtype=np.float64)
     f, g = fun(x)
     calls = 1
     history = _History(x.size)
@@ -311,9 +318,8 @@ def _lbfgs(
             step = min(max(quadratic, 0.1 * step), 0.5 * step)
         else:
             return "line_search", iterate._replace(calls=calls)
-        # the direction is spent: s and y go to the scratch vectors, not
-        # to a ring row, so that a pair add() refuses evicts none
-        history.add(np.subtract(x_new, x, out=d), np.subtract(g_new, g, out=history.work))
+        # x and g are spent: they become s and y
+        history.add(np.subtract(x_new, x, out=x), np.subtract(g_new, g, out=g))
         f_old, x, f, g = f, x_new, f_new, g_new
 
 

@@ -3,7 +3,9 @@
 Everything here enumerates explicitly: partition functions and best paths
 by scoring every state sequence, carrier expectations by scanning label
 sequences, index feature lists by counting every extracted feature string,
-CoNLL parses row by row, model files of format 1 weight by weight.
+CoNLL parses row by row, model files of format 1 weight by weight, feature
+strings position by position and window slot by window slot, and IOB2
+checks and the carrier transform label by label.
 Deliberately slow and simple. The module also generates the random inputs
 several test files share.
 """
@@ -19,9 +21,19 @@ from collections import deque
 import numpy as np
 from hypothesis import strategies as st
 
-from picrf.corpus import Sentence
+from picrf.corpus import LabelError, Sentence, split_label
 from picrf.crf import Lattice
-from picrf.features import TemplateConfig, extract_features
+from picrf.features import (
+    AFFIX_LENGTHS,
+    BIAS_FEATURE,
+    BOS,
+    EOS,
+    WINDOW_OFFSETS,
+    FeatureError,
+    TemplateConfig,
+    extract_features,
+)
+from picrf.induction import CARRIER_SUFFIX, LabelAlphabet
 
 
 def all_paths(n_positions: int, n_states: int) -> np.ndarray:
@@ -75,6 +87,96 @@ def normalized(text: str) -> str:
     """normalize_token by its definition: lowercase, then every character
     the regex \\d matches (a Unicode decimal digit) to '0'."""
     return re.sub(r"\d", "0", text.lower())
+
+
+def extract_features_loop(sentence: Sentence, config: TemplateConfig) -> list[list[str]]:
+    """extract_features position by position and slot by slot, with every
+    string %-formatted and each token normalized by the regex."""
+    if len(sentence) == 0:
+        raise FeatureError("cannot extract features from an empty sentence")
+    texts = sentence.tokens
+    n = len(texts)
+    norms = tuple(normalized(t) for t in texts)
+
+    features: list[list[str]] = []
+    for t in range(n):
+        active: list[str] = []
+        for d in WINDOW_OFFSETS:
+            j = t + d
+            tok = BOS if j < 0 else EOS if j >= n else texts[j]
+            active.append("W[%d]=%s" % (d, tok))
+        for d in WINDOW_OFFSETS:
+            j = t + d
+            tok = BOS if j < 0 else EOS if j >= n else norms[j]
+            active.append("NW[%d]=%s" % (d, tok))
+        if config.set_id == 2:
+            word = texts[t]
+            for length in AFFIX_LENGTHS:
+                if len(word) >= length:
+                    active.append("PRE[%d]=%s" % (length, word[:length]))
+            for length in AFFIX_LENGTHS:
+                if len(word) >= length:
+                    active.append("SUF[%d]=%s" % (length, word[-length:]))
+        active.append(BIAS_FEATURE)
+        features.append(active)
+    return features
+
+
+def validate_iob2_loop(labels, mode="strict", entity_types=None) -> list[str]:
+    """validate_iob2 with every label split and checked where it stands."""
+    if mode not in ("strict", "repair"):
+        raise ValueError("mode must be 'strict' or 'repair', got %r" % (mode,))
+    known = set(entity_types) if entity_types is not None else None
+    out: list[str] = []
+    prev_type = None
+    for i, label in enumerate(labels):
+        tag, typ = split_label(label)
+        if typ is not None and known is not None and typ not in known:
+            raise LabelError("position %d: unknown entity type in label %r" % (i, label))
+        if tag == "I" and typ != prev_type:
+            if mode == "strict":
+                raise LabelError("position %d: %s does not continue a %s chunk" % (i, label, typ))
+            out.append("B-" + typ)
+            prev_type = typ
+        else:
+            out.append(label)
+            prev_type = typ
+    return out
+
+
+def induce_loop(labels, alphabet: LabelAlphabet) -> list[str]:
+    """induce with a memory cell, splitting every checked label again."""
+    checked = validate_iob2_loop(labels, mode="strict", entity_types=alphabet.entity_types)
+    memory = None
+    out: list[str] = []
+    for label in checked:
+        tag, typ = split_label(label)
+        if tag == "O":
+            out.append(memory + CARRIER_SUFFIX if memory is not None else "O")
+        else:
+            memory = typ
+            out.append(label)
+    return out
+
+
+# Labels for the IOB2 properties: mostly ones over the types A and B, some
+# of a third type C, and now and then junk that split_label refuses.
+label_lists = st.lists(
+    st.one_of(
+        st.sampled_from(["O", "B-A", "I-A", "B-B", "I-B"]),
+        st.sampled_from(["B-C", "I-C"]) | st.sampled_from(["X", "B-", "I-", "O-A", "b-A", "BxA", ""]),
+    ),
+    max_size=12,
+)
+
+
+def outcome(function, *args):
+    """What a call gives: ("value", its result), or (the exception's type
+    name, its message)."""
+    try:
+        return "value", function(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
 
 
 # Whitespace that str.split() splits on but a file read does not end a

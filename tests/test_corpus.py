@@ -4,10 +4,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import conll_reference, conll_texts
+from oracles import conll_reference, conll_texts, label_lists, outcome, validate_iob2_loop
 from picrf.corpus import (
     Chunk,
     CorpusError,
@@ -137,6 +137,22 @@ class TestValidateIob2:
     def test_repair_output_is_strict_valid(self, labels):
         repaired = validate_iob2(labels, "repair")
         assert validate_iob2(repaired, "strict") == repaired
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        label_lists,
+        st.sampled_from(["strict", "repair"]),
+        st.sampled_from([None, ("A", "B"), ("A",), ()]),
+    )
+    @example(["B-A", "O", "I-A"], "strict", None)
+    @example(["I-A", "I-A", "O", "I-A"], "repair", ("A",))
+    def test_equals_the_label_loop(self, labels, mode, entity_types):
+        """Splitting each distinct label once gives the output, or the
+        error message, of splitting and checking every label where it
+        stands: junk labels, unknown types and broken I- runs, both modes."""
+        assert outcome(validate_iob2, labels, mode, entity_types) == outcome(
+            validate_iob2_loop, labels, mode, entity_types
+        )
 
 
 class TestExtractChunks:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import counted_features, normalized
+from oracles import counted_features, extract_features_loop, normalized
 from picrf.corpus import Sentence
 from picrf.crf import state_space, total_parameters
 from picrf.crf_types import ModelOrder
@@ -175,6 +175,25 @@ class TestExtractFeatures:
         for position in feats:
             assert len(position) == len(set(position))
 
+    # any text, so empty, short, non-ASCII and newline-holding tokens too
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.text(max_size=6), st.sampled_from(["\u0663", "\uff13x", "A\nB", "\u0130"])),
+            min_size=1,
+            max_size=6,
+        ),
+        st.sampled_from([SET1, SET2]),
+    )
+    @example(["a"], SET1)
+    @example(["IL-2"], SET2)
+    @example(["\u0663\u0664", "Ab", "abcde"], SET2)
+    def test_equals_the_position_loop(self, tokens, config):
+        """The slot columns give the strings, in the order, that spelling
+        out every slot of every position gives."""
+        sentence = Sentence(tuple(tokens))
+        assert extract_features(sentence, config) == extract_features_loop(sentence, config)
+
 
 ALPHA1 = build_expanded_alphabet(["A"])
 ALPHA2 = build_expanded_alphabet(["A", "B"])
@@ -240,25 +259,58 @@ class TestFeatureIndex:
             (["W[0]"], SET1, 0),
             (["BIAS=", "BIAS"], SET1, 0),
             (["W[0]=a", "W[0]=a", "NW[0]=", "X=1"], SET1, 2),
+            (["NW[-1]=" + BOS, "NW[1]=" + EOS, "NW[0]=a", "NW[0]=aB"], SET1, 3),
+            (["NW[0]=a\nb", "NW[1]=a\nB"], SET1, 1),
+            (["NW[1]=\u0663"], SET2, 0),
         ],
     )
     def test_make_index_refuses_features_the_template_cannot_emit(
         self, features, config, position
     ):
         """The first feature outside the template's slots, with an empty
-        word or with an affix of the wrong length is named by its position,
-        ahead of any duplicate."""
+        word, with an affix of the wrong length or with an NW word that is
+        not normalized is named by its position, ahead of any duplicate."""
         with pytest.raises(FeatureError, match="^the template cannot emit feature") as err:
             make_feature_index(features, config, ALPHA1, ModelOrder.FIRST)
         assert err.value.position == position
         assert str(err.value).endswith(repr(features[position]))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.text(min_size=1, max_size=4),
+                st.sampled_from([BOS, EOS, BOS + "x", "a\nB", "a\n" + BOS, "\u03a3", "a\u03c2"]),
+            ),
+            unique=True,
+            max_size=6,
+        )
+    )
+    def test_make_index_accepts_nw_words_exactly_when_normalized(self, words):
+        """An NW word other than BOS and EOS is accepted exactly when
+        normalize_token, by its regex definition, leaves it unchanged."""
+        features = ["NW[0]=" + word for word in words] + [BIAS_FEATURE]
+        bad = [i for i, word in enumerate(words) if word not in (BOS, EOS) and normalized(word) != word]
+        if bad:
+            with pytest.raises(FeatureError, match="^the template cannot emit feature") as err:
+                make_feature_index(features, SET1, ALPHA1, ModelOrder.FIRST)
+            assert err.value.position == bad[0]
+        else:
+            make_feature_index(features, SET1, ALPHA1, ModelOrder.FIRST)
+
+    def test_empty_token_rejected_naming_sentence_and_position(self):
+        """A Sentence built directly may hold an empty token; its features
+        could be saved but not loaded, so indexing refuses it."""
+        corpus = [Sentence(("a", "b"), ("O", "O")), Sentence(("a", "b", ""), ("B-A", "O", "O"))]
+        with pytest.raises(FeatureError, match="^sentence 1: empty token at position 2$"):
+            build_feature_index(corpus, SET2, ALPHA1, ModelOrder.FIRST)
+
     def test_slot_tables_split_each_feature_at_its_first_equals(self):
-        features = ["W[0]==", "W[0]=a=b", "NW[1]=W[0]=x", BIAS_FEATURE, "SUF[2]=b="]
+        features = ["W[0]==", "W[0]=a=b", "NW[1]=w[0]=x", BIAS_FEATURE, "SUF[2]=b="]
         tables = make_feature_index(features, SET2, ALPHA1, ModelOrder.FIRST).slot_tables
         assert set(tables) == {"%s[%d]" % slot for slot in SET2.slots} | {BIAS_FEATURE}
         assert tables["W[0]"] == {"=": 0, "a=b": 1}
-        assert tables["NW[1]"] == {"W[0]=x": 2}
+        assert tables["NW[1]"] == {"w[0]=x": 2}
         assert tables[BIAS_FEATURE] == {"": 3}
         assert tables["SUF[2]"] == {"b=": 4}
         assert not tables["W[1]"] and not tables["PRE[2]"]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import expected_induced, random_iob2
+from oracles import expected_induced, induce_loop, label_lists, outcome, random_iob2
 from picrf.corpus import LabelError, Sentence
 from picrf.induction import (
     AlphabetError,
@@ -132,6 +132,13 @@ class TestInduce:
     def test_unknown_type_rejected(self):
         with pytest.raises(LabelError):
             induce(["B-Z"], ALPHA2)
+
+    @settings(max_examples=400, deadline=None)
+    @given(label_lists)
+    def test_equals_the_memory_loop(self, labels):
+        """Taking a checked label's type as label[2:] gives the output, or
+        the error message, of splitting every checked label again."""
+        assert outcome(induce, labels, ALPHA2) == outcome(induce_loop, labels, ALPHA2)
 
 
 class TestRevert:

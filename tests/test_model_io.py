@@ -650,7 +650,9 @@ class TestDamagedFiles:
         "feature",
         ["W[7]=a", "NW[-2]=a", "PRE[9]=abcdefghi", "SUF[1]=a", "SHAPE=Aa", "BIAS2", ""]
         # affixes of the wrong length, empty words, and BIAS with a word
-        + ["PRE[3]=ab", "SUF[2]=abc", "PRE[2]=", "W[0]=", "NW[1]=", "W[0]", "BIAS=", "BIAS=a"],
+        + ["PRE[3]=ab", "SUF[2]=abc", "PRE[2]=", "W[0]=", "NW[1]=", "W[0]", "BIAS=", "BIAS=a"]
+        # NW words that are not normalized
+        + ["NW[0]=A", "NW[-1]=a1", "NW[1]=\u0663"],
     )
     def test_feature_the_template_cannot_emit(self, small_file, feature):
         """A feature of the feature set 2 model's template that the template

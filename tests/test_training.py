@@ -122,6 +122,14 @@ class TestTrain:
         with pytest.raises(FeatureError, match="empty sentence"):
             train(corpus, TrainConfig())
 
+    def test_empty_token_rejected(self):
+        """A Sentence built directly with an empty token is refused before
+        training, rather than giving a model that saves but does not load."""
+        corpus = tiny_corpus() + [Sentence(("a", "", "b"), ("B-A", "O", "O"))]
+        message = "^sentence %d: empty token at position 1$" % (len(corpus) - 1)
+        with pytest.raises(FeatureError, match=message):
+            train(corpus, TrainConfig())
+
     def test_corpus_without_entity_types_rejected(self):
         plain = [Sentence.from_strings(["a", "b"], ["O", "O"])]
         with pytest.raises(AlphabetError, match="^no entity types found in the corpus$"):
@@ -326,6 +334,32 @@ class TestLbfgs:
             g = rng.normal(size=n)
             assert np.array_equal(history.direction(g), deque_direction(g, pairs))
         assert refused > 0 and 30 - refused > 2 * picrf.training._HISTORY
+
+    def test_history_keeps_the_arrays_it_is_given(self):
+        """add() stores the very arrays of a pair, copying nothing, and
+        drops the arrays of the pair it evicts."""
+        rng = np.random.default_rng(1)
+        history = picrf.training._History(6)
+        added = []
+        for _ in range(picrf.training._HISTORY + 3):
+            s = rng.normal(size=6)
+            y = s * rng.uniform(1.0, 2.0, size=6)  # so s·y > 0
+            history.add(s, y)
+            added.append((s, y))
+            newest = history.rows[-1]
+            assert history.s[newest] is s and history.y[newest] is y
+        kept = added[-picrf.training._HISTORY :]
+        assert all(
+            history.s[i] is s and history.y[i] is y for i, (s, y) in zip(history.rows, kept)
+        )
+        assert not any(a is s for s, _ in added[:3] for a in history.s)
+
+    def test_the_starting_point_is_not_written(self):
+        """s is written into the spent iterate, never into the caller's x."""
+        x0 = np.full(4, 3.0)
+        _, termination, last = self.run(lambda x: (float(x @ x), 2 * x), x0)
+        assert termination == "gradient" and np.allclose(last.x, 0.0)
+        assert np.array_equal(x0, np.full(4, 3.0))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_a_non_finite_gradient_names_its_first_slot(self, monkeypatch, bad):
