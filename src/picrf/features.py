@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count, repeat
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -384,7 +384,14 @@ def _slot_tables(
             and all(features[i] == BIAS_FEATURE for i in tables[BIAS_FEATURE].values())
             and not any("" in tables[name] for name in lengths)
             and all(set(map(len, tables[name])) <= {n} for name, n in lengths.items() if n)
-            and all(_normalized_words(tables[name]) for name in lengths if name in _NW_NAMES)
+            and all(
+                _normalized(words) == words
+                for words in (
+                    [word for word in tables[name] if word not in (BOS, EOS)]
+                    for name in lengths
+                    if name in _NW_NAMES
+                )
+            )
         ):
             return tables
     for i, feature in enumerate(features):
@@ -395,18 +402,6 @@ def _slot_tables(
         if feature != BIAS_FEATURE and not emits:
             raise FeatureError("the template cannot emit feature %r" % (feature,), i)
     raise FeatureError("duplicate feature strings in index")
-
-
-def _normalized_words(words: Collection[str]) -> bool:
-    """Whether normalize_token leaves every word other than BOS and EOS
-    unchanged. Words free of newlines are checked at once, joined with
-    newlines, which lowercasing and digit folding leave in place."""
-    text = "\n%s\n" % "\n".join(words)
-    if text.count("\n") != len(words) + 1:
-        return all(word in (BOS, EOS) or normalize_token(word) == word for word in words)
-    for sentinel in (BOS, EOS):
-        text = text.replace("\n%s\n" % sentinel, "\n")
-    return normalize_token(text) == text
 
 
 def _feature_index(

@@ -287,9 +287,11 @@ def _lbfgs(
     allocates no n-length vector beyond the x_new it passes to fun and the
     gradient fun returns. So an iterate's x is valid until the next
     iterate is yielded; the last one, which _lbfgs returns, stays valid.
-    Every x passed to fun is a fresh array, the caller's x is not written
-    to, and fun must return a gradient array that it does not write to
-    again.
+    Every x passed to fun is a fresh array, and the caller's x is not
+    written to. fun must return its gradient in a new array, one that
+    shares no memory with the x it was given, and must not write to it
+    again: s is written over the old x, so a gradient that is, or is a
+    view of, its x would make s and y the same array.
     """
     x = np.array(x, dtype=np.float64)
     f, g = fun(x)
