@@ -229,7 +229,7 @@ def write_conll(
             columns.append(pred)
         lines.extend(map("\t".join, zip(*columns)))
         lines.append("")
-    return "".join(line + "\n" for line in lines)
+    return "\n".join(lines) + "\n" if lines else ""
 
 
 def _type_name(i: int) -> str:

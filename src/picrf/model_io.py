@@ -6,11 +6,13 @@ inventory, the feature list in slot order (JSON-escaped, since features
 embed sentinel control characters), and the weight vector. The version
 line comes first and is checked before anything else is parsed.
 
-Format 2, the one save_model writes, stores the weights as one base64
-block of their little-endian float64 bytes, in the 76-character lines
-base64.encodebytes writes (57 bytes a line), so every float64 survives
-the round trip bit-exactly. Format 1 printed each weight with %.17g on a
-line of its own; it still loads, to the same weights.
+Format 3, the one save_model writes, puts weight i on line i of the
+weight block, as the 16 lowercase hex digits of its little-endian float64
+bytes, so every float64 survives the round trip bit-exactly and one
+bytes.fromhex decodes the whole block. Format 2 stored the same bytes as
+one base64 block, in the 76-character lines base64.encodebytes writes (57
+bytes a line), and format 1 printed each weight with %.17g on a line of
+its own; both still load, to the same weights.
 """
 
 from __future__ import annotations
@@ -44,8 +46,13 @@ from .features import (
 from .features import extract_features  # noqa: F401
 from .induction import AlphabetError, LabelAlphabet, build_expanded_alphabet, revert
 
-FORMAT_LINE = "picrf model format 2"
+FORMAT_LINE = "picrf model format 3"
+FORMAT_2_LINE = "picrf model format 2"
 FORMAT_1_LINE = "picrf model format 1"
+# Weights per bytes.hex call when a format 3 weight block is written.
+_HEX_SLICE = 4096
+# A line of a format 3 weight block.
+_HEX_LINE = re.compile("[0-9a-f]{16}")
 # Bytes in each full line of a format 2 weight block.
 _BLOCK_LINE_BYTES = 57
 # The template lines after template_set, which every model holds as they
@@ -153,18 +160,17 @@ def _dump(model: Model, out: IO[str]) -> None:
     # one json.dumps per feature, each on a line of its own
     out.write(json.dumps(model.index.features, separators=("\n", ":"))[1:-1] + "\n")
     out.write("weights: %d\n" % model.weights.size)
-    out.write(_base64_lines(model.weights.astype("<f8").tobytes()))
+    _write_hex_lines(model.weights, out)
     out.write("end\n")
 
 
-def _base64_lines(data: bytes) -> str:
-    """base64.encodebytes(data), without its loop over 57-byte lines: one
-    b64encode, broken into 76-character lines, each ending in "\n"."""
-    encoded = base64.b64encode(data)
-    cut = len(encoded) // 76 * 76
-    full = np.frombuffer(encoded, np.uint8, cut).reshape(-1, 76)
-    lines = np.pad(full, ((0, 0), (0, 1)), constant_values=ord("\n")).tobytes()
-    return (lines + encoded[cut:] + b"\n" * (cut < len(encoded))).decode("ascii")
+def _write_hex_lines(weights: np.ndarray, out: IO[str]) -> None:
+    """Write one line per weight: the 16 lowercase hex digits of its
+    little-endian float64 bytes. The lines are made _HEX_SLICE weights at
+    a time, so no string of the whole block is built."""
+    for start in range(0, weights.size, _HEX_SLICE):
+        data = weights[start : start + _HEX_SLICE].astype("<f8").tobytes()
+        out.write(data.hex("\n", 8) + "\n")
 
 
 def save_model(model: Model, destination: str | os.PathLike | IO[str]) -> None:
@@ -220,6 +226,35 @@ class _LineReader:
         error the line-by-line reads would have raised, naming the same
         line."""
         return self._parsed_lines(n, _floats, _number_fault)
+
+    def hex_floats(self, n: int) -> np.ndarray:
+        """n little-endian float64 values from the next n lines, each the
+        16 lowercase hex digits of one value's bytes: the block format 3
+        writes. The block is checked as one slice: a "\n" ends every 17th
+        character, the slice is ASCII without an uppercase digit, and one
+        bytes.fromhex, which skips the line breaks, gives exactly 8n bytes.
+        If it is not exactly such a block, the first line that is not 16
+        lowercase hex digits, or the short read, raises an error naming
+        that line."""
+        width = 17 * n
+        block = self._text[self._pos : self._pos + width]
+        data = bytearray()
+        if (
+            len(block) == width
+            and block.isascii()
+            and block[16::17] == "\n" * n
+            and not any(digit in block for digit in "ABCDEF")
+        ):
+            try:
+                data = bytearray.fromhex(block)
+            except ValueError:
+                pass
+        if len(data) != 8 * n:
+            self._first_fault(n, _hex_fault)
+        self._pos += width
+        self.count += n
+        # a bytearray, so the weights are writable without a copy
+        return np.frombuffer(data, "<f8").astype(np.float64, copy=False)
 
     def block_floats(self, n: int) -> np.ndarray:
         """n little-endian float64 values from the next ceil(8n/57) lines:
@@ -333,6 +368,12 @@ def _feature_fault(k: int, line: str) -> str | None:
     return None if isinstance(value, str) else "feature entry is not a string"
 
 
+def _hex_fault(k: int, line: str) -> str | None:
+    if _HEX_LINE.fullmatch(line):
+        return None
+    return "weight line is not 16 lowercase hex digits: %r" % line
+
+
 def _block_fault(left: int, line: str) -> str | None:
     """What is wrong with a line that should hold the base64 encodebytes
     writes for the next min(57, left) bytes of a weight block, if anything."""
@@ -363,10 +404,10 @@ def _parse(reader: _LineReader) -> Model:
 
 def _parse_lines(reader: _LineReader) -> Model:
     version = reader.next_line()
-    if version not in (FORMAT_LINE, FORMAT_1_LINE):
+    if version not in (FORMAT_LINE, FORMAT_2_LINE, FORMAT_1_LINE):
         raise ModelFormatError(
-            "unsupported model format: expected %r or %r, found %r"
-            % (FORMAT_LINE, FORMAT_1_LINE, version)
+            "unsupported model format: expected %r, %r or %r, found %r"
+            % (FORMAT_LINE, FORMAT_2_LINE, FORMAT_1_LINE, version)
         )
     name = reader.keyed("order")  # read outside the try: a UnicodeDecodeError is a ValueError
     try:
@@ -412,13 +453,15 @@ def _parse_lines(reader: _LineReader) -> Model:
     _expect(reader.keyed_int("weights"), n_weights, "weights")
     first_weight_line = reader.count + 1
     if version == FORMAT_LINE:
+        weights = reader.hex_floats(n_weights)
+    elif version == FORMAT_2_LINE:
         weights = reader.block_floats(n_weights)
     else:
         weights = reader.floats(n_weights)
     bad = np.flatnonzero(~np.isfinite(weights))
     if bad.size:
         i = int(bad[0])
-        line = first_weight_line + (8 * i // _BLOCK_LINE_BYTES if version == FORMAT_LINE else i)
+        line = first_weight_line + (8 * i // _BLOCK_LINE_BYTES if version == FORMAT_2_LINE else i)
         raise ModelFormatError(
             "line %d: weight entry is not finite: %r" % (line, float(weights[i]))
         )

@@ -3,9 +3,9 @@
 Everything here enumerates explicitly: partition functions and best paths
 by scoring every state sequence, carrier expectations by scanning label
 sequences, index feature lists by counting every extracted feature string,
-CoNLL parses row by row, model files of format 1 weight by weight, feature
-strings position by position and window slot by window slot, and IOB2
-checks and the carrier transform label by label.
+CoNLL parses row by row, model files weight by weight or line by line,
+feature strings position by position and window slot by window slot, and
+IOB2 checks and the carrier transform label by label.
 Deliberately slow and simple. The module also generates the random inputs
 several test files share.
 """
@@ -16,6 +16,7 @@ import base64
 import itertools
 import random
 import re
+import struct
 from collections import deque
 
 import numpy as np
@@ -285,22 +286,60 @@ def random_corpus(
     return sentences
 
 
+def _version(lines: list[str]) -> int:
+    return int(lines[0].rsplit(" ", 1)[1])
+
+
+def _n_weight_lines(n_weights: int, version: int) -> int:
+    return -(-8 * n_weights // 57) if version == 2 else n_weights
+
+
 def weight_block(lines: list[str]) -> tuple[int, np.ndarray]:
-    """The index of the first weight line of a saved format 2 model and
-    its weights, decoded from the base64 block line by line."""
+    """The index of the first weight line of a saved model and its weights,
+    read line by line in the format of its first line: one "%.17g" number
+    a line (format 1), a base64 block of 57 bytes a line (format 2), or
+    the 16 hex digits of one little-endian float64 a line (format 3)."""
+    version = _version(lines)
     i = next(k for k, line in enumerate(lines) if line.startswith("weights: "))
-    n_lines = -(-8 * int(lines[i].split()[1]) // 57)
-    data = b"".join(base64.b64decode(line) for line in lines[i + 1 : i + 1 + n_lines])
+    block = lines[i + 1 : i + 1 + _n_weight_lines(int(lines[i].split()[1]), version)]
+    if version == 1:
+        return i + 1, np.array([float(line) for line in block])
+    if version == 2:
+        data = b"".join(base64.b64decode(line) for line in block)
+    else:
+        data = b"".join(bytes.fromhex(line) for line in block)
     return i + 1, np.frombuffer(data, "<f8")
 
 
-def format_1_lines(lines: list[str]) -> list[str]:
-    """A saved format 2 model's lines as format 1 wrote them: the weight
-    block replaced by one "%.17g" line per weight."""
+def _rewritten(lines: list[str], version: int, write) -> list[str]:
+    """A saved model's lines with the format line of version and the
+    weight block replaced by the lines write(weights) returns."""
     first, weights = weight_block(lines)
-    n_lines = -(-8 * weights.size // 57)
-    text = ["%.17g" % w for w in weights.tolist()]
-    return ["picrf model format 1"] + lines[1:first] + text + lines[first + n_lines :]
+    rest = lines[first + _n_weight_lines(weights.size, _version(lines)) :]
+    return ["picrf model format %d" % version] + lines[1:first] + write(weights) + rest
+
+
+def format_1_lines(lines: list[str]) -> list[str]:
+    """A saved model's lines as format 1 wrote them: the weight block
+    replaced by one "%.17g" line per weight."""
+    return _rewritten(lines, 1, lambda weights: ["%.17g" % w for w in weights.tolist()])
+
+
+def format_2_lines(lines: list[str]) -> list[str]:
+    """A saved model's lines as format 2 wrote them: the weight block
+    replaced by base64.encodebytes of the weights' little-endian float64
+    bytes, 57 bytes a line."""
+
+    def write(weights):
+        return base64.encodebytes(weights.astype("<f8").tobytes()).decode("ascii").splitlines()
+
+    return _rewritten(lines, 2, write)
+
+
+def format_3_lines(lines: list[str]) -> list[str]:
+    """A saved model's lines as format 3 writes them: one line per weight,
+    the 16 lowercase hex digits of its little-endian float64 bytes."""
+    return _rewritten(lines, 3, lambda weights: [struct.pack("<d", w).hex() for w in weights])
 
 
 def deque_direction(g: np.ndarray, pairs: deque) -> np.ndarray:

@@ -3,13 +3,14 @@ import contextlib
 import io
 import json
 import shlex
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from oracles import conll_reference, conll_texts, format_1_lines, weight_block
+from oracles import conll_reference, conll_texts, format_1_lines, format_2_lines, weight_block
 from picrf.cli import _read_maybe_labeled, build_parser, main
 from picrf.corpus import read_conll
 from picrf.model_io import load_model
@@ -167,7 +168,8 @@ class TestTag:
 
     def test_non_finite_weight_fails_cleanly(self, model_path, corpus_files, capsys):
         """A nan weight line in format 1, and a nan bit pattern in the
-        first weight of the format 2 block."""
+        first weight of a format 2 block and in the fourth weight line of
+        a format 3 block."""
         _, test = corpus_files
         saved = model_path.read_text().splitlines()
         lines = format_1_lines(saved)
@@ -177,12 +179,19 @@ class TestTag:
         assert run(["tag", "--model", model_path, "--input", test]) == 1
         assert "line %d: weight entry is not finite" % (i + 2) in capsys.readouterr().err
 
-        first, weights = weight_block(saved)
+        lines = format_2_lines(saved)
+        first, weights = weight_block(lines)
         data = np.concatenate([[np.nan], weights[1:]]).astype("<f8").tobytes()
-        saved[first : first + 1] = base64.encodebytes(data[:57]).decode().splitlines()
-        model_path.write_text("".join(line + "\n" for line in saved))
+        lines[first : first + 1] = base64.encodebytes(data[:57]).decode().splitlines()
+        model_path.write_text("".join(line + "\n" for line in lines))
         assert run(["tag", "--model", model_path, "--input", test]) == 1
         assert "line %d: weight entry is not finite: nan" % (first + 1) in capsys.readouterr().err
+
+        first, _ = weight_block(saved)
+        saved[first + 3] = struct.pack("<d", np.nan).hex()
+        model_path.write_text("".join(line + "\n" for line in saved))
+        assert run(["tag", "--model", model_path, "--input", test]) == 1
+        assert "line %d: weight entry is not finite: nan" % (first + 4) in capsys.readouterr().err
 
     def test_feature_line_nested_too_deep_fails_cleanly(self, model_path, corpus_files, capsys):
         _, test = corpus_files

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import struct
 from collections import Counter
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import format_1_lines, random_corpus, weight_block
+from oracles import format_1_lines, format_2_lines, format_3_lines, random_corpus, weight_block
 from picrf import crf, model_io
 from picrf.cli import main
 from picrf.corpus import Sentence, write_conll
@@ -21,6 +22,7 @@ from picrf.crf_types import ModelOrder
 from picrf.features import TemplateConfig, make_feature_index
 from picrf.model_io import (
     FORMAT_1_LINE,
+    FORMAT_2_LINE,
     FORMAT_LINE,
     Model,
     ModelFormatError,
@@ -77,6 +79,28 @@ class TestRoundTrip:
         _, path = roundtrip(model, tmp_path)
         assert path.read_text().splitlines()[0] == FORMAT_LINE
 
+    @pytest.mark.parametrize("order", list(ModelOrder))
+    def test_three_formats_load_and_tag_alike(self, trained, tmp_path, order):
+        """A model saved as format 1, 2 and 3 loads to bit-identical
+        weights, and picrf tag writes byte-identical output from each."""
+        model, corpus = trained[order]
+        raw = tmp_path / "raw.conll"
+        raw.write_text(write_conll([Sentence.from_strings(s.texts) for s in corpus]))
+        modes = [[], ["--constrained"]] if order == ModelOrder.PRE_INDUCED else [[]]
+        saved = _lines(model)
+        tagged = {}
+        for version, lines in [(1, format_1_lines(saved)), (2, format_2_lines(saved)), (3, saved)]:
+            path = tmp_path / ("model-%d.txt" % version)
+            path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            assert lines[0] == "picrf model format %d" % version
+            assert load_model(path).weights.tobytes() == model.weights.tobytes()
+            for mode in modes:
+                out = tmp_path / ("tagged-%d%s.conll" % (version, "".join(mode)))
+                args = ["tag", "--model", str(path), "--input", str(raw), "--output", str(out)]
+                assert main(args + mode) == 0
+                tagged.setdefault(tuple(mode), set()).add(out.read_bytes())
+        assert all(len(outputs) == 1 for outputs in tagged.values())
+
     def test_decode_empty_sentence(self, trained):
         model, _ = trained[ModelOrder.PRE_INDUCED]
         assert model.decode(Sentence.from_strings([])) == []
@@ -125,12 +149,15 @@ class TestFormat1File:
         decoded = model.decode_corpus(sentences, constrained=constrained)
         assert [" ".join(labels) for labels in decoded] == [labels for _, labels in pinned]
 
-    def test_saves_again_as_format_2(self, model, tmp_path):
+    def test_saves_again_as_format_3(self, model, tmp_path):
+        """The text the format 3 oracle writes for the file's weights."""
         loaded, path = roundtrip(model, tmp_path)
-        lines = path.read_text(encoding="utf-8").splitlines()
+        with open(FORMAT_1_FIXTURE, encoding="utf-8") as handle:
+            lines = format_3_lines(handle.read().splitlines())
+        assert path.read_text(encoding="utf-8") == "".join(line + "\n" for line in lines)
         assert lines[0] == FORMAT_LINE
         first, weights = weight_block(lines)
-        assert lines[first - 1] == "weights: 184" and lines[first + 26 :] == ["end"]
+        assert lines[first - 1] == "weights: 184" and lines[first + 184 :] == ["end"]
         assert weights.tobytes() == model.weights.tobytes()
         assert loaded.weights.tobytes() == model.weights.tobytes()
         assert loaded.index.features == model.index.features
@@ -169,10 +196,18 @@ class TestSecondOrderFile:
         assert [" ".join(labels) for labels in decoded] == [labels for _, labels in pinned]
 
     def test_saves_the_same_bytes(self, model):
+        """Saved again, as format 3, the file is the text the format 3
+        oracle writes for its weights; written back as format 2 by the
+        oracle, it is the file itself."""
         buffer = io.StringIO()
         save_model(model, buffer)
         with open(SECOND_ORDER_FIXTURE, encoding="utf-8") as handle:
-            assert buffer.getvalue() == handle.read()
+            text = handle.read()
+        lines = text.splitlines()
+        assert lines[0] == FORMAT_2_LINE
+        assert buffer.getvalue() == "".join(line + "\n" for line in format_3_lines(lines))
+        resaved = format_2_lines(buffer.getvalue().splitlines())
+        assert "".join(line + "\n" for line in resaved) == text
 
 
 def _decode_corpus():
@@ -239,15 +274,21 @@ def _load_lines(lines):
     return load_model(io.StringIO("".join(line + "\n" for line in lines)))
 
 
+def _all_formats(lines):
+    """A saved model's lines in format 3, as saved, and as the oracles
+    write formats 2 and 1, by version."""
+    return {3: lines, 2: format_2_lines(lines), 1: format_1_lines(lines)}
+
+
 class TestTampering:
     @pytest.fixture()
     def model(self, trained):
         return trained[ModelOrder.PRE_INDUCED][0]
 
     def test_wrong_format_line(self, model):
-        for lines in (_lines(model), format_1_lines(_lines(model))):
+        for lines in _all_formats(_lines(model)).values():
             assert _load_lines(lines).weights.tobytes() == model.weights.tobytes()
-            lines[0] = "picrf model format 3"
+            lines[0] = "picrf model format 4"
             with pytest.raises(ModelFormatError, match="format"):
                 _load_lines(lines)
 
@@ -267,8 +308,9 @@ class TestTampering:
         with pytest.raises(ModelFormatError, match="truncated at line %d$" % (cut + 1)):
             _load_lines(lines[:cut])
 
-    def test_truncation_inside_the_weight_block(self, model):
-        lines = _lines(model)
+    @pytest.mark.parametrize("version", [3, 2])
+    def test_truncation_inside_the_weight_block(self, model, version):
+        lines = _all_formats(_lines(model))[version]
         first, _ = weight_block(lines)
         cut = first + (len(lines) - 1 - first) // 2
         assert first < cut < len(lines) - 2
@@ -311,7 +353,7 @@ class TestTampering:
             _load_lines(lines)
 
     def test_non_numeric_weight(self, model):
-        for lines in (_lines(model), format_1_lines(_lines(model))):
+        for lines in _all_formats(_lines(model)).values():
             i = next(k for k, line in enumerate(lines) if line.startswith("weights:"))
             lines[i + 1] = "not-a-number"
             with pytest.raises(ModelFormatError):
@@ -344,12 +386,12 @@ class TestTampering:
             "last-line-short",
         ],
     )
-    def test_damaged_weight_block_names_its_line(self, model, damage):
-        """Each damage to the base64 block is rejected, naming the first
-        line that is not what base64.encodebytes writes; a line break
+    def test_damaged_base64_block_names_its_line(self, model, damage):
+        """Each damage to a format 2 base64 block is rejected, naming the
+        first line that is not what base64.encodebytes writes; a line break
         moved by one character leaves the joined text valid base64 of the
         right length, and is rejected all the same."""
-        lines = _lines(model)
+        lines = format_2_lines(_lines(model))
         first, weights = weight_block(lines)
         last = len(lines) - 2
         assert weights.size * 8 % 57 and len(lines[last]) < 76
@@ -388,11 +430,72 @@ class TestTampering:
         with pytest.raises(ModelFormatError, match="^line %d: weight line is not " % (bad + 1)):
             _load_lines(lines)
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "bad-character",
+            "uppercase",
+            "non-ascii",
+            "dropped-line",
+            "empty-line",
+            "short-line",
+            "long-line",
+            "spaces-for-digits",
+            "break-moved-right",
+            "break-moved-two-right",
+            "trailing-space",
+            "last-line-short",
+        ],
+    )
+    def test_damaged_hex_block_names_its_line(self, model, damage):
+        """Each damage to a format 3 block is rejected, naming the first
+        line that is not 16 lowercase hex digits. Three of them pass
+        bytes.fromhex: uppercase digits, which it reads; a line break moved
+        by two characters, which leaves valid hex of the right length; and
+        two spaces in place of two digits, which it skips, one byte short."""
+        lines = _lines(model)
+        first, weights = weight_block(lines)
+        last = first + weights.size - 1
+        assert lines[last + 1] == "end"
+        bad = next(k for k in range((first + last) // 2, last) if set(lines[k]) & set("abcdef"))
+        line, after = lines[bad], lines[bad + 1]
+        if damage == "bad-character":
+            lines[bad] = line[:5] + "g" + line[6:]
+        elif damage == "uppercase":
+            lines[bad] = line.upper()
+        elif damage == "non-ascii":
+            lines[bad] = line[:5] + "\u00e9" + line[6:]
+        elif damage == "dropped-line":
+            # the lines after it move up one, and "end" takes the last one's place
+            del lines[bad]
+            bad = last
+        elif damage == "empty-line":
+            lines[bad] = ""
+        elif damage == "short-line":
+            lines[bad] = line[:-2]
+        elif damage == "long-line":
+            lines[bad] = line + "00"
+        elif damage == "spaces-for-digits":
+            lines[bad] = line[:-2] + "  "
+        elif damage == "break-moved-right":
+            lines[bad], lines[bad + 1] = line + after[0], after[1:]
+        elif damage == "break-moved-two-right":
+            lines[bad], lines[bad + 1] = line + after[:2], after[2:]
+        elif damage == "trailing-space":
+            lines[bad] = line + " "
+        else:
+            # a slice of the block's width ends in "e" of "end"
+            lines[last] = lines[last][:-1]
+            bad = last
+        message = "^line %d: weight line is not 16 lowercase hex digits: " % (bad + 1)
+        with pytest.raises(ModelFormatError, match=message):
+            _load_lines(lines)
+
     def test_edge_weights_round_trip_bit_exactly(self, model):
-        """Format 2 writes the weights as base64.encodebytes of their
-        little-endian float64 bytes, and a format 1 file, one "%.17g" line
-        per weight, loads to the same weights: at the edges of the float64
-        range."""
+        """Format 3 writes each weight as the hex of its little-endian
+        float64 bytes, and a format 2 file, base64.encodebytes of those
+        bytes, and a format 1 file, one "%.17g" line per weight, load to
+        the same weights: at the edges of the float64 range."""
         special = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 3.0, 1e16, 1e-5]
         weights = model.weights.copy()
         weights[: len(special)] = special
@@ -401,11 +504,17 @@ class TestTampering:
         buffer = io.StringIO()
         save_model(model, buffer)
         header = "weights: %d\n" % weights.size
-        block = base64.encodebytes(weights.astype("<f8").tobytes()).decode("ascii")
+        block = "".join(struct.pack("<d", w).hex() + "\n" for w in weights.tolist())
         assert buffer.getvalue().split(header)[1] == block + "end\n"
+        assert block.startswith("0000000000000080\n0100000000000000\n")
         loaded = load_model(io.StringIO(buffer.getvalue()))
         assert loaded.weights.tobytes() == weights.tobytes()
-        text = format_1_lines(buffer.getvalue().splitlines())
+        lines = buffer.getvalue().splitlines()
+        text = format_2_lines(lines)
+        block = base64.encodebytes(weights.astype("<f8").tobytes()).decode("ascii")
+        assert "".join(line + "\n" for line in text).split(header)[1] == block + "end\n"
+        assert _load_lines(text).weights.tobytes() == weights.tobytes()
+        text = format_1_lines(lines)
         assert text[text.index(header.strip()) + 1 :][:2] == ["-0", "4.9406564584124654e-324"]
         assert _load_lines(text).weights.tobytes() == weights.tobytes()
 
@@ -417,22 +526,27 @@ class TestTampering:
         with pytest.raises(ModelFormatError, match="line %d: weight entry is not finite" % (i + 4)):
             _load_lines(lines)
 
+    @pytest.mark.parametrize("version", [3, 2])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("slot", [0, 7, 50, -1])
-    def test_non_finite_weight_bit_pattern(self, model, value, slot):
-        """Weight i starts on line first + 8i // 57 of the block: weight 7
-        straddles the first two lines and is named by the first."""
-        lines = _lines(model)
+    def test_non_finite_weight_bit_pattern(self, model, version, value, slot):
+        """Weight i is on line first + i of a format 3 block, and starts on
+        line first + 8i // 57 of a format 2 block: there weight 7 straddles
+        the first two lines and is named by the first."""
+        lines = _all_formats(_lines(model))[version]
         first, weights = weight_block(lines)
         weights = weights.copy()
         weights[slot] = value
         weights[slot - 1] = -value
-        block = base64.encodebytes(weights.astype("<f8").tobytes()).decode("ascii").splitlines()
+        if version == 3:
+            block = [struct.pack("<d", w).hex() for w in weights.tolist()]
+        else:
+            block = base64.encodebytes(weights.astype("<f8").tobytes()).decode("ascii").splitlines()
         lines[first : first + len(block)] = block
         i = min(slot % weights.size, (slot - 1) % weights.size)
+        line = first + 1 + (i if version == 3 else 8 * i // 57)
         with pytest.raises(
-            ModelFormatError,
-            match="^line %d: weight entry is not finite: %s$" % (first + 1 + 8 * i // 57, weights[i]),
+            ModelFormatError, match="^line %d: weight entry is not finite: %s$" % (line, weights[i])
         ):
             _load_lines(lines)
 
@@ -499,11 +613,11 @@ class TestTampering:
         with pytest.raises(ModelFormatError):
             _load_lines(lines)
 
-    @pytest.mark.parametrize("version", [2, 1])
+    @pytest.mark.parametrize("version", [3, 2, 1])
     def test_bytes_that_are_not_utf8(self, model, tmp_path, version):
         """Named by line for a path; for a file object, whose decoder
         reads ahead, by the last line parsed."""
-        lines = _lines(model) if version == 2 else format_1_lines(_lines(model))
+        lines = _all_formats(_lines(model))[version]
         data = bytearray("".join(line + "\n" for line in lines).encode())
         data[200:202] = b"\xff\xfe"
         path = tmp_path / "model.txt"
@@ -576,30 +690,30 @@ def small_file(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def both_formats(small_file):
-    """The small model's lines in format 2, as saved, and in format 1."""
-    lines, _ = small_file
-    return {2: lines, 1: format_1_lines(lines)}
+def all_formats(small_file):
+    """The small model's lines in format 3, as saved, and in formats 2
+    and 1."""
+    return _all_formats(small_file[0])
 
 
 class TestDamagedFiles:
     """A saved file with one line damaged fails to load with
-    ModelFormatError, never another exception type; in either format,
+    ModelFormatError, never another exception type; in every format,
     with the same message from a file object and from a path."""
 
     @pytest.mark.parametrize("kind", _DAMAGE)
-    def test_every_line(self, small_file, both_formats, kind):
-        for lines in both_formats.values():
+    def test_every_line(self, small_file, all_formats, kind):
+        for lines in all_formats.values():
             assert _load_lines(lines).weights.size
             for i in range(len(lines)):
                 _load_both(_damaged(lines, kind, i), small_file[1])
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from([2, 1]), st.sampled_from(_DAMAGE), st.integers(min_value=0), _JUNK)
-    def test_random_damage(self, small_file, both_formats, version, kind, at, junk):
+    @settings(max_examples=450, deadline=None)
+    @given(st.sampled_from([3, 2, 1]), st.sampled_from(_DAMAGE), st.integers(min_value=0), _JUNK)
+    def test_random_damage(self, small_file, all_formats, version, kind, at, junk):
         """Also through picrf tag, which exits 1 with the same message.
         About 150 examples a format."""
-        lines, directory = both_formats[version], small_file[1]
+        lines, directory = all_formats[version], small_file[1]
         message = _load_both(_damaged(lines, kind, at % len(lines), junk), directory)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -679,22 +793,22 @@ class TestDamagedFiles:
             _load_lines(damaged)
         assert str(err.value) == "line %d: duplicate feature strings in index" % (last + 1)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=225, deadline=None)
     @given(
-        st.sampled_from([2, 1]),
+        st.sampled_from([3, 2, 1]),
         st.integers(min_value=0),
         st.sampled_from([b"\xff", b"\xfe\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80"])
         | st.text(st.characters(min_codepoint=0x80, blacklist_categories=("Cs",)), min_size=1).map(
             str.encode
         ),
     )
-    def test_byte_damage_in_the_weights(self, small_file, both_formats, version, at, junk):
+    def test_byte_damage_in_the_weights(self, small_file, all_formats, version, at, junk):
         """Bytes that are not UTF-8, or a non-ASCII character, put in place
         of one byte of a weight line are rejected, naming that line; also
         through picrf tag, which exits 1."""
-        lines, directory = both_formats[version], small_file[1]
-        first, weights = weight_block(both_formats[2])
-        n_lines = weights.size if version == 1 else -(-8 * weights.size // 57)
+        lines, directory = all_formats[version], small_file[1]
+        first, weights = weight_block(all_formats[version])
+        n_lines = -(-8 * weights.size // 57) if version == 2 else weights.size
         line = first + at % n_lines
         column = at % len(lines[line])
         text = [s.encode() for s in lines]
@@ -725,9 +839,11 @@ class TestDamagedFiles:
 
 
 class TestSavedText:
-    def test_features_and_weights_as_json_dumps_and_encodebytes(self, trained):
+    def test_features_and_weights_as_json_dumps_and_hex(self, trained):
         """The feature lines are json.dumps of each feature, escapes and
-        all, and the weight block is base64.encodebytes of the weights."""
+        all, and the weight lines the hex of each weight's little-endian
+        float64 bytes. The same file as format 2 wrote it, its weight block
+        base64.encodebytes of those bytes, loads to the same model."""
         model, _ = trained[ModelOrder.FIRST]
         features = list(model.index.features)
         features[1:4] = ['W[0]=a\nb"c\\d', "W[0]=é\x00 ", "W[0]=\ud800"]
@@ -736,20 +852,29 @@ class TestSavedText:
         buffer = io.StringIO()
         save_model(model, buffer)
         _, _, rest = buffer.getvalue().partition("features: %d\n" % len(features))
+        features_text = "".join(json.dumps(f) + "\n" for f in features)
+        weights_line = "weights: %d\n" % model.weights.size
+        block = "".join(struct.pack("<d", w).hex() + "\n" for w in model.weights.tolist())
+        assert rest == features_text + weights_line + block + "end\n"
+        text_2 = "".join(line + "\n" for line in format_2_lines(buffer.getvalue().splitlines()))
         block = base64.encodebytes(model.weights.astype("<f8").tobytes()).decode("ascii")
-        assert rest == (
-            "".join(json.dumps(f) + "\n" for f in features)
-            + "weights: %d\n" % model.weights.size
-            + block
-            + "end\n"
-        )
-        loaded = load_model(io.StringIO(buffer.getvalue()))
-        assert loaded.index.features == tuple(features)
-        assert loaded.weights.tobytes() == model.weights.tobytes()
+        _, _, rest = text_2.partition("features: %d\n" % len(features))
+        assert rest == features_text + weights_line + block + "end\n"
+        for text in (buffer.getvalue(), text_2):
+            loaded = load_model(io.StringIO(text))
+            assert loaded.index.features == tuple(features)
+            assert loaded.weights.tobytes() == model.weights.tobytes()
 
-    @given(st.binary(max_size=400))
-    def test_weight_block_lines_are_encodebytes(self, data):
-        assert model_io._base64_lines(data) == base64.encodebytes(data).decode("ascii")
+    @given(st.binary(max_size=400), st.integers(min_value=1, max_value=5))
+    def test_weight_lines_are_hex_of_each_weight(self, data, per_call):
+        """However many weights each bytes.hex call takes."""
+        data = data[: len(data) // 8 * 8]
+        buffer = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model_io, "_HEX_SLICE", per_call)
+            model_io._write_hex_lines(np.frombuffer(data, "<f8"), buffer)
+        expected = "".join(data[i : i + 8].hex() + "\n" for i in range(0, len(data), 8))
+        assert buffer.getvalue() == expected
 
 
 def _respelled(text, how):
@@ -764,7 +889,8 @@ def _respelled(text, how):
 class TestNumberSpelling:
     """Model numbers are ASCII digits. A header integer or a format 1
     weight with a non-ASCII digit or a "_" in it is rejected, naming its
-    line, though it spells the saved number."""
+    line, though it spells the saved number; so is a format 3 weight
+    line."""
 
     @pytest.mark.parametrize("how", ["arabic-indic", "underscore"])
     @pytest.mark.parametrize(
@@ -787,14 +913,26 @@ class TestNumberSpelling:
             _load_lines(lines)
 
     @pytest.mark.parametrize("how", ["arabic-indic", "underscore"])
-    def test_format_1_weight(self, both_formats, how):
-        lines = list(both_formats[1])
-        first, _ = weight_block(both_formats[2])
+    def test_format_1_weight(self, all_formats, how):
+        lines = list(all_formats[1])
+        first, _ = weight_block(all_formats[1])
         bad = first + 5
         respelled = _respelled(lines[bad], how)
         assert float(respelled) == float(lines[bad])
         lines[bad] = respelled
         with pytest.raises(
             ModelFormatError, match="^line %d: weight entry is not a number: " % (bad + 1)
+        ):
+            _load_lines(lines)
+
+    @pytest.mark.parametrize("how", ["arabic-indic", "underscore"])
+    def test_format_3_weight(self, all_formats, how):
+        lines = list(all_formats[3])
+        first, _ = weight_block(lines)
+        bad = first + 5
+        lines[bad] = _respelled(lines[bad], how)
+        with pytest.raises(
+            ModelFormatError,
+            match="^line %d: weight line is not 16 lowercase hex digits: " % (bad + 1),
         ):
             _load_lines(lines)
