@@ -3,13 +3,11 @@ batch log-likelihood objective.
 
 All three model orders run the same first-order machinery over different
 state sets: base labels, the expanded carrier alphabet, or label pairs for
-the second-order chain. Each state space keeps one move table, move_slot
-(S + 1, S): entry [r, s] is the offset in the transition region of the
-weight vector of the move r -> s, row S is the sentence start, and -1
-marks a structurally forbidden move. state_space alone lays the pairs
-out: over n base labels, state a * n + b is the pair (a, b), with a = n
-the sentence start, and the move (a, b) -> (b, c) owns transition slot n
-+ ((a * n + b) * n + c). A lattice holds additive log-potentials
+the second-order chain. One move block (A, B, C) describes every order's
+moves and their transition slots (StateSpace states the contract); the
+slot table move_slot, the observation state of each lattice state and the
+size of the transition region all derive from it. A lattice holds
+additive log-potentials
 
     psi(t, s_prev, s) = transition(s_prev, s) + obs(t, s)
 
@@ -48,14 +46,11 @@ the brute-force oracles use.
 Decoding uses the same layout: build_lattice gathers a batch's (N, K)
 feature id matrix in _packed_layout's row order into one (N, S) lattice,
 and viterbi runs one max-product step per position over the prefix rows,
-state-major like training. Every order's moves form one block (A, B, C)
-(StateSpace.move_block), the transition region after its C start slots:
-state a * B + b moves to b * C + c, so a step is a max over the leading
-axis of delta (A, B, 1) + moves (A, B, C), (S, 1, S) for first and
-pre-induced and (n + 1, n, n) for the pairs, which evaluates only the n^3
-allowed moves of the (n^2 + n)^2. No backpointers are kept: each sentence
-backtracks from its best final state with an argmax over the A
-predecessors of its own state.
+state-major like training. A step is a max over the leading axis of delta
+(A, B, 1) + moves (A, B, C), the potentials of the move block, so the
+pairs' step evaluates only the n^3 allowed moves of the (n^2 + n)^2. No
+backpointers are kept: each sentence backtracks from its best final state
+with an argmax over the A predecessors of its own state.
 """
 
 from __future__ import annotations
@@ -137,55 +132,62 @@ class InfeasibleLatticeError(CrfError):
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Lattice state inventory and weight-slot maps for one model order.
+    """Lattice states and weight-slot maps of one model order.
 
-    obs_state_of maps each lattice state to the observation-conditioned
-    state whose feature slots score it (for pairs, the current label).
-    move_slot (S + 1, S) gives each move r -> s its offset into the
-    transition region of the weight vector: row S is the sentence start,
-    and -1 marks a structurally forbidden move. output_labels is what each
-    state emits into a decoded sequence.
+    move_block (A, B, C) is the one description of the moves: state a * B
+    + b moves to state b * C + c through transition slot C + (a * B + b) *
+    C + c, the start's C slots 0 .. C - 1 lead into the last C states, and
+    no other move is allowed. It is (S, 1, S) for first and pre-induced;
+    for the second-order pairs over n labels it is (n + 1, n, n): state a *
+    n + b is the pair (previous label a, current label b), with a = n the
+    sentence start, and no move leads into a start pair. State s is scored
+    by the feature slots of observation state s % C (for pairs, the current
+    label). output_labels is what each state emits into a decoded sequence.
     """
 
     order: ModelOrder
     alphabet: LabelAlphabet
     state_names: tuple[str, ...]
     output_labels: tuple[str, ...]
-    obs_state_of: np.ndarray
-    move_slot: np.ndarray
+    move_block: tuple[int, int, int]
 
     @property
     def n_states(self) -> int:
         return len(self.state_names)
 
-    @cached_property
+    @property
     def n_transition_params(self) -> int:
         """Size of the transition region: one slot per allowed move."""
-        return int(np.count_nonzero(self.move_slot >= 0))
+        n_from, n_ctx, n_to = self.move_block
+        return n_to + n_from * n_ctx * n_to
 
     @property
     def effective_states(self) -> int:
         """State count for model descriptions; excludes the start pairs."""
-        if self.order == ModelOrder.SECOND:
-            return len(self.alphabet.base_labels) ** 2
-        return self.n_states
+        return self.move_block[1] * self.move_block[2]
 
     @property
-    def move_block(self) -> tuple[int, int, int]:
-        """Shape (A, B, C) of the moves as one block: state a * B + b moves
-        to state b * C + c through transition slot C + (a * B + b) * C + c,
-        after the start's C slots, and no other move is allowed. (S, 1, S)
-        for first and pre-induced; (n + 1, n, n) for the pairs over n
-        labels, whose start pairs (n, b) no move leads into."""
-        if self.order == ModelOrder.SECOND:
-            n = len(self.alphabet.base_labels)
-            return (n + 1, n, n)
-        return (self.n_states, 1, self.n_states)
-
-    @cached_property
     def observes_itself(self) -> bool:
         """Whether each state is its own observation state (not so for pairs)."""
-        return bool(np.array_equal(self.obs_state_of, np.arange(self.n_states)))
+        return self.move_block[2] == self.n_states
+
+    @cached_property
+    def obs_state_of(self) -> np.ndarray:
+        """(S,) observation state of each lattice state."""
+        return np.arange(self.n_states) % self.move_block[2]
+
+    @cached_property
+    def move_slot(self) -> np.ndarray:
+        """(S + 1, S) transition slot of each move r -> s of the move block,
+        -1 where forbidden; row S is the sentence start."""
+        _, n_ctx, n_to = self.move_block
+        n, into = self.n_states, np.arange(n_to)
+        slots = np.full((n + 1, n), -1, dtype=np.int64)
+        # source a * B + b moves to b * C + c through slot C + source * C + c
+        source = np.arange(n)[:, None]
+        slots[source, source % n_ctx * n_to + into] = n_to + source * n_to + into
+        slots[-1, n - n_to :] = into
+        return slots
 
     @cached_property
     def constraint_masks(self) -> np.ndarray:
@@ -196,44 +198,22 @@ class StateSpace:
 def state_space(order: ModelOrder, alphabet: LabelAlphabet) -> StateSpace:
     """Construct the state space for a model order over an alphabet."""
     order = ModelOrder(order)
-    if order in (ModelOrder.FIRST, ModelOrder.PRE_INDUCED):
+    if order != ModelOrder.SECOND:
         labels = (
             alphabet.base_labels if order == ModelOrder.FIRST else alphabet.expanded_labels
         )
         n = len(labels)
-        # slots 0 .. n - 1 are the start's moves, rolled to the last row
-        slots = np.arange((n + 1) * n, dtype=np.int64).reshape(n + 1, n)
-        return StateSpace(
-            order=order,
-            alphabet=alphabet,
-            state_names=tuple(labels),
-            output_labels=tuple(labels),
-            obs_state_of=np.arange(n, dtype=np.int64),
-            move_slot=np.roll(slots, -1, axis=0),
-        )
-
-    # pairs: state a * n + b is (a, b), previous label then current, with
-    # a = n standing for the sentence start; the start moves into (n, c)
-    # through slot c, (a, b) -> (b, c) owns slot n + ((a * n + b) * n + c),
-    # and no move leads into a start pair
+        return StateSpace(order, alphabet, tuple(labels), tuple(labels), (n, 1, n))
     labels = alphabet.base_labels
     n = len(labels)
-    states = np.arange((n + 1) * n, dtype=np.int64)
-    prev, cur = np.divmod(states, n)
-    src, nxt = states[:, None], np.arange(n)
-    move_slot = np.full((states.size + 1, states.size), -1, dtype=np.int64)
-    move_slot[src, cur[:, None] * n + nxt] = n + src * n + nxt
-    move_slot[-1, n * n :] = nxt
     contexts = (*labels, START_SYMBOL)
+    pairs = [(a, b) for a in contexts for b in labels]
     return StateSpace(
-        order=order,
-        alphabet=alphabet,
-        state_names=tuple(
-            "%s|%s" % (contexts[a], labels[b]) for a, b in zip(prev.tolist(), cur.tolist())
-        ),
-        output_labels=tuple(labels[b] for b in cur.tolist()),
-        obs_state_of=cur,
-        move_slot=move_slot,
+        order,
+        alphabet,
+        tuple("%s|%s" % pair for pair in pairs),
+        tuple(b for _, b in pairs),
+        (n + 1, n, n),
     )
 
 
@@ -281,12 +261,26 @@ class Lattice:
     trans (S, S) and start (S,) are shared by the batch. psi and
     n_positions read obs as one sentence. move_block is the (A, B, C)
     shape of StateSpace.move_block when only the moves it names can be
-    allowed, and None when any move can be (the block (S, 1, S))."""
+    allowed, and None when any move can be (the block (S, 1, S)). Shapes
+    that do not fit together raise CrfError when the lattice is built."""
 
     obs: np.ndarray
     trans: np.ndarray
     start: np.ndarray
     move_block: tuple[int, int, int] | None = None
+
+    def __post_init__(self):
+        shapes = np.shape(self.obs), np.shape(self.trans), np.shape(self.start)
+        n_pos, n = shapes[0] if len(shapes[0]) == 2 else (0, 0)
+        n_from, n_ctx, n_to = self.move_block or (n, 1, n)
+        fits = min(n_from, n_ctx, n_to) >= 1 and n_from * n_ctx == n and n_ctx * n_to <= n
+        if n_pos < 1 or shapes[1:] != ((n, n), (n,)) or not fits:
+            raise CrfError(
+                "lattice shapes obs %s, trans %s, start %s and move block %s do not "
+                "fit: need obs (T, S) with T >= 1 and S >= 1, trans (S, S), start (S,) "
+                "and a move block (A, B, C) with A * B = S and B * C <= S"
+                % (*shapes, self.move_block)
+            )
 
     @property
     def n_positions(self) -> int:
@@ -302,15 +296,16 @@ class Lattice:
         return float(context + self.obs[t, s])
 
     def moves(self) -> np.ndarray:
-        """The (A, B, C) block of trans that Viterbi runs on: entry [a, b,
-        c] is trans[a * B + b, b * C + c]."""
-        n_from, n_ctx, n_to = self.move_block or (self.n_states, 1, self.n_states)
-        if n_from * n_ctx != self.n_states or n_ctx * n_to > self.n_states:
-            raise CrfError(
-                "move block %s does not fit %d states" % (self.move_block, self.n_states)
-            )
-        sources = np.arange(n_from * n_ctx).reshape(n_from, n_ctx, 1)
-        return self.trans[sources, np.arange(n_ctx * n_to).reshape(1, n_ctx, n_to)]
+        """The (A, B, C) block of trans that Viterbi runs on (_block)."""
+        return _block(self.trans, self.move_block or (self.n_states, 1, self.n_states))
+
+
+def _block(table: np.ndarray, move_block: tuple[int, int, int]) -> np.ndarray:
+    """The (A, B, C) moves of an (S, S) table over the states of a move
+    block: entry [a, b, c] is table[a * B + b, b * C + c]."""
+    n_from, n_ctx, n_to = move_block
+    sources = np.arange(n_from * n_ctx).reshape(n_from, n_ctx, 1)
+    return table[sources, np.arange(n_ctx * n_to).reshape(1, n_ctx, n_to)]
 
 
 def _move_potentials(weights: np.ndarray, index: FeatureIndex, space: StateSpace) -> np.ndarray:
@@ -320,16 +315,6 @@ def _move_potentials(weights: np.ndarray, index: FeatureIndex, space: StateSpace
     moves = np.full(space.move_slot.shape, NEG_INF)
     moves[allowed] = weights[index.n_parameters :][space.move_slot[allowed]]
     return moves
-
-
-def _transition_counts(mass: np.ndarray, space: StateSpace) -> np.ndarray:
-    """Scatter an (S + 1, S) mass over the moves of space.move_slot onto the
-    transition region of the weight vector: the transpose of
-    _move_potentials."""
-    counts = np.zeros(space.n_transition_params)
-    allowed = space.move_slot >= 0
-    counts[space.move_slot[allowed]] = mass[allowed]
-    return counts
 
 
 def _incidence(cols: np.ndarray, counts: np.ndarray, index: FeatureIndex) -> sparse.csr_matrix:
@@ -786,29 +771,28 @@ def pack_batch(
         raise CrfError("every training sentence needs a gold path of its length")
     if any(len(cs.feature_starts) == 0 for cs in batch):
         raise CrfError("training sentences must be non-empty")
-    n_states = space.n_states
     lengths = np.array([len(cs.feature_starts) for cs in batch])
     widths, order = _packed_layout(lengths)
     positions = [starts for cs in batch for starts in cs.feature_starts]
     incidence = _incidence(
         np.concatenate(positions) // index.block_size, [len(p) for p in positions], index
     )[order]
-    # every gold move counted at once, laid out as space.move_slot: a
-    # sentence's first position is a move from the start row n_states
+    # the transition slot of every gold move: a sentence's first position
+    # moves from the start row
     gold = np.concatenate([cs.gold for cs in batch])
     prev = np.roll(gold, 1)
-    prev[np.cumsum(lengths) - lengths] = n_states
-    moves = np.bincount(prev * n_states + gold, minlength=(n_states + 1) * n_states)
-    moves = moves.reshape(n_states + 1, n_states).astype(float)
-    if np.any(moves[space.move_slot < 0]):
+    prev[np.cumsum(lengths) - lengths] = space.n_states
+    slots = space.move_slot[prev, gold]
+    if np.any(slots < 0):
         raise CrfError("gold path uses a structurally forbidden transition")
     packed = CompiledBatch(batch)
     packed.index, packed.space, packed.widths, packed.incidence = index, space, widths, incidence
-    gold_mass = np.eye(index.n_fine)[space.obs_state_of[gold[order]]].T
+    gold_mass = np.zeros((index.n_fine, gold.size))
+    gold_mass[space.obs_state_of[gold[order]], np.arange(gold.size)] = 1.0
     packed.observed = np.concatenate(
         [
             _scatter_observations(incidence, gold_mass, index),
-            _transition_counts(moves, space),
+            np.bincount(slots, minlength=space.n_transition_params).astype(float),
         ]
     )
     return packed
@@ -860,11 +844,15 @@ def log_likelihood_and_gradient(
     np.take(sums.T, space.obs_state_of, axis=0, out=obs, mode="clip")
     run = _forward_backward(obs, batch.widths, moves[-1], moves[:-1])
     node = np.multiply(run.alphas, run.betas, out=run.betas)
-    start_mass = node[:, : batch.widths[0]].sum(axis=1)
+    n_to = space.move_block[2]
+    start_mass = node[-n_to:, : batch.widths[0]].sum(axis=1)
     if not space.observes_itself:
-        node = np.eye(index.n_fine)[space.obs_state_of].T @ node
+        # state s is scored by observation state s % n_to
+        node = node.reshape(-1, n_to, node.shape[1]).sum(axis=0)
     expected_obs = _scatter_observations(batch.incidence, node, index, out=sums)
-    expected_trans = _transition_counts(np.vstack([run.trans_pot * run.edges, start_mass]), space)
+    expected_trans = np.concatenate(
+        [start_mass, _block(run.trans_pot * run.edges, space.move_block).ravel()]
+    )
 
     objective = float(weights @ batch.observed) - float(run.log_scale.sum())
     # observed - expected - weights / l2_variance, region by region, with

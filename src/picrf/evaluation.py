@@ -305,7 +305,9 @@ def second_entity_accuracy(
         raise EvaluationError("empty test corpus")
     _check_pairing(test_corpus, predicted)
     hits = 0
-    for sentence, pred in zip(test_corpus, predicted):
+    for si, (sentence, pred) in enumerate(zip(test_corpus, predicted)):
+        if sentence.labels is None:
+            raise EvaluationError("sentence %d has no gold labels" % si)
         pos = _second_entity_position(sentence.labels)
         _, gold_type = split_label(sentence.labels[pos])
         try:

@@ -136,35 +136,49 @@ class TestStateSpace:
 
 
 class TestPairLayout:
-    """The second-order state space against an explicit enumeration of its
-    pairs: (a, b) with a a label or the sentence start, and b a label."""
+    """Each order's state space against an explicit enumeration of its
+    states and moves: labels for first and pre-induced; for second, pairs
+    (a, b) with a a label or the sentence start, and b a label."""
 
+    @pytest.mark.parametrize("order", list(ModelOrder))
     @pytest.mark.parametrize("types", [["A"], ["A", "B"]])
-    def test_every_move_against_enumeration(self, types):
+    def test_every_move_against_enumeration(self, types, order):
         alpha = build_expanded_alphabet(types)
-        space = state_space(ModelOrder.SECOND, alpha)
-        labels = alpha.base_labels
-        n = len(labels)
-        contexts = list(labels) + [None]  # None: the sentence start
-        pairs = [(a, b) for a in contexts for b in labels]
-        assert space.n_states == len(pairs)
-        expected_trans = np.full((len(pairs), len(pairs)), -1)
-        expected_start = np.full(len(pairs), -1)
-        for a in range(n + 1):
-            for b in range(n):
-                src = pairs.index((contexts[a], labels[b]))
-                if contexts[a] is None:
-                    expected_start[src] = b
-                for c in range(n):
-                    dst = pairs.index((labels[b], labels[c]))
-                    expected_trans[src, dst] = n + ((a * n + b) * n + c)
-        assert np.array_equal(space.move_slot[:-1], expected_trans)
-        assert np.array_equal(space.move_slot[-1], expected_start)
-        assert space.n_transition_params == n + (n + 1) * n * n
-        for i, (a, b) in enumerate(pairs):
-            assert space.state_names[i] == "%s|%s" % ("<start>" if a is None else a, b)
-            assert space.output_labels[i] == b
-            assert space.obs_state_of[i] == labels.index(b)
+        space = state_space(order, alpha)
+        moves, start = {}, {}
+        if order == ModelOrder.SECOND:
+            labels = alpha.base_labels
+            n = len(labels)
+            contexts = list(labels) + [None]  # None: the sentence start
+            states = [(a, b) for a in contexts for b in labels]
+            names = ["%s|%s" % ("<start>" if a is None else a, b) for a, b in states]
+            for a in range(n + 1):
+                for b in range(n):
+                    src = states.index((contexts[a], labels[b]))
+                    if contexts[a] is None:
+                        start[src] = b
+                    for c in range(n):
+                        dst = states.index((labels[b], labels[c]))
+                        moves[src, dst] = n + ((a * n + b) * n + c)
+            emitted = [b for _, b in states]
+        else:
+            labels = alpha.base_labels if order == ModelOrder.FIRST else alpha.expanded_labels
+            n = len(labels)
+            names = emitted = list(labels)
+            # the start moves into s through slot s, r -> s through n + r * n + s
+            start = {s: s for s in range(n)}
+            moves = {(r, s): n + r * n + s for r in range(n) for s in range(n)}
+        expected = np.full((len(names) + 1, len(names)), -1)
+        for (src, dst), slot in moves.items():
+            expected[src, dst] = slot
+        for dst, slot in start.items():
+            expected[-1, dst] = slot
+        assert space.n_states == len(names)
+        assert np.array_equal(space.move_slot, expected)
+        assert space.n_transition_params == len(moves) + len(start)
+        assert list(space.state_names) == names
+        assert list(space.output_labels) == emitted
+        assert space.obs_state_of.tolist() == [labels.index(label) for label in emitted]
 
     def test_gold_states_are_consecutive_label_pairs(self):
         alpha = build_expanded_alphabet(["A", "B"])
@@ -252,6 +266,44 @@ class TestForwardBackward:
             forward_backward(lattice)
         with pytest.raises(CrfError, match="NaN"):
             viterbi(lattice)
+
+
+class TestLatticeShapes:
+    """A lattice whose shapes do not fit together is refused when it is
+    built, before any pass could read past the states it has."""
+
+    @pytest.mark.parametrize(
+        "obs, trans, start, block",
+        [
+            ((3, 2), (3, 3), (2,), None),  # trans of three states
+            ((3, 2), (2, 2), (3,), None),  # start of three states
+            ((0, 2), (2, 2), (2,), None),  # no position
+            ((2,), (2, 2), (2,), None),  # obs not (T, S)
+            ((3, 0), (0, 0), (0,), None),  # no state
+            ((3, 6), (6, 6), (6,), (2, 2, 2)),  # A * B = 4 is not S = 6
+            ((3, 6), (6, 6), (6,), (3, 2, 4)),  # B * C = 8 > S = 6
+        ],
+        ids=["trans", "start", "no-position", "obs-1d", "no-state", "block-rows", "block-cols"],
+    )
+    def test_mismatched_shapes_raise(self, obs, trans, start, block):
+        with pytest.raises(CrfError, match="lattice shapes obs \\(%s" % obs[0]):
+            Lattice(np.zeros(obs), np.zeros(trans), np.zeros(start), block)
+
+    def test_no_pass_runs_on_a_mismatched_lattice(self):
+        """Unchecked, viterbi would decode obs (3, 2) from the top-left
+        corner of a trans (3, 3), and both passes would index past the end
+        of a lattice of no position."""
+        with pytest.raises(CrfError, match="trans \\(3, 3\\)"):
+            viterbi(Lattice(np.zeros((3, 2)), np.zeros((3, 3)), np.zeros(2)))
+        with pytest.raises(CrfError, match="T >= 1"):
+            forward_backward(Lattice(np.zeros((0, 2)), np.zeros((2, 2)), np.zeros(2)))
+
+    @pytest.mark.parametrize("order", list(ModelOrder))
+    def test_state_space_blocks_fit(self, order):
+        space = state_space(order, ALPHA2)
+        n = space.n_states
+        lattice = Lattice(np.zeros((1, n)), np.zeros((n, n)), np.zeros(n), space.move_block)
+        assert lattice.moves().shape == space.move_block
 
 
 class TestExactOrLoud:

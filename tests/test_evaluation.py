@@ -217,6 +217,14 @@ class TestSecondEntityAccuracy:
         with pytest.raises(EvaluationError):
             second_entity_accuracy([], [])
 
+    def test_unlabeled_gold_rejected(self):
+        corpus = [
+            sent(["av1", "w01", "s03"], ["B-A", "O", "B-B"]),
+            Sentence.from_strings(["av1", "w01", "s03"], None),
+        ]
+        with pytest.raises(EvaluationError, match="^sentence 1 has no gold labels$"):
+            second_entity_accuracy(corpus, [["B-A", "O", "B-B"]] * 2)
+
     def test_mismatched_predictions_rejected(self):
         corpus = [sent(["av1", "w01", "s03"], ["B-A", "O", "B-B"])] * 4
         labels = ["B-A", "O", "B-B"]
