@@ -124,12 +124,13 @@ def cmd_eval(args) -> int:
 def cmd_transform(args) -> int:
     corpus = _read_corpus(args.input)
     alphabet = corpus_alphabet(corpus)
+    transform = induce if args.direction == "induce" else revert
     transformed = []
-    for sentence in corpus:
-        if args.direction == "induce":
-            labels = induce(sentence.labels, alphabet)
-        else:
-            labels = revert(sentence.labels, alphabet)
+    for si, sentence in enumerate(corpus):
+        try:
+            labels = transform(sentence.labels, alphabet)
+        except (CorpusError, AlphabetError) as exc:
+            raise CorpusError("sentence %d: %s" % (si, exc)) from exc
         transformed.append(replace(sentence, labels=tuple(labels)))
     _write_output(args.output, write_conll(transformed))
     return 0

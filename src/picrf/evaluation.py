@@ -22,8 +22,8 @@ from .corpus import (
 )
 from .crf_types import ModelOrder
 from .features import WINDOW_RADIUS, FeatureError
-from .induction import AlphabetError, build_expanded_alphabet, corpus_alphabet
-from .training import TrainConfig, train
+from .induction import AlphabetError, LabelAlphabet, build_expanded_alphabet, corpus_alphabet
+from .training import TrainConfig, _table, train
 
 
 class EvaluationError(Exception):
@@ -124,7 +124,10 @@ def score(
             gold_chunks = extract_chunks(sentence.labels)
         except CorpusError as exc:
             raise EvaluationError("sentence %d: invalid gold labels: %s" % (si, exc)) from None
-        pred_chunks = extract_chunks(validate_iob2(pred, mode="repair"))
+        try:
+            pred_chunks = extract_chunks(validate_iob2(pred, mode="repair"))
+        except CorpusError as exc:
+            raise EvaluationError("sentence %d: invalid predicted labels: %s" % (si, exc)) from None
         for chunk in gold_chunks:
             cell(chunk.entity_type)[0] += 1
         for chunk in pred_chunks:
@@ -143,12 +146,26 @@ def score(
 
 @dataclass(frozen=True)
 class ExperimentCell:
+    """One trained, decoded and scored cell; second_entity_accuracy is None
+    where the experiment does not measure it."""
+
     order: ModelOrder
     feature_set: int
     score: ScoreReport
     seconds_per_iteration: float
     iterations: int
     termination: str
+    second_entity_accuracy: float | None = None
+
+
+def _record(cell: ExperimentCell, columns: Sequence[tuple[str, str, str]], **more) -> dict:
+    """The cell's value of each column's record key, then more. The values
+    are the cell's fields, with the order as text, and its score's
+    precision, recall and f1."""
+    values = dict(vars(cell), order=str(cell.order))
+    score = values.pop("score")
+    values.update(precision=score.precision, recall=score.recall, f1=score.f1)
+    return {**{key: values[key] for _, _, key in columns}, **more}
 
 
 @dataclass
@@ -157,46 +174,29 @@ class ExperimentReport:
 
     cells: list[ExperimentCell]
 
-    def cell(self, order: ModelOrder, feature_set: int) -> ExperimentCell:
+    # (header, value format, record key) of each to_text column
+    _COLUMNS = (
+        ("order", "%-12s", "order"),
+        ("set", "%4d", "feature_set"),
+        ("precision", "%10.4f", "precision"),
+        ("recall", "%10.4f", "recall"),
+        ("f1", "%10.4f", "f1"),
+        ("s/iteration", "%12.4f", "seconds_per_iteration"),
+        ("iters", "%8d", "iterations"),
+    )
+
+    def cell(self, order: ModelOrder, feature_set: int | None = None) -> ExperimentCell:
+        """The cell of order, and of feature_set where it is given."""
         for c in self.cells:
-            if c.order == ModelOrder(order) and c.feature_set == feature_set:
+            if c.order == ModelOrder(order) and feature_set in (None, c.feature_set):
                 return c
-        raise KeyError("%s/set%d" % (order, feature_set))
+        raise KeyError(str(order) if feature_set is None else "%s/set%d" % (order, feature_set))
 
     def to_text(self) -> str:
-        lines = [
-            "%-12s %4s %10s %10s %10s %12s %8s"
-            % ("order", "set", "precision", "recall", "f1", "s/iteration", "iters")
-        ]
-        for c in self.cells:
-            lines.append(
-                "%-12s %4d %10.4f %10.4f %10.4f %12.4f %8d"
-                % (
-                    c.order,
-                    c.feature_set,
-                    c.score.precision,
-                    c.score.recall,
-                    c.score.f1,
-                    c.seconds_per_iteration,
-                    c.iterations,
-                )
-            )
-        return "".join(line + "\n" for line in lines)
+        return _table(self._COLUMNS, self.to_records())
 
     def to_records(self) -> list[dict]:
-        return [
-            {
-                "order": str(c.order),
-                "feature_set": c.feature_set,
-                "precision": c.score.precision,
-                "recall": c.score.recall,
-                "f1": c.score.f1,
-                "seconds_per_iteration": c.seconds_per_iteration,
-                "iterations": c.iterations,
-                "termination": c.termination,
-            }
-            for c in self.cells
-        ]
+        return [_record(c, self._COLUMNS, termination=c.termination) for c in self.cells]
 
 
 def _check_grid(name: str, values: Sequence) -> None:
@@ -232,6 +232,41 @@ def _cell_configs(
     return configs
 
 
+def _run_cells(
+    train_corpus: Sequence[Sentence],
+    test_corpus: Sequence[Sentence],
+    configs: Sequence[TrainConfig],
+    alphabet: LabelAlphabet,
+    second_entity: bool = False,
+) -> list[ExperimentCell]:
+    """Train, decode and score one cell per config, with the second-entity
+    accuracy where second_entity is set. Every cell runs alone, so its
+    iteration timing is not polluted by concurrent work; a failure is
+    re-raised as EvaluationError naming the cell."""
+    cells = []
+    for config in configs:
+        order, feature_set = config.model_order, config.template.set_id
+        try:
+            model, report = train(train_corpus, config, alphabet)
+            predicted = model.decode_corpus(test_corpus)
+            cells.append(
+                ExperimentCell(
+                    order=order,
+                    feature_set=feature_set,
+                    score=score(test_corpus, predicted),
+                    seconds_per_iteration=report.mean_seconds_per_iteration,
+                    iterations=report.n_iterations,
+                    termination=report.termination,
+                    second_entity_accuracy=(
+                        second_entity_accuracy(test_corpus, predicted) if second_entity else None
+                    ),
+                )
+            )
+        except Exception as exc:
+            raise EvaluationError("cell %s/set%d failed: %s" % (order, feature_set, exc)) from exc
+    return cells
+
+
 def run_comparison(
     train_corpus: Sequence[Sentence],
     test_corpus: Sequence[Sentence],
@@ -251,27 +286,7 @@ def run_comparison(
         alphabet = corpus_alphabet(train_corpus, test_corpus)
     except AlphabetError as exc:
         raise EvaluationError(str(exc)) from exc
-
-    cells: list[ExperimentCell] = []
-    for config in configs:
-        order, feature_set = config.model_order, config.template.set_id
-        try:
-            model, report = train(train_corpus, config, alphabet)
-            predicted = model.decode_corpus(test_corpus)
-            cell_score = score(test_corpus, predicted)
-        except Exception as exc:
-            raise EvaluationError("cell %s/set%d failed: %s" % (order, feature_set, exc)) from exc
-        cells.append(
-            ExperimentCell(
-                order=order,
-                feature_set=feature_set,
-                score=cell_score,
-                seconds_per_iteration=report.mean_seconds_per_iteration,
-                iterations=report.n_iterations,
-                termination=report.termination,
-            )
-        )
-    return ExperimentReport(cells=cells)
+    return ExperimentReport(_run_cells(train_corpus, test_corpus, configs, alphabet))
 
 
 def chance_level(config: SynthConfig) -> float:
@@ -319,66 +334,34 @@ def second_entity_accuracy(
 
 
 @dataclass
-class LongDistanceCell:
-    order: ModelOrder
-    score: ScoreReport
-    second_entity_accuracy: float
-    iterations: int
-    seconds_per_iteration: float
-
-
-@dataclass
-class LongDistanceReport:
+class LongDistanceReport(ExperimentReport):
     """Long-range dependency experiment: per-order scores, accuracies and
-    iteration cost."""
+    iteration cost, over one feature set."""
 
-    cells: list[LongDistanceCell]
     chance: float
     train_size: int
     test_size: int
 
-    def cell(self, order: ModelOrder) -> LongDistanceCell:
-        for c in self.cells:
-            if c.order == ModelOrder(order):
-                return c
-        raise KeyError(str(order))
+    _COLUMNS = (
+        ("order", "%-12s", "order"),
+        ("precision", "%10.4f", "precision"),
+        ("recall", "%10.4f", "recall"),
+        ("f1", "%10.4f", "f1"),
+        ("second-entity acc", "%18.4f", "second_entity_accuracy"),
+        ("s/iteration", "%12.4f", "seconds_per_iteration"),
+        ("iters", "%8d", "iterations"),
+    )
 
     def to_text(self) -> str:
-        lines = [
-            "long-distance experiment: %d train / %d test, chance level %.3f"
-            % (self.train_size, self.test_size, self.chance),
-            "%-12s %10s %10s %10s %18s %12s %8s"
-            % ("order", "precision", "recall", "f1", "second-entity acc", "s/iteration", "iters"),
-        ]
-        for c in self.cells:
-            lines.append(
-                "%-12s %10.4f %10.4f %10.4f %18.4f %12.4f %8d"
-                % (
-                    c.order,
-                    c.score.precision,
-                    c.score.recall,
-                    c.score.f1,
-                    c.second_entity_accuracy,
-                    c.seconds_per_iteration,
-                    c.iterations,
-                )
-            )
-        return "".join(line + "\n" for line in lines)
+        title = "long-distance experiment: %d train / %d test, chance level %.3f" % (
+            self.train_size,
+            self.test_size,
+            self.chance,
+        )
+        return _table(self._COLUMNS, self.to_records(), head=[title])
 
     def to_records(self) -> list[dict]:
-        return [
-            {
-                "order": str(c.order),
-                "precision": c.score.precision,
-                "recall": c.score.recall,
-                "f1": c.score.f1,
-                "second_entity_accuracy": c.second_entity_accuracy,
-                "seconds_per_iteration": c.seconds_per_iteration,
-                "iterations": c.iterations,
-                "chance": self.chance,
-            }
-            for c in self.cells
-        ]
+        return [_record(c, self._COLUMNS, chance=self.chance) for c in self.cells]
 
 
 def run_longdistance(
@@ -392,7 +375,9 @@ def run_longdistance(
 
     The feature window must be narrower than the smallest possible gap;
     otherwise the window itself could see the first entity and the
-    experiment would not isolate label-state propagation.
+    experiment would not isolate label-state propagation. Every cell runs
+    alone, and a failure is re-raised naming the offending cell, as in
+    run_comparison.
     """
     if base_config is None:
         base_config = TrainConfig()
@@ -406,25 +391,9 @@ def run_longdistance(
         )
 
     corpus = generate_synthetic(replace(synth, sentences=train_size + test_size))
-    train_corpus = corpus[:train_size]
-    test_corpus = corpus[train_size:]
     alphabet = build_expanded_alphabet(synth.entity_types)
-
-    cells: list[LongDistanceCell] = []
-    for config in configs:
-        model, report = train(train_corpus, config, alphabet)
-        predicted = model.decode_corpus(test_corpus)
-        cells.append(
-            LongDistanceCell(
-                order=config.model_order,
-                score=score(test_corpus, predicted),
-                second_entity_accuracy=second_entity_accuracy(test_corpus, predicted),
-                iterations=report.n_iterations,
-                seconds_per_iteration=report.mean_seconds_per_iteration,
-            )
-        )
     return LongDistanceReport(
-        cells=cells,
+        cells=_run_cells(corpus[:train_size], corpus[train_size:], configs, alphabet, True),
         chance=chance_level(synth),
         train_size=train_size,
         test_size=test_size,

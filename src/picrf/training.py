@@ -17,11 +17,12 @@ max_iterations; a line search that finds no sufficient decrease within
 from __future__ import annotations
 
 import json
+import re
 import time
 from dataclasses import asdict, dataclass, field, replace
 from itertools import count
 from numbers import Integral, Real
-from typing import Callable, Generator, NamedTuple, Sequence
+from typing import Callable, Generator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,6 +57,34 @@ def _check_type(name: str, value, kind: type) -> None:
     if isinstance(value, bool) or not isinstance(value, kind):
         what = "an integer" if kind is Integral else "a number"
         raise TrainingError("%s must be %s, got %r" % (name, what, value))
+
+
+# the precision and type of a %-conversion, which a header drops
+_CONVERSION = re.compile(r"(\.\d+)?[a-z]$")
+
+
+def _table(
+    columns: Sequence[tuple[str, str, str]],
+    records: Sequence[Mapping],
+    gap: str = " ",
+    head: Sequence[str] = (),
+    foot: Sequence[str] = (),
+) -> str:
+    """Fixed-width text of records: the head lines, a header line, a line
+    per record and the foot lines. Each column is (header, value format,
+    record key), joined to the next by gap, and a column whose key some
+    record lacks is left out. A header takes the width and flags of its
+    value format: "%10.4f" formats its header by "%10s"."""
+    columns = [c for c in columns if all(c[2] in record for record in records)]
+    header = gap.join(_CONVERSION.sub("s", fmt) for _, fmt, _ in columns)
+    line = gap.join(fmt for _, fmt, _ in columns)
+    lines = [
+        *head,
+        header % tuple(name for name, _, _ in columns),
+        *(line % tuple(record[key] for _, _, key in columns) for record in records),
+        *foot,
+    ]
+    return "".join(text + "\n" for text in lines)
 
 
 @dataclass(frozen=True)
@@ -119,37 +148,34 @@ class TrainReport:
             return 0.0
         return sum(r.seconds for r in self.iterations) / len(self.iterations)
 
+    # (header, value format, record key) of each to_text column
+    _COLUMNS = (
+        ("iteration", "%10d", "iteration"),
+        ("objective", "%18.8f", "objective"),
+        ("grad max", "%12.4e", "gradient_max"),
+        ("seconds", "%10.4f", "seconds"),
+        ("calls", "%6d", "objective_calls"),
+    )
+    # the keys of the last line of to_jsonl, after the iteration records
+    _SUMMARY = (
+        "termination",
+        "order",
+        "feature_set",
+        "n_parameters",
+        "final_objective",
+        "objective_calls",
+        "calls_per_iteration",
+    )
+
     def to_records(self) -> list[dict]:
         return [asdict(r) for r in self.iterations]
 
     def to_jsonl(self) -> str:
-        lines = [json.dumps(record) for record in self.to_records()]
-        lines.append(
-            json.dumps(
-                {
-                    "termination": self.termination,
-                    "order": str(self.order),
-                    "feature_set": self.feature_set,
-                    "n_parameters": self.n_parameters,
-                    "final_objective": self.final_objective,
-                    "objective_calls": self.objective_calls,
-                    "calls_per_iteration": self.calls_per_iteration,
-                }
-            )
-        )
-        return "".join(line + "\n" for line in lines)
+        summary = {key: getattr(self, key) for key in self._SUMMARY}
+        return "".join(json.dumps(record) + "\n" for record in [*self.to_records(), summary])
 
     def to_text(self) -> str:
-        lines = [
-            "%10s  %18s  %12s  %10s  %6s"
-            % ("iteration", "objective", "grad max", "seconds", "calls")
-        ]
-        for r in self.iterations:
-            lines.append(
-                "%10d  %18.8f  %12.4e  %10.4f  %6d"
-                % (r.iteration, r.objective, r.gradient_max, r.seconds, r.objective_calls)
-            )
-        lines.append(
+        stopped = (
             "stopped: %s after %d iterations, %.4f s/iteration mean, "
             "%d objective calls (%.2f per iteration)"
             % (
@@ -160,7 +186,7 @@ class TrainReport:
                 self.calls_per_iteration,
             )
         )
-        return "".join(line + "\n" for line in lines)
+        return _table(self._COLUMNS, self.to_records(), "  ", foot=[stopped])
 
     def summary(self) -> str:
         return (
@@ -484,29 +510,24 @@ class TimingReport:
                     out["%s/%s" % (a.order, b.order)] = a.mean_seconds / b.mean_seconds
         return out
 
+    # (header, value format, record key) of each to_text column; a row
+    # without a fault count leaves the last column out
+    _COLUMNS = (
+        ("order", "%-12s", "order"),
+        ("iters", "%8d", "measured_iterations"),
+        ("s/iteration", "%12.4f", "mean_seconds"),
+        ("faults/iter", "%11.1f", "faults_per_iteration"),
+    )
+
     def to_text(self) -> str:
-        faults = all(row.faults_per_iteration is not None for row in self.rows)
-        lines = [
-            "%-12s  %8s  %12s" % ("order", "iters", "s/iteration")
-            + ("  %11s" % "faults/iter" if faults else "")
-        ]
-        for row in self.rows:
-            lines.append(
-                "%-12s  %8d  %12.4f" % (row.order, row.measured_iterations, row.mean_seconds)
-                + ("  %11.1f" % row.faults_per_iteration if faults else "")
-            )
-        for name, value in sorted(self.ratios.items()):
-            lines.append("ratio %s: %.3f" % (name, value))
-        return "".join(line + "\n" for line in lines)
+        ratios = ["ratio %s: %.3f" % item for item in sorted(self.ratios.items())]
+        return _table(self._COLUMNS, self.to_records(), "  ", foot=ratios)
 
     def to_records(self) -> list[dict]:
-        records = []
-        for row in self.rows:
-            record = dict(asdict(row), order=str(row.order), seconds=list(row.seconds))
-            if row.faults_per_iteration is None:
-                del record["faults_per_iteration"]
-            records.append(record)
-        return records
+        """Each row's fields, with the order as text, the seconds as a list
+        and no faults_per_iteration where it is None."""
+        records = [dict(asdict(r), order=str(r.order), seconds=list(r.seconds)) for r in self.rows]
+        return [{key: value for key, value in r.items() if value is not None} for r in records]
 
 
 def _minor_faults() -> int | None:

@@ -286,6 +286,19 @@ def random_corpus(
     return sentences
 
 
+def write_new(path, data: bytes) -> None:
+    """Write data to path as a new file: unlink the path, then write it.
+
+    Truncating and rewriting a file that was just written can wait for the
+    earlier write to reach the disk: ext4 flushes a file that is truncated
+    and rewritten (its auto_da_alloc heuristic), and on one disk that cost
+    50 ms a rewrite, against 0.7 ms after an unlink. A test that writes one
+    path once per example writes it through here.
+    """
+    path.unlink(missing_ok=True)
+    path.write_bytes(data)
+
+
 def _version(lines: list[str]) -> int:
     return int(lines[0].rsplit(" ", 1)[1])
 

@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from oracles import conll_reference, conll_texts, format_1_lines, format_2_lines, weight_block
+from oracles import (
+    conll_reference,
+    conll_texts,
+    format_1_lines,
+    format_2_lines,
+    weight_block,
+    write_new,
+)
 from picrf.cli import _read_maybe_labeled, build_parser, main
 from picrf.corpus import read_conll
 from picrf.model_io import load_model
@@ -222,7 +229,7 @@ class TestTag:
         file with a bad row it exits 1 naming that row."""
         text, rows = text_rows
         path = shared_model / "input.conll"
-        path.write_bytes(text.encode("utf-8"))
+        write_new(path, text.encode("utf-8"))
         code, out, err = run_captured(["tag", "--model", shared_model / "model.txt", "--input", path])
         assert (code, err) == (0, "")
         tagged = [line.split("\t")[0] for line in out.split("\n") if line]
@@ -241,7 +248,7 @@ class TestTag:
         way its sentences are the ones the row-by-row reference reads."""
         text, rows = text_rows
         path = shared_model / "maybe-labeled.conll"
-        path.write_bytes(text.encode("utf-8"))
+        write_new(path, text.encode("utf-8"))
         labeled = all(len(cells) >= 2 for cells in rows if cells)
         expected, bad_line = conll_reference(rows, 0, -1 if labeled else None)
         assert bad_line is None
@@ -273,6 +280,14 @@ class TestEval:
         pred.write_text(pred_text)
         code, out, err = run_captured(["eval", "--gold", gold, "--pred", pred])
         assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+    def test_invalid_predicted_label_names_its_sentence(self, corpus_files, tmp_path):
+        _, test = corpus_files
+        pred = tmp_path / "pred.conll"
+        pred.write_text(TEST_TEXT.replace("corp\tI-ORG", "corp\tX"))
+        code, out, err = run_captured(["eval", "--gold", test, "--pred", pred])
+        assert (code, out) == (1, "")
+        assert err == "error: sentence 1: invalid predicted labels: not an IOB2 label: 'X'\n"
 
     def test_model_on_gold_input(self, model_path, corpus_files, capsys):
         _, test = corpus_files
@@ -324,6 +339,23 @@ class TestTransform:
         plain.write_text("nothing\tO\nhere\tO\n")
         code, out, err = run_captured(["transform", "--input", plain, "--direction", direction])
         assert (code, out, err) == (1, "", "error: no entity types found in the corpus\n")
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ("O I-A", "position 1: I-A does not continue a A chunk"),
+            ("B-A A[O]", "not an IOB2 label: 'A[O]'"),
+        ],
+    )
+    def test_a_sentence_induce_cannot_take_is_named(self, tmp_path, labels, message):
+        """Every label of the corpus's alphabet reverts, so only induce,
+        which takes strict IOB2, fails on a sentence."""
+        path = tmp_path / "input.conll"
+        second = "".join("w%d\t%s\n" % (i, label) for i, label in enumerate(labels.split()))
+        path.write_text("a\tB-A\nb\tO\n\n" + second)
+        code, out, err = run_captured(["transform", "--input", path, "--direction", "induce"])
+        assert (code, out, err) == (1, "", "error: sentence 1: %s\n" % message)
+        assert run_captured(["transform", "--input", path, "--direction", "revert"])[0] == 0
 
 
 class TestSynth:

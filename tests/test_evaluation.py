@@ -89,6 +89,12 @@ class TestScore:
         with pytest.raises(EvaluationError, match="sentence 0"):
             score(gold, [["O"]])
 
+    def test_invalid_predicted_label_names_its_sentence(self):
+        gold = [sent(["a", "b"], ["B-A", "O"]), sent(["c"], ["O"])]
+        with pytest.raises(EvaluationError) as err:
+            score(gold, [["B-A", "O"], ["X"]])
+        assert str(err.value) == "sentence 1: invalid predicted labels: not an IOB2 label: 'X'"
+
     def test_unlabeled_gold_rejected(self):
         with pytest.raises(EvaluationError):
             score([Sentence.from_strings(["a"])], [["O"]])
@@ -262,6 +268,27 @@ class TestLongDistance:
         with pytest.raises(EvaluationError, match="^unknown order 'third'$"):
             run_longdistance(synth, 10, 5, ["first", "third"])
         assert calls == []
+
+    def test_failing_cell_is_named(self, monkeypatch):
+        """A cell that fails raises EvaluationError naming the cell, as in
+        run_comparison, after the cells before it trained."""
+        real_train = picrf.evaluation.train
+        trained = []
+
+        def train(corpus, config, alphabet):
+            trained.append(config.model_order)
+            if config.model_order == ModelOrder.PRE_INDUCED:
+                raise FloatingPointError("broken objective")
+            return real_train(corpus, config, alphabet)
+
+        monkeypatch.setattr(picrf.evaluation, "train", train)
+        synth = SynthConfig(entity_type_count=2, sentences=1, seed=7, gap_lengths=(2, 3))
+        config = TrainConfig(max_iterations=5, template=TemplateConfig(set_id=1))
+        with pytest.raises(EvaluationError) as err:
+            run_longdistance(synth, 20, 5, ["first", "pre-induced", "second"], config)
+        assert str(err.value) == "cell pre-induced/set1 failed: broken objective"
+        assert isinstance(err.value.__cause__, FloatingPointError)
+        assert trained == [ModelOrder.FIRST, ModelOrder.PRE_INDUCED]
 
     def test_sizes_must_be_positive(self):
         synth = SynthConfig(entity_type_count=2, sentences=1, gap_lengths=(2, 3))

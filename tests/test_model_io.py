@@ -14,7 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import format_1_lines, format_2_lines, format_3_lines, random_corpus, weight_block
+from oracles import (
+    format_1_lines,
+    format_2_lines,
+    format_3_lines,
+    random_corpus,
+    weight_block,
+    write_new,
+)
 from picrf import crf, model_io
 from picrf.cli import main
 from picrf.corpus import Sentence, write_conll
@@ -666,7 +673,7 @@ def _load_both(lines, directory):
     with pytest.raises(ModelFormatError) as from_object:
         _load_lines(lines)
     path = directory / "model.txt"
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    write_new(path, "".join(line + "\n" for line in lines).encode("utf-8"))
     with pytest.raises(ModelFormatError) as from_path:
         load_model(path)
     assert str(from_path.value) == str(from_object.value)
@@ -814,7 +821,7 @@ class TestDamagedFiles:
         text = [s.encode() for s in lines]
         text[line] = text[line][:column] + junk + text[line][column + 1 :]
         path = directory / "damaged-bytes.txt"
-        path.write_bytes(b"".join(s + b"\n" for s in text))
+        write_new(path, b"".join(s + b"\n" for s in text))
         with pytest.raises(ModelFormatError, match="^line %d: " % (line + 1)):
             load_model(path)
         err = io.StringIO()
