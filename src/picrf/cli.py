@@ -31,7 +31,7 @@ from .evaluation import (
 )
 from .features import FeatureError, TemplateConfig
 from .induction import AlphabetError, corpus_alphabet, induce, revert
-from .model_io import ModelFormatError, load_model, save_model
+from .model_io import ModelFormatError, load_model, open_replacing, save_model
 from .training import TrainConfig, TrainingError, measure_iteration_cost, train
 
 _ORDERS = [str(o) for o in ModelOrder]
@@ -53,11 +53,12 @@ def _read_maybe_labeled(path: str):
 
 
 def _write_output(path: str, text: str) -> None:
-    """Write text to stdout if path is "-", else to the file at path."""
+    """Write text to stdout if path is "-", else in place of the file at
+    path (open_replacing)."""
     if path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as handle:
+        with open_replacing(path) as handle:
             handle.write(text)
 
 
@@ -76,10 +77,10 @@ def cmd_train(args) -> int:
     model, report = train(_read_corpus(args.train), _train_config(args, args.order))
     save_model(model, args.out)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
+        with open_replacing(args.report) as handle:
             handle.write(report.to_jsonl())
     if args.report_text:
-        with open(args.report_text, "w", encoding="utf-8") as handle:
+        with open_replacing(args.report_text) as handle:
             handle.write(report.to_text())
     print(report.summary())
     print("model written to %s" % args.out)
@@ -172,7 +173,7 @@ def _parse_csv(text: str, flag: str, parse) -> list:
 def _write_records(path: str, records: list[dict]) -> None:
     import json
 
-    with open(path, "w", encoding="utf-8") as handle:
+    with open_replacing(path) as handle:
         for record in records:
             handle.write(json.dumps(record) + "\n")
 

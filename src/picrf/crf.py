@@ -33,8 +33,12 @@ exact without further checks (trained models span far less); wider or
 partly forbidden lattices are checked entry by entry after the pass (see
 _check_range).
 
-Training runs one pass over the whole batch. pack_batch lays it out once
-(CompiledBatch), longest sentence first and position-major
+Training runs one pass over the whole batch. compile_sentence encodes a
+sentence's feature strings in one pass of lookups, to one array of
+feature ids and the string count of each position (EncodedPositions);
+pack_batch joins the ids of the whole batch and builds its incidence
+matrix in one call, so no array is made per token. It lays the batch out
+once (CompiledBatch), longest sentence first and position-major
 (_packed_layout): row block t holds position t of the widths[t] sentences
 longer than t, a prefix of those of block t - 1. _forward_backward keeps
 every table state-major, (S, N) over the N token rows: a step is one
@@ -66,7 +70,7 @@ from scipy import sparse
 
 from .corpus import split_label
 from .crf_types import ModelOrder
-from .features import FeatureIndex
+from .features import EncodedPositions, FeatureIndex, known_ids
 from .induction import LabelAlphabet, induce
 
 NEG_INF = float("-inf")
@@ -699,9 +703,15 @@ def viterbi(
 
 
 class CompiledSentence(NamedTuple):
-    """Feature block starts per position plus the gold lattice-state path."""
+    """A sentence's encoded features plus its gold lattice-state path.
 
-    feature_starts: tuple[np.ndarray, ...]
+    feature_starts is FeatureIndex.encode_positions of its feature
+    strings: the feature id of every string in one int64 array, the
+    string count of each position, and, as a sequence, one int64 array of
+    feature block starts per position.
+    """
+
+    feature_starts: EncodedPositions
     gold: np.ndarray | None
 
 
@@ -735,10 +745,11 @@ def compile_sentence(
     index: FeatureIndex,
     space: StateSpace,
 ) -> CompiledSentence:
-    """Encode one sentence's features (and gold path, if given) for training."""
+    """Encode one sentence's features (and gold path, if given) for training:
+    feature_starts is index.encode_positions(position_features)."""
     if gold_labels is not None and len(gold_labels) != len(position_features):
         raise CrfError("gold label count does not match position count")
-    starts = tuple(index.encode_positions(position_features))
+    starts = index.encode_positions(position_features)
     gold = encode_gold_states(gold_labels, space) if gold_labels is not None else None
     return CompiledSentence(starts, gold)
 
@@ -764,19 +775,23 @@ class CompiledBatch(tuple):
 def pack_batch(
     batch: Sequence[CompiledSentence], index: FeatureIndex, space: StateSpace
 ) -> CompiledBatch:
-    """Lay out, index and count a training batch for log_likelihood_and_gradient."""
+    """Lay out, index and count a training batch for log_likelihood_and_gradient.
+
+    The known feature ids of the whole batch are joined into one array
+    (known_ids), and one _incidence call makes the incidence matrix of
+    them, so no array is made per token.
+    """
     if not batch:
         raise CrfError("batch must contain at least one sentence")
-    if any(cs.gold is None or len(cs.gold) != len(cs.feature_starts) for cs in batch):
+    encoded = [cs.feature_starts for cs in batch]
+    lengths = np.fromiter(map(len, encoded), np.int64, len(batch))
+    if any(cs.gold is None or len(cs.gold) != n for cs, n in zip(batch, lengths.tolist())):
         raise CrfError("every training sentence needs a gold path of its length")
-    if any(len(cs.feature_starts) == 0 for cs in batch):
+    if not lengths.all():
         raise CrfError("training sentences must be non-empty")
-    lengths = np.array([len(cs.feature_starts) for cs in batch])
     widths, order = _packed_layout(lengths)
-    positions = [starts for cs in batch for starts in cs.feature_starts]
-    incidence = _incidence(
-        np.concatenate(positions) // index.block_size, [len(p) for p in positions], index
-    )[order]
+    ids, ends = known_ids(encoded)
+    incidence = _incidence(ids, np.diff(ends, prepend=0), index)[order]
     # the transition slot of every gold move: a sentence's first position
     # moves from the start row
     gold = np.concatenate([cs.gold for cs in batch])

@@ -46,11 +46,12 @@ fine slot.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, count, repeat
+from itertools import accumulate, chain, count, repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -338,20 +339,63 @@ class FeatureIndex:
             slots.append(start + self.n_fine)
         return slots
 
-    def encode_positions(self, position_features: Sequence[Sequence[str]]) -> list[np.ndarray]:
-        """Map per-position feature strings to arrays of block start offsets.
+    def encode_positions(self, position_features: Sequence[Sequence[str]]) -> EncodedPositions:
+        """Encode one sentence's per-position feature strings: each string's
+        feature id, in one lookup pass over all of them, and the string
+        count of each position.
 
-        Features absent from the index are dropped, which makes them
-        contribute exactly zero score. feature_id_matrix gives the same
-        features as feature ids, without building strings per token.
+        Features absent from the index get id -1 and are dropped from the
+        block starts, which makes them contribute exactly zero score.
+        feature_id_matrix gives the same features as feature ids, without
+        building strings per token.
         """
-        block = self.block_size
-        ids = self.feature_ids
-        encoded: list[np.ndarray] = []
-        for active in position_features:
-            starts = [fid * block for fid in map(ids.get, active) if fid is not None]
-            encoded.append(np.asarray(starts, dtype=np.int64))
-        return encoded
+        counts = list(map(len, position_features))
+        strings = chain.from_iterable(position_features)
+        ids = np.fromiter(map(self.feature_ids.get, strings, repeat(-1)), np.int64, sum(counts))
+        return EncodedPositions(ids, counts, self.block_size)
+
+
+class EncodedPositions(Sequence):
+    """A sentence's features as FeatureIndex.encode_positions encodes them.
+
+    ids is one int64 array of the feature id of every feature string,
+    position after position, -1 where the index lacks the feature; counts
+    holds the number of strings at each position. As a sequence it has one
+    item per position: item t is the int64 array of the block starts
+    (feature id times block_size) of position t's known features, in
+    string order, a view of one array made when the sequence is iterated.
+    len() is O(1).
+    """
+
+    __slots__ = ("ids", "counts", "block_size")
+
+    def __init__(self, ids: np.ndarray, counts: list[int], block_size: int):
+        self.ids, self.counts, self.block_size = ids, counts, block_size
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __getitem__(self, t):
+        return tuple(self)[t]
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        if self.ids.min(initial=0) < 0:
+            ids, ends = known_ids([self])
+            ends = ends.tolist()
+        else:  # every feature known, as in training with no count cutoff
+            ids, ends = self.ids, list(accumulate(self.counts))
+        starts = ids * self.block_size
+        return map(starts.__getitem__, map(slice, [0, *ends], ends))
+
+
+def known_ids(encoded: Sequence[EncodedPositions]) -> tuple[np.ndarray, np.ndarray]:
+    """The known feature ids of encoded sentences, one after the other, as
+    one int64 array, and the end of each of their positions in it."""
+    ids = np.concatenate([e.ids for e in encoded])
+    counts = np.fromiter(chain.from_iterable(e.counts for e in encoded), np.int64)
+    known = ids >= 0
+    # the running count of known ids at each position's last string
+    return ids[known], np.concatenate(([0], np.cumsum(known)))[np.cumsum(counts)]
 
 
 def _slot_tables(

@@ -21,9 +21,12 @@ import base64
 import json
 import os
 import re
+import secrets
+import stat
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Callable, NoReturn, Sequence
+from typing import IO, Callable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -174,12 +177,59 @@ def _write_hex_lines(weights: np.ndarray, out: IO[str]) -> None:
 
 
 def save_model(model: Model, destination: str | os.PathLike | IO[str]) -> None:
-    """Write a model to a path or text file object."""
+    """Write a model to a text file object, or in place of the file at a
+    path (open_replacing)."""
     if hasattr(destination, "write"):
         _dump(model, destination)
     else:
-        with open(destination, "w", encoding="utf-8") as handle:
+        with open_replacing(destination) as handle:
             _dump(model, handle)
+
+
+@contextmanager
+def open_replacing(path: str | os.PathLike) -> Iterator[IO[str]]:
+    """A UTF-8 text file to write in place of the file at path.
+
+    The text goes to a new file beside the target, which os.replace moves
+    over it when the block exits, so the target is never left half
+    written and is not truncated and rewritten; if the block raises, the
+    new file is removed and the target is left as it was. A symbolic link
+    is followed, so the link stays and the file it names is replaced. The
+    new file gets the permission bits open(path, "w") would leave: the
+    target's own, or for a new path 0o666 less the umask. An existing
+    path that is not a regular file (a terminal, a pipe, /dev/stdout) is
+    opened and written in place.
+    """
+    mode = _mode(path)
+    if mode is not None and stat.S_ISLNK(mode):
+        path = os.path.realpath(path)
+        mode = _mode(path)
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8") as handle:
+            yield handle
+        return
+    directory, name = os.path.split(path)
+    temporary = os.path.join(directory, ".%s.%s.tmp" % (name, secrets.token_hex(8)))
+    # created as open() creates a file, so the umask applies
+    descriptor = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(descriptor, "w", encoding="utf-8") as handle:
+            if mode is not None:
+                os.fchmod(descriptor, stat.S_IMODE(mode))
+            yield handle
+        os.replace(temporary, path)
+    except BaseException:
+        os.unlink(temporary)
+        raise
+
+
+def _mode(path: str | os.PathLike) -> int | None:
+    """The st_mode of path itself, not of a link's target; None if there
+    is no such path."""
+    try:
+        return os.lstat(path).st_mode
+    except FileNotFoundError:
+        return None
 
 
 class _LineReader:

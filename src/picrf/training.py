@@ -386,7 +386,9 @@ def compile_corpus(
     space,
 ) -> CompiledBatch:
     """Repair gold labels, extract features and encode and pack the training
-    batch, once, for log_likelihood_and_gradient."""
+    batch, once, for log_likelihood_and_gradient: each sentence by its own
+    validate_iob2, extract_features and compile_sentence calls (one array
+    of feature ids), then the whole batch by one pack_batch."""
     compiled = []
     for sentence in corpus:
         if sentence.labels is None:

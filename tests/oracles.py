@@ -3,9 +3,10 @@
 Everything here enumerates explicitly: partition functions and best paths
 by scoring every state sequence, carrier expectations by scanning label
 sequences, index feature lists by counting every extracted feature string,
-CoNLL parses row by row, model files weight by weight or line by line,
-feature strings position by position and window slot by window slot, and
-IOB2 checks and the carrier transform label by label.
+a training batch's compile position by position, CoNLL parses row by row,
+model files weight by weight or line by line, feature strings position by
+position and window slot by window slot, and IOB2 checks and the carrier
+transform label by label.
 Deliberately slow and simple. The module also generates the random inputs
 several test files share.
 """
@@ -22,8 +23,9 @@ from collections import deque
 import numpy as np
 from hypothesis import strategies as st
 
+from picrf import crf
 from picrf.corpus import LabelError, Sentence, split_label
-from picrf.crf import Lattice
+from picrf.crf import CompiledBatch, CompiledSentence, Lattice, encode_gold_states
 from picrf.features import (
     AFFIX_LENGTHS,
     BIAS_FEATURE,
@@ -31,6 +33,7 @@ from picrf.features import (
     EOS,
     WINDOW_OFFSETS,
     FeatureError,
+    FeatureIndex,
     TemplateConfig,
     extract_features,
 )
@@ -121,6 +124,60 @@ def extract_features_loop(sentence: Sentence, config: TemplateConfig) -> list[li
         active.append(BIAS_FEATURE)
         features.append(active)
     return features
+
+
+def encode_positions_loop(index: FeatureIndex, position_features) -> list[np.ndarray]:
+    """The per-position arrays of FeatureIndex.encode_positions, made one
+    position at a time: the block starts of the position's features that
+    the index knows, as an int64 array."""
+    block = index.block_size
+    ids = index.feature_ids
+    return [
+        np.asarray([ids[f] * block for f in active if f in ids], dtype=np.int64)
+        for active in position_features
+    ]
+
+
+def pack_batch_loop(batch, index: FeatureIndex, space) -> CompiledBatch:
+    """crf.pack_batch over sentences whose feature_starts are per-position
+    arrays of block starts: their concatenation, divided by the block size,
+    is the incidence matrix's column array."""
+    lengths = np.array([len(cs.feature_starts) for cs in batch])
+    widths, order = crf._packed_layout(lengths)
+    positions = [starts for cs in batch for starts in cs.feature_starts]
+    incidence = crf._incidence(
+        np.concatenate(positions) // index.block_size, [len(p) for p in positions], index
+    )[order]
+    gold = np.concatenate([cs.gold for cs in batch])
+    prev = np.roll(gold, 1)
+    prev[np.cumsum(lengths) - lengths] = space.n_states
+    slots = space.move_slot[prev, gold]
+    packed = CompiledBatch(batch)
+    packed.index, packed.space, packed.widths, packed.incidence = index, space, widths, incidence
+    gold_mass = np.zeros((index.n_fine, gold.size))
+    gold_mass[space.obs_state_of[gold[order]], np.arange(gold.size)] = 1.0
+    packed.observed = np.concatenate(
+        [
+            crf._scatter_observations(incidence, gold_mass, index),
+            np.bincount(slots, minlength=space.n_transition_params).astype(float),
+        ]
+    )
+    return packed
+
+
+def compile_corpus_loop(corpus, template: TemplateConfig, index: FeatureIndex, space) -> CompiledBatch:
+    """training.compile_corpus sentence by sentence and position by
+    position: labels repaired by validate_iob2_loop, features extracted by
+    extract_features_loop and encoded by encode_positions_loop, and the
+    batch packed by pack_batch_loop."""
+    compiled = []
+    for sentence in corpus:
+        repaired = validate_iob2_loop(
+            sentence.labels, mode="repair", entity_types=space.alphabet.entity_types
+        )
+        starts = encode_positions_loop(index, extract_features_loop(sentence, template))
+        compiled.append(CompiledSentence(starts, encode_gold_states(repaired, space)))
+    return pack_batch_loop(compiled, index, space)
 
 
 def validate_iob2_loop(labels, mode="strict", entity_types=None) -> list[str]:

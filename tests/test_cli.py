@@ -2,7 +2,9 @@ import base64
 import contextlib
 import io
 import json
+import os
 import shlex
+import stat
 import struct
 from pathlib import Path
 
@@ -165,6 +167,48 @@ class TestTag:
         assert lines[0].split("\t")[0] == "acme"
         assert len(lines[0].split("\t")) == 2
         assert capsys.readouterr().out == ""
+
+    def test_file_output_replaces_an_existing_file(self, model_path, corpus_files, tmp_path):
+        """The output is written beside the old file and renamed over it:
+        a new inode with the whole output, the old file's mode kept and no
+        other file left in the directory."""
+        _, test = corpus_files
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out_path = out_dir / "tagged.conll"
+        out_path.write_text("old text, longer than the tagged output " * 20)
+        out_path.chmod(0o640)
+        old_inode = out_path.stat().st_ino
+        assert run(["tag", "--model", model_path, "--input", test, "--output", out_path]) == 0
+        code, expected, _ = run_captured(["tag", "--model", model_path, "--input", test])
+        assert code == 0 and out_path.read_text() == expected
+        assert out_path.stat().st_ino != old_inode
+        assert stat.S_IMODE(out_path.stat().st_mode) == 0o640
+        assert os.listdir(out_dir) == ["tagged.conll"]
+
+    def test_output_through_a_symlink_keeps_the_link(self, model_path, corpus_files, tmp_path):
+        _, test = corpus_files
+        target = tmp_path / "target.conll"
+        target.write_text("old\n")
+        link = tmp_path / "link.conll"
+        link.symlink_to(target)
+        assert run(["tag", "--model", model_path, "--input", test, "--output", link]) == 0
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_text().startswith("john\tB-PER\t")
+
+    def test_output_into_a_fifo_is_written_in_place(self, model_path, corpus_files, tmp_path):
+        """A path that is not a regular file, such as a pipe, is opened and
+        written, not replaced."""
+        _, test = corpus_files
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert run(["tag", "--model", model_path, "--input", test, "--output", fifo]) == 0
+            assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+            assert os.read(reader, 1 << 16).decode().startswith("john\tB-PER\t")
+        finally:
+            os.close(reader)
 
     def test_constrained_flag_rejected_for_first_order(self, model_path, corpus_files, capsys):
         _, test = corpus_files

@@ -8,13 +8,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     all_paths,
     brute_log_z,
     brute_viterbi,
+    compile_corpus_loop,
+    counted_features,
+    encode_positions_loop,
     path_scores,
     random_corpus,
     random_lattice,
@@ -44,8 +47,10 @@ from picrf.features import (
     build_feature_index,
     extract_features,
     feature_id_matrix,
+    make_feature_index,
 )
 from picrf.induction import build_expanded_alphabet, revert
+from picrf.training import compile_corpus
 
 try:
     import resource
@@ -59,9 +64,9 @@ def _lattice(feats, weights, index, space, constrained=False):
     """One sentence's lattice, obs (T, S): the packed lattice build_lattice
     makes of a one-sentence batch, whose layout has width 1 at every
     position. feats are the sentence's feature strings per position,
-    encoded by the reference encode_positions and padded with -1 into
+    encoded by oracles.encode_positions_loop and padded with -1 into
     build_lattice's feature id matrix."""
-    encoded = index.encode_positions(feats)
+    encoded = encode_positions_loop(index, feats)
     ids = np.full((len(encoded), max(map(len, encoded), default=0)), -1)
     for t, starts in enumerate(encoded):
         ids[t, : starts.size] = starts // index.block_size
@@ -828,6 +833,69 @@ def test_packed_objective_matches_single_lattices(order, seed, lengths):
     expected_value, expected = _reference_objective(corpus, template, weights, index, space)
     assert value == pytest.approx(expected_value, rel=1e-10)
     assert np.allclose(grad, expected, rtol=1e-10, atol=1e-10 * np.abs(expected).max())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    order=st.sampled_from(list(ModelOrder)),
+    set_id=st.sampled_from([1, 2]),
+    min_count=st.integers(0, 3),
+    without_bias=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    lengths=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+)
+@example(ModelOrder.SECOND, 2, 2, True, 0, [1, 3, 1, 2])
+def test_compile_corpus_matches_the_position_loop(
+    order, set_id, min_count, without_bias, seed, lengths
+):
+    """compile_corpus against oracles.compile_corpus_loop, which encodes
+    one array per position and concatenates them: the same incidence
+    matrix, observed counts, widths, block starts and gold paths. The index
+    counts the first half of the corpus with a cutoff, and without_bias
+    drops BIAS from it, so the corpus has features the index lacks and
+    positions with no known feature."""
+    corpus = _corpus_of_lengths(seed, lengths)
+    template = TemplateConfig(set_id=set_id, min_feature_count=min_count)
+    counted = counted_features(corpus[: (len(corpus) + 1) // 2], template)
+    features = [f for f in counted if not (without_bias and f == BIAS_FEATURE)]
+    if not features:
+        return
+    index = make_feature_index(features, template, ALPHA2, order)
+    space = state_space(order, ALPHA2)
+    packed = compile_corpus(corpus, template, index, space)
+    expected = compile_corpus_loop(corpus, template, index, space)
+    assert packed.incidence.shape == expected.incidence.shape
+    for name in ("indices", "indptr", "data"):
+        got, want = getattr(packed.incidence, name), getattr(expected.incidence, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(packed.observed, expected.observed)
+    assert np.array_equal(packed.widths, expected.widths)
+    for cs, reference in zip(packed, expected, strict=True):
+        assert [s.tolist() for s in cs.feature_starts] == [
+            s.tolist() for s in reference.feature_starts
+        ]
+        assert all(s.dtype == np.int64 for s in cs.feature_starts)
+        assert np.array_equal(cs.gold, reference.gold)
+
+
+@pytest.mark.parametrize("order", list(ModelOrder))
+def test_compiled_sentences_count_tokens_and_known_features(order):
+    """The two counts a tracer reads from each compiled sentence:
+    len(feature_starts) is its token count, and the sizes of its items sum
+    to its number of feature strings the index knows. They stand for the
+    lattice cells of an objective call and the active features per token."""
+    corpus = random_corpus(random.Random(5), ["A", "B"], 12)
+    template = TemplateConfig(set_id=2, min_feature_count=2)
+    index = build_feature_index(corpus[:6], template, ALPHA2, order)
+    packed = compile_corpus(corpus, template, index, state_space(order, ALPHA2))
+    unknown = 0
+    for sentence, cs in zip(corpus, packed, strict=True):
+        strings = [f for active in extract_features(sentence, template) for f in active]
+        known = sum(f in index.feature_ids for f in strings)
+        unknown += len(strings) - known
+        assert len(cs.feature_starts) == len(sentence)
+        assert sum(s.size for s in cs.feature_starts) == known
+    assert unknown > 0
 
 
 @pytest.mark.parametrize("order", list(ModelOrder))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import counted_features, extract_features_loop, normalized
+from oracles import counted_features, encode_positions_loop, extract_features_loop, normalized
 from picrf.corpus import Sentence
 from picrf.crf import state_space, total_parameters
 from picrf.crf_types import ModelOrder
@@ -371,6 +371,30 @@ class TestEncode:
         assert encoded[0].size == 0
         assert encoded[0].dtype == np.int64
 
+    @pytest.mark.parametrize("order", list(ModelOrder))
+    def test_positions_match_the_position_loop(self, order):
+        """The one-pass encoding keeps every string's id, -1 for unknown,
+        and the string count of each position; as a sequence it gives the
+        block starts that encoding position by position gives."""
+        index = build_feature_index(_corpus(["a", "bb"]), SET1, ALPHA1, order)
+        feats = [["W[0]=a", "zz", BIAS_FEATURE], [], ["zz"], ["W[0]=bb", "W[0]=a"]]
+        encoded = index.encode_positions(feats)
+        ids = index.feature_ids
+        assert encoded.ids.dtype == np.int64
+        assert encoded.ids.tolist() == [ids["W[0]=a"], -1, ids[BIAS_FEATURE], -1, ids["W[0]=bb"], ids["W[0]=a"]]
+        assert encoded.counts == [3, 0, 1, 2] and len(encoded) == 4
+        expected = [starts.tolist() for starts in encode_positions_loop(index, feats)]
+        assert [starts.tolist() for starts in encoded] == expected
+        assert all(starts.dtype == np.int64 for starts in encoded)
+        assert [encoded[t].tolist() for t in range(-4, 4)] == expected + expected
+        with pytest.raises(IndexError):
+            encoded[4]
+
+    def test_encode_no_positions(self):
+        index = build_feature_index(_corpus(["a"]), SET1, ALPHA1, ModelOrder.FIRST)
+        encoded = index.encode_positions([])
+        assert len(encoded) == 0 and list(encoded) == []
+
 
 # Words that collide under normalize_token (case, digits), words shorter
 # than the affix lengths, a word spelled like the BOS sentinel, words
@@ -439,7 +463,7 @@ class TestFeatureTables:
         expected = [
             starts // index.block_size
             for sentence in _non_empty(decoded)
-            for starts in index.encode_positions(extract_features(sentence, config))
+            for starts in encode_positions_loop(index, extract_features(sentence, config))
         ]
         assert ids.shape[0] == len(expected)
         for row, want in zip(ids, expected):

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import stat
 import struct
 from collections import Counter
 
@@ -24,7 +25,7 @@ from oracles import (
 )
 from picrf import crf, model_io
 from picrf.cli import main
-from picrf.corpus import Sentence, write_conll
+from picrf.corpus import Sentence, SynthConfig, generate_synthetic, write_conll
 from picrf.crf_types import ModelOrder
 from picrf.features import TemplateConfig, make_feature_index
 from picrf.model_io import (
@@ -882,6 +883,82 @@ class TestSavedText:
             model_io._write_hex_lines(np.frombuffer(data, "<f8"), buffer)
         expected = "".join(data[i : i + 8].hex() + "\n" for i in range(0, len(data), 8))
         assert buffer.getvalue() == expected
+
+
+class TestReplacingSave:
+    """save_model to a path writes a new file beside it and renames it
+    over the path (model_io.open_replacing)."""
+
+    def test_a_save_that_fails_leaves_the_old_file(self, trained, tmp_path, monkeypatch):
+        model, _ = trained[ModelOrder.FIRST]
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        before = path.read_bytes()
+
+        def half_written(weights, out):
+            out.write("0" * 16 + "\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(model_io, "_write_hex_lines", half_written)
+        with pytest.raises(OSError, match="disk full"):
+            save_model(trained[ModelOrder.SECOND][0], path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.txt"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_a_new_file_gets_the_mode_open_gives(self, trained, tmp_path, umask):
+        model, _ = trained[ModelOrder.FIRST]
+        old_umask = os.umask(umask)
+        try:
+            save_model(model, tmp_path / "saved.txt")
+            with open(tmp_path / "opened.txt", "w"):
+                pass
+        finally:
+            os.umask(old_umask)
+        modes = [stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("saved.txt", "opened.txt")]
+        assert modes == [0o666 & ~umask] * 2
+
+    def test_an_existing_file_keeps_its_mode(self, trained, tmp_path):
+        model, _ = trained[ModelOrder.FIRST]
+        path = tmp_path / "model.txt"
+        path.write_text("old")
+        path.chmod(0o604)
+        save_model(model, path)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o604
+        assert load_model(path).weights.tobytes() == model.weights.tobytes()
+
+    def test_a_link_to_a_missing_file_makes_the_file(self, trained, tmp_path):
+        """As open(path, "w") does, a save through a link whose target does
+        not exist yet creates the target and leaves the link."""
+        model, _ = trained[ModelOrder.FIRST]
+        (tmp_path / "models").mkdir()
+        link = tmp_path / "latest.txt"
+        link.symlink_to(tmp_path / "models" / "model.txt")
+        save_model(model, link)
+        assert link.is_symlink()
+        assert os.listdir(tmp_path / "models") == ["model.txt"]
+        assert load_model(link).weights.tobytes() == model.weights.tobytes()
+
+
+# sha256 of the files save_model writes for models trained 3 iterations on
+# _PINNED_CORPUS. Two types keep every matrix product small enough that
+# OpenBLAS runs it on one thread. A change that moves a bit of a saved
+# model must update these and say so.
+_PINNED_CORPUS = SynthConfig(entity_type_count=2, sentences=40, seed=3)
+_PINNED_SHA256 = {
+    ModelOrder.FIRST: "cf3c16f4651ce5876b7b13b4b231b1184b875cee42c6ea02c6fc9652420a85d1",
+    ModelOrder.PRE_INDUCED: "7521c53639b462b560fdbc889eb475eb0b4365410b575e6c7b87f7c4bc014d9a",
+    ModelOrder.SECOND: "805b58fa40961d3bfd1392b0b9dd26581a268b64b1e7d476e6a0f0e119e32e8f",
+}
+
+
+@pytest.mark.parametrize("order", list(ModelOrder))
+def test_saved_models_are_pinned(order, tmp_path):
+    corpus = generate_synthetic(_PINNED_CORPUS)
+    model, _ = train(corpus, TrainConfig(model_order=order, max_iterations=3))
+    save_model(model, tmp_path / "model.txt")
+    digest = hashlib.sha256((tmp_path / "model.txt").read_bytes()).hexdigest()
+    assert digest == _PINNED_SHA256[order]
 
 
 def _respelled(text, how):
