@@ -321,16 +321,17 @@ def _move_potentials(weights: np.ndarray, index: FeatureIndex, space: StateSpace
     return moves
 
 
-def _incidence(cols: np.ndarray, counts: np.ndarray, index: FeatureIndex) -> sparse.csr_matrix:
-    """Token x feature incidence matrix: row i holds a 1 for each of the
-    next counts[i] feature ids of cols. A row with no feature is all zero."""
+def _incidence(cols: np.ndarray, ends: np.ndarray, index: FeatureIndex) -> sparse.csr_matrix:
+    """Token x feature incidence matrix: row i holds a 1 for each feature
+    id of cols[ends[i - 1]:ends[i]] (cols[:ends[0]] for row 0). A row with
+    no feature is all zero."""
     # int32 is the index type scipy would convert to anyway; passing it
     # saves that copy
-    indptr = np.zeros(len(counts) + 1, dtype=np.int32)
-    np.cumsum(counts, out=indptr[1:])
+    indptr = np.zeros(len(ends) + 1, dtype=np.int32)
+    indptr[1:] = ends
     return sparse.csr_matrix(
         (np.ones(len(cols)), cols.astype(np.int32, copy=False), indptr),
-        shape=(len(counts), len(index.features)),
+        shape=(len(ends), len(index.features)),
         copy=False,
     )
 
@@ -403,7 +404,7 @@ def build_lattice(
     widths, order = _packed_layout(lengths)
     rows = feature_ids[order]
     present = rows >= 0
-    incidence = _incidence(rows[present], present.sum(axis=1), index)
+    incidence = _incidence(rows[present], present.sum(axis=1).cumsum(), index)
     # a slice where each state is its own observation state: no extra copy
     columns = slice(index.n_fine) if space.observes_itself else space.obs_state_of
     obs = _observation_sums(incidence, weights, index)[:, columns]
@@ -791,7 +792,7 @@ def pack_batch(
         raise CrfError("training sentences must be non-empty")
     widths, order = _packed_layout(lengths)
     ids, ends = known_ids(encoded)
-    incidence = _incidence(ids, np.diff(ends, prepend=0), index)[order]
+    incidence = _incidence(ids, ends, index)[order]
     # the transition slot of every gold move: a sentence's first position
     # moves from the start row
     gold = np.concatenate([cs.gold for cs in batch])

@@ -196,22 +196,35 @@ def open_replacing(path: str | os.PathLike) -> Iterator[IO[str]]:
     new file is removed and the target is left as it was. A symbolic link
     is followed, so the link stays and the file it names is replaced. The
     new file gets the permission bits open(path, "w") would leave: the
-    target's own, or for a new path 0o666 less the umask. An existing
-    path that is not a regular file (a terminal, a pipe, /dev/stdout) is
-    opened and written in place.
+    target's own, or for a new path 0o666 less the umask. Its owner is
+    the writer, and other hard links to the target keep the old text.
+
+    path is opened and written in place, as open(path, "w") would, when
+    it names an existing file that is not a regular one (a terminal, a
+    pipe, /dev/stdout, also through links) or when the new file cannot be
+    created beside it.
     """
-    mode = _mode(path)
-    if mode is not None and stat.S_ISLNK(mode):
-        path = os.path.realpath(path)
-        mode = _mode(path)
-    if mode is not None and not stat.S_ISREG(mode):
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    descriptor = None
+    if mode is None or stat.S_ISREG(mode):
+        if os.path.islink(path):
+            path = os.path.realpath(path)
+        directory, name = os.path.split(path)
+        temporary = os.path.join(directory, ".%s.%s.tmp" % (name, secrets.token_hex(8)))
+        try:
+            # created as open() creates a file, so the umask applies
+            descriptor = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except OSError:
+            # no such directory, no permission, a name too long: open()
+            # below raises the error for path itself, or rewrites it
+            pass
+    if descriptor is None:
         with open(path, "w", encoding="utf-8") as handle:
             yield handle
         return
-    directory, name = os.path.split(path)
-    temporary = os.path.join(directory, ".%s.%s.tmp" % (name, secrets.token_hex(8)))
-    # created as open() creates a file, so the umask applies
-    descriptor = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(descriptor, "w", encoding="utf-8") as handle:
             if mode is not None:
@@ -221,15 +234,6 @@ def open_replacing(path: str | os.PathLike) -> Iterator[IO[str]]:
     except BaseException:
         os.unlink(temporary)
         raise
-
-
-def _mode(path: str | os.PathLike) -> int | None:
-    """The st_mode of path itself, not of a link's target; None if there
-    is no such path."""
-    try:
-        return os.lstat(path).st_mode
-    except FileNotFoundError:
-        return None
 
 
 class _LineReader:

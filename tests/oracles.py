@@ -146,7 +146,9 @@ def pack_batch_loop(batch, index: FeatureIndex, space) -> CompiledBatch:
     widths, order = crf._packed_layout(lengths)
     positions = [starts for cs in batch for starts in cs.feature_starts]
     incidence = crf._incidence(
-        np.concatenate(positions) // index.block_size, [len(p) for p in positions], index
+        np.concatenate(positions) // index.block_size,
+        np.cumsum([len(p) for p in positions]),
+        index,
     )[order]
     gold = np.concatenate([cs.gold for cs in batch])
     prev = np.roll(gold, 1)

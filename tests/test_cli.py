@@ -210,6 +210,37 @@ class TestTag:
         finally:
             os.close(reader)
 
+    @pytest.mark.parametrize("how", ["proc-fd", "dev-stdout"])
+    def test_output_into_an_anonymous_pipe_is_written_in_place(
+        self, model_path, corpus_files, how
+    ):
+        """A pipe reached through a link whose text names no file, such as
+        /proc/self/fd/N or /dev/stdout of `picrf tag ... | head`, is
+        written in place."""
+        _, test = corpus_files
+        code, expected, _ = run_captured(["tag", "--model", model_path, "--input", test])
+        assert code == 0 and len(expected.encode()) < 1 << 16  # fits the pipe's buffer
+        reader, writer = os.pipe()
+        saved_stdout = os.dup(1)
+        try:
+            if how == "proc-fd":
+                path = "/proc/self/fd/%d" % writer
+            else:
+                os.dup2(writer, 1)
+                path = "/dev/stdout"
+            code = run(["tag", "--model", model_path, "--input", test, "--output", path])
+            os.dup2(saved_stdout, 1)
+            os.close(writer)
+            writer = None
+            assert code == 0
+            with open(reader, "rb", closefd=False) as handle:
+                assert handle.read().decode() == expected
+        finally:
+            os.dup2(saved_stdout, 1)
+            for fd in (saved_stdout, reader, writer):
+                if fd is not None:
+                    os.close(fd)
+
     def test_constrained_flag_rejected_for_first_order(self, model_path, corpus_files, capsys):
         _, test = corpus_files
         code = run(["tag", "--model", model_path, "--input", test, "--constrained"])

@@ -940,6 +940,39 @@ class TestReplacingSave:
         assert load_model(link).weights.tobytes() == model.weights.tobytes()
 
 
+    def test_a_directory_that_refuses_the_new_file_rewrites_in_place(
+        self, trained, tmp_path, monkeypatch
+    ):
+        """If the new file cannot be made beside the target for lack of
+        permission, the target is truncated and rewritten, as open(path,
+        "w") does."""
+        model, _ = trained[ModelOrder.FIRST]
+        path = tmp_path / "model.txt"
+        path.write_text("old")
+        old_inode = path.stat().st_ino
+        real_open = os.open
+
+        def refused(name, flags, *args):
+            if flags & os.O_EXCL:
+                raise PermissionError(13, "Permission denied", name)
+            return real_open(name, flags, *args)
+
+        monkeypatch.setattr(os, "open", refused)
+        save_model(model, path)
+        assert path.stat().st_ino == old_inode
+        assert os.listdir(tmp_path) == ["model.txt"]
+        assert load_model(path).weights.tobytes() == model.weights.tobytes()
+
+    def test_a_name_too_long_to_extend_rewrites_in_place(self, trained, tmp_path):
+        model, _ = trained[ModelOrder.FIRST]
+        path = tmp_path / ("m" * 250)
+        path.write_text("old")
+        old_inode = path.stat().st_ino
+        save_model(model, path)
+        assert path.stat().st_ino == old_inode
+        assert load_model(path).weights.tobytes() == model.weights.tobytes()
+
+
 # sha256 of the files save_model writes for models trained 3 iterations on
 # _PINNED_CORPUS. Two types keep every matrix product small enough that
 # OpenBLAS runs it on one thread. A change that moves a bit of a saved
