@@ -67,6 +67,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .corpus import split_label
 from .crf_types import ModelOrder
@@ -98,26 +99,34 @@ class CrfError(Exception):
 
 
 class _Scratch(threading.local):
-    """One thread's scratch arena: three flat buffers, each viewed as one
-    (S, N) table of a call, that log_likelihood_and_gradient and
-    _forward_backward write instead of fresh arrays. Region 0 holds obs,
-    then pot, then tails; region 1 the alphas; region 2 the betas, then
-    the node marginals. The buffers grow to the largest table a call has
-    asked for and serve every later call of any batch and order, whose
-    writes then land on pages already mapped: a freshly allocated table of
-    this size is mapped anew on each call, and its page faults cost up to a
-    third of the call. No public function returns a view of them."""
+    """One thread's scratch arena: four flat buffers that
+    log_likelihood_and_gradient and _forward_backward write instead of
+    fresh arrays. Buffers 0-2 are each viewed as one (S, N) table of a
+    call: region 0 holds obs, then pot, then tails; region 1 the alphas;
+    region 2 the betas, then the node marginals. Buffer 3 is viewed as the
+    (N, block) observation sums, then the scratch of _scatter_observations.
+    Each buffer grows to the largest table a call has asked of it and
+    serves every later call of any batch and order, whose writes then land
+    on pages already mapped. A freshly allocated table of this size is
+    mapped anew on each call whenever the allocator has handed the last
+    one back to the kernel, which depends on what else the process has
+    allocated and freed; those page faults cost up to a third of the call.
+    No public function returns a view of them."""
 
     def __init__(self):
         self.buffers: tuple[np.ndarray, ...] = ()
 
-    def regions(self, n_states: int, n_rows: int) -> tuple[np.ndarray, ...]:
-        size = n_states * n_rows
-        if not self.buffers or self.buffers[0].size < size:
-            # free the old buffers before allocating the new ones
+    def regions(self, n_states: int, n_rows: int, block: int) -> tuple[np.ndarray, ...]:
+        shapes = ((n_states, n_rows),) * 3 + ((n_rows, block),)
+        sizes = [a * b for a, b in shapes]
+        held = [b.size for b in self.buffers] or [0] * len(shapes)
+        if any(h < s for h, s in zip(held, sizes)):
+            # free the old buffers before allocating the new ones; no
+            # buffer shrinks, so calls of different shapes do not take
+            # turns reallocating them
             self.buffers = ()
-            self.buffers = tuple(np.empty(size) for _ in range(3))
-        return tuple(b[:size].reshape(n_states, n_rows) for b in self.buffers)
+            self.buffers = tuple(np.empty(max(h, s)) for h, s in zip(held, sizes))
+        return tuple(b[: a * c].reshape(a, c) for b, (a, c) in zip(self.buffers, shapes))
 
 
 _SCRATCH = _Scratch()
@@ -337,12 +346,25 @@ def _incidence(cols: np.ndarray, ends: np.ndarray, index: FeatureIndex) -> spars
 
 
 def _observation_sums(
-    incidence: sparse.csr_matrix, weights: np.ndarray, index: FeatureIndex
+    incidence: sparse.csr_matrix, weights: np.ndarray, index: FeatureIndex, out=None
 ) -> np.ndarray:
     """(N, block) sums of the weight blocks of the features of the N token
     rows of an incidence matrix, the coarse slot added into the outside
-    class: column j < n_fine is the score of observation state j."""
-    sums = incidence @ weights[: index.n_parameters].reshape(-1, index.block_size)
+    class: column j < n_fine is the score of observation state j. Written
+    to out, a C-contiguous (N, block) array, when it is given."""
+    n_rows, n_features = incidence.shape
+    if out is None:
+        sums = np.zeros((n_rows, index.block_size))
+    else:
+        sums = out
+        sums.fill(0.0)
+    # the kernel scipy runs for incidence @ table, which returns a fresh
+    # array: it adds into sums in place
+    table = weights[: index.n_parameters].reshape(n_features, index.block_size)
+    _sparsetools.csr_matvecs(
+        n_rows, n_features, index.block_size,
+        incidence.indptr, incidence.indices, incidence.data, table.ravel(), sums.ravel(),
+    )
     for j in index.outside_obs_ids if index.has_coarse else ():
         sums[:, j] += sums[:, index.n_fine]
     return sums
@@ -495,7 +517,7 @@ def _forward_backward(
     np.exp(pot, out=pot)
     trans_pot = np.exp(trans - trans_shift) if steps else np.zeros_like(trans)
 
-    _, alphas, betas = _SCRATCH.regions(*pot.shape)
+    _, alphas, betas, _ = _SCRATCH.regions(*pot.shape, 0)
     scale = np.empty(pot.shape[1])
     np.multiply(pot[:, :n_batch], np.exp(start - start_shift)[:, None], out=alphas[:, :n_batch])
     # a normalizer of 0 (no path, or underflow) and backward entries that
@@ -854,13 +876,15 @@ def log_likelihood_and_gradient(
         batch = pack_batch(batch, index, space)
 
     moves = _move_potentials(weights, index, space)
-    sums = _observation_sums(batch.incidence, weights, index)
-    obs, _, _ = _SCRATCH.regions(space.n_states, sums.shape[0])
-    # mode="raise" would gather into a fresh buffer and copy it to obs
-    np.take(sums.T, space.obs_state_of, axis=0, out=obs, mode="clip")
+    n_rows, n_to = batch.incidence.shape[0], space.move_block[2]
+    obs, _, _, sums = _SCRATCH.regions(space.n_states, n_rows, index.block_size)
+    _observation_sums(batch.incidence, weights, index, out=sums)
+    # obs_state_of is s % n_to, so each run of n_to rows of obs is the
+    # transpose of the first n_to columns; copyto writes it stride by
+    # stride, where np.take would first copy sums.T whole
+    np.copyto(obs.reshape(-1, n_to, n_rows), sums[:, :n_to].T)
     run = _forward_backward(obs, batch.widths, moves[-1], moves[:-1])
     node = np.multiply(run.alphas, run.betas, out=run.betas)
-    n_to = space.move_block[2]
     start_mass = node[-n_to:, : batch.widths[0]].sum(axis=1)
     if not space.observes_itself:
         # state s is scored by observation state s % n_to
