@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields
-from itertools import chain
+from itertools import chain, repeat
+from operator import attrgetter, is_not
 from typing import Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 
 class CorpusError(Exception):
@@ -63,6 +66,22 @@ class Sentence:
             bad = next(t for t in texts if t.split() != [t])
             raise CorpusError("token text must be non-empty and contain no whitespace: %r" % (bad,))
         return cls(texts, tuple(labels) if labels is not None else None)
+
+
+_set_tokens = Sentence.tokens.__set__
+_set_labels = Sentence.labels.__set__
+
+
+def _parsed_sentence(tokens: tuple[str, ...], labels: tuple[str, ...] | None) -> Sentence:
+    """Sentence(tokens, labels) for read_conll, made without __init__,
+    which writes each field of the frozen dataclass through
+    object.__setattr__ and then checks the lengths. The slot writes here
+    are cheaper, and read_conll's tuples are parallel by construction, so
+    the check has nothing to catch."""
+    sentence = object.__new__(Sentence)
+    _set_tokens(sentence, tokens)
+    _set_labels(sentence, labels)
+    return sentence
 
 
 class Chunk(NamedTuple):
@@ -179,7 +198,7 @@ def read_conll(
         columns = raw.split()
         if not columns:
             if tokens:
-                sentences.append(Sentence(tuple(tokens), tuple(labels) or None))
+                sentences.append(_parsed_sentence(tuple(tokens), tuple(labels) or None))
                 tokens, labels = [], []
             continue
         if len(columns) != width:
@@ -209,27 +228,50 @@ def write_conll(
     Columns are token, then gold label when present, then the parallel
     predicted label when given. Misaligned predictions raise CorpusError
     naming the sentence index. The empty corpus renders as the empty string.
+
+    The token lines are made in one "\\t".join pass over the chained token,
+    gold and predicted columns of each run of sentences that all have gold
+    labels or all lack them (a corpus read from one file is one run). The
+    blank line that ends each sentence is placed from the cumulative
+    lengths, so an empty sentence is a lone blank line, and the text is
+    joined once.
     """
-    if predicted is not None and len(predicted) != len(sentences):
-        raise CorpusError(
-            "predicted has %d sequences for %d sentences" % (len(predicted), len(sentences))
-        )
-    lines: list[str] = []
-    for si, sentence in enumerate(sentences):
-        pred = predicted[si] if predicted is not None else None
-        if pred is not None and len(pred) != len(sentence):
+    tokens = list(map(attrgetter("tokens"), sentences))
+    gold = list(map(attrgetter("labels"), sentences))
+    n_sentences = len(tokens)
+    lengths = np.fromiter(map(len, tokens), np.int64, n_sentences)
+    if predicted is not None:
+        if len(predicted) != n_sentences:
             raise CorpusError(
-                "sentence %d: %d tokens but %d predicted labels"
-                % (si, len(sentence), len(pred))
+                "predicted has %d sequences for %d sentences" % (len(predicted), n_sentences)
             )
-        columns = [sentence.tokens]
-        if sentence.labels is not None:
-            columns.append(sentence.labels)
-        if pred is not None:
-            columns.append(pred)
-        lines.extend(map("\t".join, zip(*columns)))
-        lines.append("")
-    return "\n".join(lines) + "\n" if lines else ""
+        counts = np.fromiter(map(len, predicted), np.int64, n_sentences)
+        misaligned = np.flatnonzero(counts != lengths)
+        if misaligned.size:
+            si = int(misaligned[0])
+            raise CorpusError(
+                "sentence %d: %d tokens but %d predicted labels" % (si, lengths[si], counts[si])
+            )
+    # the runs of sentences that all have gold labels or all lack them
+    labeled = np.fromiter(map(is_not, gold, repeat(None)), bool, n_sentences)
+    starts = np.flatnonzero(np.diff(labeled, prepend=~labeled[:1])).tolist()
+    token_lines = []
+    for start, stop in zip(starts, starts[1:] + [n_sentences]):
+        columns = [chain.from_iterable(tokens[start:stop])]
+        if labeled[start]:
+            columns.append(chain.from_iterable(gold[start:stop]))
+        if predicted is not None:
+            columns.append(chain.from_iterable(predicted[start:stop]))
+        token_lines.append(map("\t".join, zip(*columns)))
+    n_tokens = int(lengths.sum())
+    # a blank line ends each sentence, and a last empty line ends the text
+    # with a newline
+    lines = np.full(n_tokens + n_sentences + 1, "", dtype=object)
+    is_token = np.ones(lines.size, dtype=bool)
+    is_token[np.cumsum(lengths) + np.arange(n_sentences)] = False
+    is_token[-1] = False
+    lines[is_token] = np.fromiter(chain.from_iterable(token_lines), object, n_tokens)
+    return "\n".join(lines.tolist())
 
 
 def _type_name(i: int) -> str:

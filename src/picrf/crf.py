@@ -653,8 +653,12 @@ def _viterbi(
     its leading axis, in chunks of cols columns within _VITERBI_BUDGET
     entries. Each sentence then backtracks from its best final state,
     taking at each step back the argmax over the A predecessors of its own
-    state only. A NaN or +inf anywhere reaches some sentence's best score
-    through the max, which raises before the backtrack.
+    state only: a step back reads those predecessors' scores as a view of
+    delta, delta[:, prev] for the (S, 1, S) block of first and pre-induced
+    models, and gathers them with one [:, ctx, columns] index of delta
+    viewed as (A, B, N) for the pair states of second order. A NaN or
+    +inf anywhere reaches some sentence's best score through the max,
+    which raises before the backtrack.
     """
     n_from, n_ctx, n_to = moves.shape
     n_into, n_batch = n_ctx * n_to, widths[0]
@@ -678,9 +682,10 @@ def _viterbi(
                 np.max(part, axis=0, out=top[..., :w])
                 into = delta[:n_into, r : r + w].reshape(n_ctx, n_to, w)
                 into += top[..., :w]
-            # no move leads into the states from n_into on: -inf, or NaN
-            # where their observation potential is NaN or +inf
-            delta[n_into:, rows] += NEG_INF
+            if n_into < delta.shape[0]:
+                # no move leads into the states from n_into on: -inf, or
+                # NaN where their observation potential is NaN or +inf
+                delta[n_into:, rows] += NEG_INF
 
     # sentence k (in rank order) ends in block lengths[k] - 1
     lengths = np.searchsorted(-widths, -np.arange(n_batch), side="left")
@@ -691,17 +696,36 @@ def _viterbi(
     best = delta[states[last], last]
     _check_scores(float(best.sum()))
     # state s < n_into steps back to a * n_ctx + s // n_to, scored
-    # delta[a * n_ctx + s // n_to, row] + arrivals[s, a], gathered as (rows, A)
+    # delta[a * n_ctx + s // n_to, row] + arrivals[s, a], as (rows, A)
     arrivals = moves.reshape(n_from, n_into).T.copy()
-    flat, n_rows = delta.reshape(-1), delta.shape[1]
-    offsets = np.arange(n_from) * (n_ctx * n_rows)
+    by_context = delta.reshape(n_from, n_ctx, -1)
     for prev, rows in reversed(steps):
-        ctx = states[rows] // n_to
-        at = (ctx * n_rows + np.arange(prev.start, prev.stop))[:, None] + offsets
-        scores = flat.take(at)
-        scores += arrivals[states[rows]]
-        states[prev] = scores.argmax(axis=1) * n_ctx + ctx
+        into = states[rows]
+        scores = arrivals[into]
+        if n_ctx == 1:
+            scores += delta[:, prev].T
+            states[prev] = scores.argmax(axis=1)
+        else:
+            ctx = into // n_to
+            scores += by_context[:, ctx, np.arange(prev.start, prev.stop)].T
+            states[prev] = scores.argmax(axis=1) * n_ctx + ctx
     return states, best
+
+
+def _checked_widths(widths, n_rows: int) -> np.ndarray:
+    """widths as int64 when they lay out n_rows packed rows: a 1-D integer
+    array of entries of at least 1 that never increase and sum to n_rows.
+    Otherwise CrfError names them and the row count."""
+    array = np.asarray(widths)
+    if array.ndim == 1 and array.size and array.dtype.kind in "iu":
+        array = array.astype(np.int64, copy=False)
+        if array[-1] >= 1 and np.all(array[:-1] >= array[1:]) and array.sum() == n_rows:
+            return array
+    raise CrfError(
+        "block widths %s do not lay out %d lattice rows: need a non-increasing 1-D "
+        "integer array of entries of at least 1 summing to the row count"
+        % (array.tolist(), n_rows)
+    )
 
 
 def viterbi(
@@ -716,9 +740,12 @@ def viterbi(
     in the lattice's row order, and the sentences' scores as a (B,) array
     in rank order. Ties break toward the lower state index at every argmax,
     making the decode deterministic. Raises CrfError on NaN or +inf
-    potentials and InfeasibleLatticeError when a sentence has no path.
+    potentials, on widths that do not lay out the lattice's rows (a 1-D
+    integer array of entries of at least 1 that never increase and sum to
+    its row count), and InfeasibleLatticeError when a sentence has no path.
     """
     if widths is not None:
+        widths = _checked_widths(widths, lattice.n_positions)
         return _viterbi(lattice.obs, widths, lattice.start, lattice.moves())
     widths = np.ones(lattice.n_positions, dtype=np.int64)
     states, scores = _viterbi(lattice.obs, widths, lattice.start, lattice.moves())

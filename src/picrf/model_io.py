@@ -111,23 +111,21 @@ class Model:
 
         The corpus is decoded as one batch: feature_id_matrix gives the
         feature ids of all its tokens at once, looking each word type up in
-        the index's per-slot tables, build_lattice lays them out
-        in one packed lattice, as training does, and viterbi decodes every
-        sentence in one pass; the row order puts the states back in
-        sentence order. Empty sentences decode to []. Pre-induced decodes
-        are reverted, so carrier labels never leak into output.
-        Deterministic: a sentence decodes to the same labels alone or in
-        any batch.
+        the index's per-slot tables (empty sentences add no rows there),
+        build_lattice lays the non-empty sentences out in one packed
+        lattice, as training does, and viterbi decodes them all in one
+        pass; the row order puts the states back in token order, and one
+        flat label list is split at the cumulative sentence lengths, so
+        empty sentences decode to []. Pre-induced decodes are reverted, so
+        carrier labels never leak into output. Deterministic: a sentence
+        decodes to the same labels alone or in any batch.
         """
-        decoded: list[list[str]] = [[] for _ in corpus]
-        kept = [i for i, sentence in enumerate(corpus) if len(sentence)]
-        if not kept:
-            return decoded
-        sentences = [corpus[i] for i in kept]
-        lengths = [len(s) for s in sentences]
-        ids = feature_id_matrix(sentences, self.index)
+        lengths = np.fromiter(map(len, corpus), np.int64, len(corpus))
+        if not lengths.any():
+            return [[] for _ in corpus]
+        ids = feature_id_matrix(corpus, self.index)
         lattice, widths, order = build_lattice(
-            ids, lengths, self.weights, self.index, self.space, constrained
+            ids, lengths[lengths > 0], self.weights, self.index, self.space, constrained
         )
         rows, _ = viterbi(lattice, widths)
         states = np.empty_like(rows)
@@ -136,10 +134,8 @@ class Model:
         if self.order == ModelOrder.PRE_INDUCED:
             names = revert(names, self.alphabet)
         labels = np.array(names, dtype=object)[states].tolist()
-        ends = np.cumsum(lengths).tolist()
-        for i, end, n_pos in zip(kept, ends, lengths):
-            decoded[i] = labels[end - n_pos : end]
-        return decoded
+        ends = np.cumsum(lengths)
+        return [labels[a:b] for a, b in zip((ends - lengths).tolist(), ends.tolist())]
 
 
 def _dump(model: Model, out: IO[str]) -> None:

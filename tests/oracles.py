@@ -3,10 +3,10 @@
 Everything here enumerates explicitly: partition functions and best paths
 by scoring every state sequence, carrier expectations by scanning label
 sequences, index feature lists by counting every extracted feature string,
-a training batch's compile position by position, CoNLL parses row by row,
-model files weight by weight or line by line, feature strings position by
-position and window slot by window slot, and IOB2 checks and the carrier
-transform label by label.
+a training batch's compile position by position, CoNLL parses row by row
+and renderings sentence by sentence, model files weight by weight or line
+by line, feature strings position by position and window slot by window
+slot, and IOB2 checks and the carrier transform label by label.
 Deliberately slow and simple. The module also generates the random inputs
 several test files share.
 """
@@ -24,7 +24,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from picrf import crf
-from picrf.corpus import LabelError, Sentence, split_label
+from picrf.corpus import CorpusError, LabelError, Sentence, split_label
 from picrf.crf import CompiledBatch, CompiledSentence, Lattice, encode_gold_states
 from picrf.features import (
     AFFIX_LENGTHS,
@@ -287,6 +287,31 @@ def conll_reference(
             sentences.append((tuple(texts), tuple(labels) if label_column is not None else None))
             texts, labels = [], []
     return sentences, None
+
+
+def write_conll_loop(sentences, predicted=None) -> str:
+    """write_conll sentence by sentence: each sentence's columns zipped
+    into its token lines, then its blank line."""
+    if predicted is not None and len(predicted) != len(sentences):
+        raise CorpusError(
+            "predicted has %d sequences for %d sentences" % (len(predicted), len(sentences))
+        )
+    lines: list[str] = []
+    for si, sentence in enumerate(sentences):
+        pred = predicted[si] if predicted is not None else None
+        if pred is not None and len(pred) != len(sentence):
+            raise CorpusError(
+                "sentence %d: %d tokens but %d predicted labels"
+                % (si, len(sentence), len(pred))
+            )
+        columns = [sentence.tokens]
+        if sentence.labels is not None:
+            columns.append(sentence.labels)
+        if pred is not None:
+            columns.append(pred)
+        lines.extend(map("\t".join, zip(*columns)))
+        lines.append("")
+    return "\n".join(lines) + "\n" if lines else ""
 
 
 def random_lattice(

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import conll_reference, conll_texts, label_lists, outcome, validate_iob2_loop
+from oracles import (
+    conll_reference,
+    conll_texts,
+    label_lists,
+    outcome,
+    validate_iob2_loop,
+    write_conll_loop,
+)
 from picrf.corpus import (
     Chunk,
     CorpusError,
@@ -351,17 +358,51 @@ def _write_conll_by_token(sentences, predicted=None):
     return "".join(lines)
 
 
+_LABEL = st.sampled_from(["O", "B-A", "I-A"])
+
+
+@st.composite
+def _mixed_corpora(draw):
+    """Up to 6 sentences of 0-6 tokens, each with or without gold labels."""
+    sentences = []
+    for _ in range(draw(st.integers(0, 6))):
+        texts = draw(st.lists(_token_text, max_size=6))
+        labels = draw(st.none() | st.lists(_LABEL, min_size=len(texts), max_size=len(texts)))
+        sentences.append(Sentence.from_strings(texts, labels))
+    return sentences
+
+
+@st.composite
+def _predictions(draw, corpus):
+    """None, one label list per sentence, or in some draws a list of the
+    wrong count or with one sentence's labels of the wrong length."""
+    kind = draw(st.sampled_from(["none", "aligned", "aligned", "count", "length"]))
+    if kind == "none":
+        return None
+    predicted = [draw(st.lists(_LABEL, min_size=len(s), max_size=len(s))) for s in corpus]
+    if kind == "count":
+        if predicted and draw(st.booleans()):
+            predicted.pop(draw(st.integers(0, len(predicted) - 1)))
+        else:
+            predicted.insert(draw(st.integers(0, len(predicted))), draw(st.lists(_LABEL)))
+    elif kind == "length" and predicted:
+        si = draw(st.integers(0, len(predicted) - 1))
+        if predicted[si] and draw(st.booleans()):
+            predicted[si].pop()
+        else:
+            predicted[si].append(draw(_LABEL))
+    return predicted
+
+
 class TestWriteConllByToken:
-    @settings(max_examples=100)
-    @given(_corpora(), st.data())
+    @settings(max_examples=200)
+    @given(_mixed_corpora(), st.data())
     def test_matches_the_token_by_token_rendering(self, corpus, data):
-        predicted = None
-        if data.draw(st.booleans()):
-            label = st.sampled_from(["O", "B-A", "I-A"])
-            predicted = [
-                data.draw(st.lists(label, min_size=len(s), max_size=len(s))) for s in corpus
-            ]
-        assert write_conll(corpus, predicted) == _write_conll_by_token(corpus, predicted)
+        predicted = data.draw(_predictions(corpus))
+        expected = outcome(write_conll_loop, corpus, predicted)
+        assert outcome(write_conll, corpus, predicted) == expected
+        if expected[0] == "value":
+            assert expected[1] == _write_conll_by_token(corpus, predicted)
 
 
 class TestSynthetic:

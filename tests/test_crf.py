@@ -431,6 +431,15 @@ class TestViterbi:
         path, _ = viterbi(lattice)
         assert path == [1, 1]
 
+    @pytest.mark.parametrize("widths", [[1], [1, 1], [1, 2], [0, 3], [1, 1, 1, 1]])
+    def test_rejects_widths_that_do_not_lay_out_the_rows(self, widths):
+        lattice = random_lattice(3, 2, np.random.default_rng(0))
+        with pytest.raises(CrfError) as err:
+            viterbi(lattice, np.array(widths))
+        assert str(err.value).startswith(
+            "block widths %s do not lay out 3 lattice rows" % (widths,)
+        )
+
 
 ALPHA2 = build_expanded_alphabet(["A", "B"])
 

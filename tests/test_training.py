@@ -2,6 +2,7 @@ import json
 import re
 import time
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import picrf.training
 from oracles import deque_direction
 from picrf import crf
-from picrf.corpus import LabelError, Sentence, SynthConfig, generate_synthetic
+from picrf.corpus import LabelError, Sentence, SynthConfig, generate_synthetic, rotation_rule
 from picrf.crf_types import ModelOrder
 from picrf.features import FeatureError, TemplateConfig
 from picrf.induction import AlphabetError, build_expanded_alphabet, corpus_alphabet
@@ -241,6 +242,32 @@ class TestTrain:
         assert [(r.objective, r.gradient_max) for r in report.iterations] == [
             evaluations[i] for i in ends
         ]
+
+
+class TestCarrierWeights:
+    """The paper's mechanism, read off the trained weights: under the
+    rotation rule, the carrier t[O] moves most strongly into B-rule[t]."""
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_carrier_moves_into_the_rule_type(self, k):
+        synth = SynthConfig(entity_type_count=k, sentences=300, seed=k)
+        rule = rotation_rule(synth.entity_types)
+        corpus = generate_synthetic(replace(synth, dependency_rule=rule))
+        model, _ = train(corpus, TrainConfig(model_order=ModelOrder.PRE_INDUCED))
+        space, index, names = model.space, model.index, model.space.state_names
+        types = model.alphabet.entity_types
+        for t in types:
+            weights = {
+                u: model.weights[
+                    index.n_parameters
+                    + space.move_slot[names.index("%s[O]" % t), names.index("B-" + u)]
+                ]
+                for u in types
+            }
+            best = max(weights, key=weights.get)
+            runner_up = max(w for u, w in weights.items() if u != rule[t])
+            assert best == rule[t]
+            assert weights[best] - runner_up >= 1.0, (t, weights)
 
 
 class TestLbfgs:
